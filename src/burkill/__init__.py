@@ -18,7 +18,6 @@ from .catalog import (
     stieltjes,
 )
 from .core import (
-    Bracket,
     Division,
     Dyadic,
     Interval,

@@ -8,41 +8,31 @@ g_E + g_co_E = g exactly on every interval.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .catalog import IntervalFunction
 from .core import Dyadic, Interval, Region
-from .density import MeasurableSet
+from .density import MeasurableSet, with_set_edges
 from .integrator import LimitReport, SearchConfig, estimate_norm_limits
 
 
 def around_part(g: IntervalFunction, E: MeasurableSet) -> IntervalFunction:
     """g on intervals whose set intersection with E is non-empty, else 0."""
-    edges = E.endpoints()
-
     def ev(iv: Interval) -> float:
         return g(iv) if E.meets(iv) else 0.0
 
-    def specials(region: Region, resolution: Dyadic) -> list[Dyadic]:
-        return g.special_points(region, resolution) + [
-            p for p in edges if region.contains_point(p)]
-
-    return IntervalFunction(f"{g.name}_E", ev, special_points=specials)
+    return IntervalFunction(f"{g.name}_E", ev,
+                            special_points=with_set_edges(g, E))
 
 
 def complement_part(g: IntervalFunction, E: MeasurableSet) -> IntervalFunction:
     """g minus its around-E part: g on intervals missing E entirely."""
-    edges = E.endpoints()
-
     def ev(iv: Interval) -> float:
         return 0.0 if E.meets(iv) else g(iv)
 
-    def specials(region: Region, resolution: Dyadic) -> list[Dyadic]:
-        return g.special_points(region, resolution) + [
-            p for p in edges if region.contains_point(p)]
-
-    return IntervalFunction(f"{g.name}^E", ev, special_points=specials)
+    return IntervalFunction(f"{g.name}^E", ev,
+                            special_points=with_set_edges(g, E))
 
 
 def around_limits(
@@ -53,7 +43,6 @@ def around_limits(
     tol: Optional[float] = None,
 ) -> LimitReport:
     """Upper and lower norm-limits of g around (region, E)."""
-    cfg = cfg or SearchConfig()
     return estimate_norm_limits(around_part(g, E), region, cfg, tol=tol)
 
 
@@ -73,18 +62,6 @@ class ChainReport:
                 and self.iterated_upper <= self.upper_around + t)
 
 
-def _shallow(cfg: SearchConfig) -> SearchConfig:
-    schedule = cfg.e_schedule[:len(cfg.e_schedule) // 2 + 1][:5]
-    return SearchConfig(
-        e_schedule=schedule,
-        grid_density=cfg.grid_density,
-        use_special_points=cfg.use_special_points,
-        tol_exact=cfg.tol_exact,
-        tol_float=cfg.tol_float,
-        max_points=cfg.max_points,
-    )
-
-
 def around_chain_check(
     g: IntervalFunction,
     E: MeasurableSet,
@@ -98,7 +75,9 @@ def around_chain_check(
     Inner estimates per interval depend only on the span, so they are
     cached; the outer pass runs at a shallow schedule for desk-scale cost.
     """
-    cfg = _shallow(cfg or SearchConfig())
+    cfg = cfg or SearchConfig()
+    schedule = cfg.e_schedule[:len(cfg.e_schedule) // 2 + 1][:5]
+    cfg = replace(cfg, e_schedule=schedule)
     gE = around_part(g, E)
     outer = estimate_norm_limits(gE, region, cfg)
 
@@ -117,7 +96,7 @@ def around_chain_check(
     def low_ev(iv: Interval) -> float:
         return inner(iv.span())[1] if E.meets(iv) else 0.0
 
-    specials = gE._special
+    specials = with_set_edges(g, E)
     h_up = IntervalFunction("iterated_upper", up_ev, special_points=specials)
     h_low = IntervalFunction("iterated_lower", low_ev, special_points=specials)
     it_up = estimate_norm_limits(h_up, region, cfg).upper

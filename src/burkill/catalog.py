@@ -501,9 +501,6 @@ def _k_convention_jump() -> IntervalFunction:
                             singular_schedule=schedule)
 
 
-K_SINGULAR_SET_NAME = "k_convention_jump"
-
-
 def apply_k_convention(iv: Interval) -> Interval:
     """Rewrite brackets at ends lying in the singular set {0, 2^-r} to ")["."""
     lc, rc = iv.left_closed, iv.right_closed

@@ -54,6 +54,8 @@ def _load_config_file(path: Optional[str]) -> dict:
 def _config_from(args, file_cfg: dict) -> SearchConfig:
     e_min = args.e_min if args.e_min else file_cfg.get("e_min", "1/2^12")
     finest = Dyadic.parse(e_min)
+    if finest.num <= 0:
+        raise ValueError(f"e-min must be positive, got {e_min}")
     exps = []
     k = 3
     while Dyadic(1, k) > finest:

@@ -179,17 +179,6 @@ def is_pow2(d: Dyadic) -> bool:
     return d.num > 0 and d.num == 1 << (d.num.bit_length() - 1)
 
 
-@dataclass(frozen=True)
-class Bracket:
-    """One side of an interval: closed (endpoint included) or open."""
-
-    closed: bool
-
-
-OPEN = Bracket(False)
-CLOSED = Bracket(True)
-
-
 class Interval:
     """A bracketed interval with strictly positive length.
 
@@ -259,9 +248,6 @@ class Interval:
             for lc in (False, True)
             for rc in (False, True)
         )
-
-    def closure(self) -> "Interval":
-        return Interval(self.lo, self.hi, True, True)
 
     def __str__(self) -> str:
         left = "[" if self.left_closed else "("

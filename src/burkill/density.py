@@ -77,12 +77,6 @@ class MeasurableSet:
                 return True
         return False
 
-    def to_json_obj(self) -> list:
-        return [{"lo": iv.lo.serialize(), "hi": iv.hi.serialize(),
-                 "left_closed": iv.left_closed,
-                 "right_closed": iv.right_closed}
-                for iv in self.components]
-
     def __str__(self) -> str:
         return " + ".join(str(iv) for iv in self.components) or "{}"
 
@@ -99,14 +93,23 @@ def intersect_measure(E: MeasurableSet, iv: Interval) -> Dyadic:
     return total
 
 
+def with_set_edges(g: IntervalFunction, E: MeasurableSet):
+    """The special-point hint map of g extended by the endpoints of E."""
+    edges = E.endpoints()
+
+    def specials(region: Region, resolution: Dyadic) -> list[Dyadic]:
+        return g.special_points(region, resolution) + [
+            p for p in edges if region.contains_point(p)]
+
+    return specials
+
+
 def density_kernel(g: IntervalFunction, E: MeasurableSet) -> IntervalFunction:
     """The interval function K(I) = g(I) * m(E & I) / mI.
 
     Special points inherit from g plus the endpoints of E; bracket
     dependence is inherited from g (the measure ratio ignores brackets).
     """
-    edges = E.endpoints()
-
     def ev(iv: Interval) -> float:
         m = intersect_measure(E, iv)
         if m.num == 0:
@@ -120,14 +123,10 @@ def density_kernel(g: IntervalFunction, E: MeasurableSet) -> IntervalFunction:
             ratio = float(m.as_fraction() / length.as_fraction())
         return g(iv) * ratio
 
-    def specials(region: Region, resolution: Dyadic) -> list[Dyadic]:
-        return g.special_points(region, resolution) + [
-            p for p in edges if region.contains_point(p)]
-
     return IntervalFunction(
         f"K({g.name};E)", ev,
         bracket_independent=g.bracket_independent,
-        special_points=specials,
+        special_points=with_set_edges(g, E),
         singular_schedule=g._schedule,
     )
 
@@ -163,7 +162,6 @@ def density_integral(
     When a derivative oracle is supplied (additive absolutely continuous
     g), the Lebesgue reference value is attached for comparison.
     """
-    cfg = cfg or SearchConfig()
     kernel = density_kernel(g, E)
     report = estimate_norm_limits(kernel, fundamental, cfg, tol=tol)
     ref = None

@@ -12,16 +12,18 @@ fine bound is also admissible at every coarser bound.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .catalog import INF, IntervalFunction, xsum
 from .core import (
+    DEFAULT_CONVENTION,
     Division,
     Dyadic,
     Interval,
     Region,
+    ZERO,
     division_from_points,
     dmid,
     floor_log2,
@@ -30,6 +32,10 @@ from .core import (
 from .errors import BudgetExceeded, IndeterminateForm
 
 Lock = tuple[bool, bool]  # junction convention: (left_closed, right_closed)
+
+# estimates beyond this magnitude read as divergent
+DIVERGENCE_THRESHOLD = 1e12
+CONVENTION_MODES = ("optimize", "fixed")
 
 
 def _default_schedule() -> tuple[Dyadic, ...]:
@@ -40,24 +46,27 @@ def _default_schedule() -> tuple[Dyadic, ...]:
 class SearchConfig:
     """Knobs of the division search.
 
-    e_schedule is strictly decreasing; grids use spacing e/grid_density.
-    convention_mode "optimize" picks extremal brackets per interval,
-    "fixed" applies fixed_convention at every junction, and "enumerate"
-    cross-checks against the exhaustive 4**m walk on small divisions.
+    e_schedule is non-empty and strictly decreasing; grids use spacing
+    e/grid_density.  convention_mode "optimize" picks extremal brackets per
+    interval, and "fixed" applies the default ")[" convention at every
+    junction.
     """
 
     e_schedule: tuple[Dyadic, ...] = field(default_factory=_default_schedule)
     grid_density: int = 2
     use_special_points: bool = True
     convention_mode: str = "optimize"
-    fixed_convention: Lock = (False, True)
-    tol_exact: float = 1e-9
     tol_float: float = 1e-6
-    divergence_threshold: float = 1e12
     max_points: int = 200_000
-    parallel: bool = False
 
     def __post_init__(self):
+        if not self.e_schedule:
+            raise ValueError("e_schedule must not be empty")
+        if self.grid_density <= 0:
+            raise ValueError("grid_density must be positive")
+        if self.convention_mode not in CONVENTION_MODES:
+            raise ValueError(f"convention_mode must be one of "
+                             f"{CONVENTION_MODES}, not {self.convention_mode!r}")
         prev = None
         for e in self.e_schedule:
             if e.num <= 0 or (prev is not None and not e < prev):
@@ -66,10 +75,6 @@ class SearchConfig:
 
     def finest(self) -> Dyadic:
         return self.e_schedule[-1]
-
-
-def default_config(**overrides) -> SearchConfig:
-    return SearchConfig(**overrides)
 
 
 @dataclass(frozen=True)
@@ -115,9 +120,6 @@ class LimitReport:
     @property
     def lower(self) -> float:
         return self.levels[-1].lower
-
-    def trace(self) -> list[tuple[Dyadic, float, float]]:
-        return [(lv.e, lv.upper, lv.lower) for lv in self.levels]
 
 
 @dataclass
@@ -181,42 +183,37 @@ def _extremal_spans(
     chosen: list[Interval] = []
     values: list[float] = []
     raw = Interval.raw
-    if not locks:
-        for a, b in cand.spans:
-            if bkfree:
-                best = raw(a, b, False, False)
-                best_val = g(best)
-            else:
-                best = raw(a, b, False, False)
-                best_val = g(best)
-                for lc, rc in ((False, True), (True, False), (True, True)):
-                    iv = raw(a, b, lc, rc)
-                    v = g(iv)
-                    if v > best_val if want_max else v < best_val:
-                        best, best_val = iv, v
-            chosen.append(best)
-            values.append(best_val)
-    else:
-        for a, b in cand.spans:
-            allowed = _allowed_variants(a, b, locks)
-            if not allowed:
-                raise ValueError(f"conflicting locks at {a}..{b}")
-            if bkfree:
-                lc, rc = allowed[0]
-                best = raw(a, b, lc, rc)
-                best_val = g(best)
-            else:
-                best = None
-                best_val = 0.0
-                for lc, rc in allowed:
-                    iv = raw(a, b, lc, rc)
-                    v = g(iv)
-                    if best is None or (v > best_val if want_max
-                                        else v < best_val):
-                        best, best_val = iv, v
-            chosen.append(best)
-            values.append(best_val)
+    for a, b in cand.spans:
+        allowed = _allowed_variants(a, b, locks) if locks else _VARIANTS
+        if not allowed:
+            raise ValueError(f"conflicting locks at {a}..{b}")
+        # the first allowed variant seeds the optimum; only a strict
+        # improvement replaces it, so ties keep the earliest variant
+        lc, rc = allowed[0]
+        best = raw(a, b, lc, rc)
+        best_val = g(best)
+        if not bkfree:
+            for lc, rc in allowed[1:]:
+                iv = raw(a, b, lc, rc)
+                v = g(iv)
+                if v > best_val if want_max else v < best_val:
+                    best, best_val = iv, v
+        chosen.append(best)
+        values.append(best_val)
     return xsum(values), Division(region, chosen, tuple(cand.points))
+
+
+def _best_value(g, iv, sense: str):
+    """Optimal value of g over the bracket variants of one interval or
+    rectangle, with the variant that attains it (ties keep the first)."""
+    if g.bracket_independent:
+        return g(iv), iv
+    best, best_iv = None, iv
+    for v in iv.variants():
+        val = g(v)
+        if best is None or (val > best if sense == "max" else val < best):
+            best, best_iv = val, v
+    return best, best_iv
 
 
 def extremal_sum(
@@ -274,6 +271,17 @@ def _grid_spacing(e: Dyadic, density: int) -> Dyadic:
     return spacing
 
 
+def _grid(region: Region, start: Dyadic, spacing: Dyadic) -> list[Dyadic]:
+    """Points lo + start + k*spacing below hi, component by component."""
+    out: list[Dyadic] = []
+    for lo, hi in region.components:
+        p = lo + start
+        while p < hi:
+            out.append(p)
+            p = p + spacing
+    return out
+
+
 def _fill_gap(a: Dyadic, b: Dyadic, e: Dyadic, out: list, cap: int):
     """Append midpoints of (a, b), in order, until every gap is below e."""
     if b - a < e:
@@ -328,26 +336,14 @@ def candidate_point_sets(
     """The candidate family at norm bound e, all gaps strictly below e."""
     base = region.endpoints()
     spacing = _grid_spacing(e, cfg.grid_density)
-    grid: list[Dyadic] = []
-    for lo, hi in region.components:
-        p = lo
-        while p < hi:
-            grid.append(p)
-            p = p + spacing
-        grid.append(hi)
-        if len(grid) > cfg.max_points:
-            raise BudgetExceeded(f"grid needs more than {cfg.max_points} points")
+    grid = _grid(region, ZERO, spacing)
+    # the grid's points plus each component's right end
+    if len(grid) + len(region.components) > cfg.max_points:
+        raise BudgetExceeded(f"grid needs more than {cfg.max_points} points")
     specials = (g.special_points(region, e) if cfg.use_special_points else [])
     extras = [p for p in extra if region.contains_point(p)]
-
     # the offset grid avoids interior alignment points (e.g. the origin)
-    half = spacing.half()
-    offset: list[Dyadic] = []
-    for lo, hi in region.components:
-        p = lo + half
-        while p < hi:
-            offset.append(p)
-            p = p + spacing
+    offset = _grid(region, spacing.half(), spacing)
 
     def prep(pts: list[Dyadic]) -> Candidate:
         return _fill(pts + extras, region, e, cfg.max_points)
@@ -357,8 +353,7 @@ def candidate_point_sets(
         cands.append(prep(base + grid + specials))
         spec_set = prep(base + specials)
         cands.append(spec_set)
-        cands.append(_fill(_jitter(spec_set) + extras, region, e,
-                           cfg.max_points))
+        cands.append(prep(_jitter(spec_set)))
     seen = set()
     unique = []
     for c in cands:
@@ -367,14 +362,6 @@ def candidate_point_sets(
             seen.add(key)
             unique.append(c)
     return unique
-
-
-def _map(cfg: SearchConfig, fn, items: list):
-    """Order-preserving map; the parallel path is bit-identical to serial."""
-    if cfg.parallel and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=min(4, len(items))) as ex:
-            return list(ex.map(fn, items))
-    return [fn(item) for item in items]
 
 
 # ---------------------------------------------------------------------------
@@ -395,40 +382,38 @@ def _estimate_levels(
         mandatory = mandatory_for_level(e) if mandatory_for_level else []
         cands = candidate_point_sets(
             g, region, e, cfg, extra=list(extra_points) + list(mandatory))
-
-        def run(cand):
-            if cfg.convention_mode == "fixed":
-                lk = {p: cfg.fixed_convention for p in cand.points}
-                up, wit_up = _extremal_spans(g, cand, region, "max", lk)
-                low, wit_low = _extremal_spans(g, cand, region, "min", lk)
-            else:
-                up, wit_up = _extremal_spans(g, cand, region, "max", locks)
-                low, wit_low = _extremal_spans(g, cand, region, "min", locks)
-            return up, low, wit_up, wit_low
-
-        results = _map(cfg, run, cands)
         best_up, best_low = -INF, INF
         wit_up = wit_low = None
-        for up, low, wu, wl in results:
+        for cand in cands:
+            lk = ({p: DEFAULT_CONVENTION for p in cand.points}
+                  if cfg.convention_mode == "fixed" else locks)
+            up, wu = _extremal_spans(g, cand, region, "max", lk)
+            low, wl = _extremal_spans(g, cand, region, "min", lk)
             if up > best_up:
                 best_up, wit_up = up, wu
             if low < best_low:
                 best_low, wit_low = low, wl
         levels.append(LevelEstimate(e, best_up, best_low, wit_up, wit_low,
                                     raw_upper=best_up, raw_lower=best_low))
-    # A division admissible at a fine bound is admissible at coarser ones.
-    for i in range(len(levels) - 2, -1, -1):
-        if levels[i + 1].upper > levels[i].upper:
-            levels[i].upper = levels[i + 1].upper
-            levels[i].witness_upper = levels[i + 1].witness_upper
-        if levels[i + 1].lower < levels[i].lower:
-            levels[i].lower = levels[i + 1].lower
-            levels[i].witness_lower = levels[i + 1].witness_lower
+    _tighten(levels)
     return levels
 
 
-def _growth_diverging(values: list[float], threshold: float) -> bool:
-    if values[-1] > threshold:
+def _tighten(levels: list[LevelEstimate]) -> None:
+    """Suffix-tighten a trace in place, witnesses along: a division
+    admissible at a fine bound is admissible at every coarser one."""
+    for i in range(len(levels) - 2, -1, -1):
+        fine, coarse = levels[i + 1], levels[i]
+        if fine.upper > coarse.upper:
+            coarse.upper = fine.upper
+            coarse.witness_upper = fine.witness_upper
+        if fine.lower < coarse.lower:
+            coarse.lower = fine.lower
+            coarse.witness_lower = fine.witness_lower
+
+
+def _growth_diverging(values: list[float]) -> bool:
+    if values[-1] > DIVERGENCE_THRESHOLD:
         return True
     tail = values[-4:]
     if len(tail) < 4:
@@ -437,18 +422,17 @@ def _growth_diverging(values: list[float], threshold: float) -> bool:
                ) and tail[0] > 0
 
 
-def _verdict(levels: list[LevelEstimate], tol: float,
-             threshold: float) -> Verdict:
+def _verdict(levels: list[LevelEstimate], tol: float) -> Verdict:
     # divergence here is by magnitude alone; sustained-growth detection
     # belongs to the variation verdicts, where saturation cannot occur
     ups = [lv.upper for lv in levels]
     lows = [lv.lower for lv in levels]
     up, low = ups[-1], lows[-1]
-    if up == INF or up > threshold:
-        if low == -INF or low < -threshold:
+    if up == INF or up > DIVERGENCE_THRESHOLD:
+        if low == -INF or low < -DIVERGENCE_THRESHOLD:
             return Verdict("oscillating", upper=INF, lower=-INF)
         return Verdict("diverging", value=INF)
-    if low == -INF or low < -threshold:
+    if low == -INF or low < -DIVERGENCE_THRESHOLD:
         return Verdict("diverging", value=-INF)
     stabilized = (len(levels) >= 2
                   and abs(ups[-1] - ups[-2]) <= tol
@@ -476,7 +460,28 @@ def estimate_norm_limits(
         raise ValueError("region is empty")
     tol = cfg.tol_float if tol is None else tol
     levels = _estimate_levels(g, region, cfg, extra_points=extra_points)
-    return LimitReport(levels, _verdict(levels, tol, cfg.divergence_threshold))
+    return LimitReport(levels, _verdict(levels, tol))
+
+
+def _permanent_schedule(g: IntervalFunction, region: Region,
+                        permanent: Sequence[tuple[Dyadic, Optional[Lock]]]):
+    """Per-level junction locks and mandatory points: the permanent points
+    in the region, extended along g's singular-point enumeration."""
+    supplied = [(p, lock) for p, lock in permanent if region.contains_point(p)]
+
+    def merged(e: Dyadic) -> list[tuple[Dyadic, Optional[Lock]]]:
+        out = dict(supplied)
+        for p, lock in g.singular_schedule(region, e):
+            out.setdefault(p, lock)
+        return list(out.items())
+
+    def locks_for(e: Dyadic) -> dict:
+        return {p: lock for p, lock in merged(e) if lock is not None}
+
+    def mandatory_for(e: Dyadic) -> list[Dyadic]:
+        return [p for p, _ in merged(e)]
+
+    return locks_for, mandatory_for
 
 
 def estimate_k_limits(
@@ -499,24 +504,11 @@ def estimate_k_limits(
     tol = cfg.tol_float if tol is None else tol
     if not permanent:
         return estimate_norm_limits(g, region, cfg, tol=tol)
-    supplied = [(p, lock) for p, lock in permanent if region.contains_point(p)]
-
-    def merged(e: Dyadic) -> list[tuple[Dyadic, Optional[Lock]]]:
-        out = dict(supplied)
-        for p, lock in g.singular_schedule(region, e):
-            out.setdefault(p, lock)
-        return list(out.items())
-
-    def locks_for(e: Dyadic) -> dict:
-        return {p: lock for p, lock in merged(e) if lock is not None}
-
-    def mandatory_for(e: Dyadic) -> list[Dyadic]:
-        return [p for p, _ in merged(e)]
-
+    locks_for, mandatory_for = _permanent_schedule(g, region, permanent)
     levels = _estimate_levels(g, region, cfg,
                               locks_for_level=locks_for,
                               mandatory_for_level=mandatory_for)
-    return LimitReport(levels, _verdict(levels, tol, cfg.divergence_threshold))
+    return LimitReport(levels, _verdict(levels, tol))
 
 
 def k_chain_reports(
@@ -536,28 +528,14 @@ def k_chain_reports(
     """
     cfg = cfg or SearchConfig()
     tol = cfg.tol_float if tol is None else tol
-    supplied = [(p, lock) for p, lock in permanent if region.contains_point(p)]
-
-    def merged(e: Dyadic):
-        out = dict(supplied)
-        for p, lock in g.singular_schedule(region, e):
-            out.setdefault(p, lock)
-        return list(out.items())
-
-    def locks_for(e: Dyadic) -> dict:
-        return {p: lock for p, lock in merged(e) if lock is not None}
-
-    def mandatory_for(e: Dyadic) -> list[Dyadic]:
-        return [p for p, _ in merged(e)]
-
+    locks_for, mandatory_for = _permanent_schedule(g, region, permanent)
     k_levels = _estimate_levels(g, region, cfg,
                                 locks_for_level=locks_for,
                                 mandatory_for_level=mandatory_for)
     n_levels = _estimate_levels(g, region, cfg,
                                 mandatory_for_level=mandatory_for)
-    thr = cfg.divergence_threshold
-    return (LimitReport(n_levels, _verdict(n_levels, tol, thr)),
-            LimitReport(k_levels, _verdict(k_levels, tol, thr)))
+    return (LimitReport(n_levels, _verdict(n_levels, tol)),
+            LimitReport(k_levels, _verdict(k_levels, tol)))
 
 
 def estimate_sigma_limit(
@@ -577,12 +555,7 @@ def estimate_sigma_limit(
     points: set[Dyadic] = set(region.endpoints())
     levels: list[LevelEstimate] = []
     for e in cfg.e_schedule:
-        spacing = _grid_spacing(e, cfg.grid_density)
-        for lo, hi in region.components:
-            p = lo
-            while p < hi:
-                points.add(p)
-                p = p + spacing
+        points.update(_grid(region, ZERO, _grid_spacing(e, cfg.grid_density)))
         if cfg.use_special_points:
             points.update(g.special_points(region, e))
         stage = _fill(points, region, e, cfg.max_points)
@@ -590,7 +563,7 @@ def estimate_sigma_limit(
         up, wit_up = _extremal_spans(g, stage, region, "max")
         low, wit_low = _extremal_spans(g, stage, region, "min")
         levels.append(LevelEstimate(e, up, low, wit_up, wit_low))
-    return LimitReport(levels, _verdict(levels, tol, cfg.divergence_threshold))
+    return LimitReport(levels, _verdict(levels, tol))
 
 
 def oscillation(report: LimitReport) -> float:
@@ -614,8 +587,6 @@ def cauchy_existence_check(
     The existence verdict agrees with estimate_norm_limits convergence by
     construction, since the same candidate divisions witness the gap.
     """
-    cfg = cfg or SearchConfig()
-    tol = cfg.tol_float if tol is None else tol
     report = estimate_norm_limits(g, region, cfg, tol=tol)
     gaps = [(lv.e, lv.upper - lv.lower) for lv in report.levels]
     exists = report.verdict.kind == "converged"
@@ -658,22 +629,27 @@ def point_defect(g: IntervalFunction, x: Dyadic, y: Dyadic,
     return max(additivity_defect(g, x, y, z), pair_spread(g, x, y, z))
 
 
+def _probe_grid(region: Region) -> list[Dyadic]:
+    """17 evenly spaced points per component, both ends included."""
+    out: list[Dyadic] = []
+    for lo, hi in region.components:
+        spacing = (hi - lo) * Dyadic(1, 4)
+        p = lo
+        while p <= hi:
+            out.append(p)
+            p = p + spacing
+    return out
+
+
 def _scan_candidates(g: IntervalFunction, region: Region,
                      cfg: SearchConfig) -> list[Dyadic]:
     """Points to probe: special-point midpoints first (accumulation points
     live there), then the specials, then a coarse grid; capped at 64."""
     specials = g.special_points(region, cfg.finest())
     mids = [dmid(a, b) for a, b in zip(specials, specials[1:])]
-    grid: list[Dyadic] = []
-    for lo, hi in region.components:
-        spacing = (hi - lo) * Dyadic(1, 4)
-        p = lo
-        while p <= hi:
-            grid.append(p)
-            p = p + spacing
     out: list[Dyadic] = []
     seen = set()
-    for p in mids + specials + grid:
+    for p in mids + specials + _probe_grid(region):
         if p in seen or not any(lo < p < hi for lo, hi in region.components):
             continue
         seen.add(p)
@@ -685,17 +661,12 @@ def _scan_candidates(g: IntervalFunction, region: Region,
 
 def _defect_at(g: IntervalFunction, region: Region, y: Dyadic,
                cfg: SearchConfig, pool: list[Dyadic]):
-    from bisect import bisect_left
-
-    keys = [p.as_fraction() for p in pool]
-    idx = bisect_left(keys, y.as_fraction())
+    near_below, near_above = _neighbours(pool, y)
     trace = []
     sigma_trace = []
     for e in cfg.e_schedule:
-        below = [p for p in pool[max(0, idx - 4):idx]
-                 if p < y and y - p < e]
-        above = [p for p in pool[idx:idx + 5]
-                 if p > y and p - y < e][:4]
+        below = [p for p in near_below if y - p < e]
+        above = [p for p in near_above if p > y and p - y < e][:4]
         c_best = 0.0
         s_best = 0.0
         for x in below:
@@ -716,13 +687,18 @@ def _triple_pool(g: IntervalFunction, region: Region,
                  cfg: SearchConfig) -> list[Dyadic]:
     pool = set(g.special_points(region, cfg.finest())[:1024])
     pool.update(region.endpoints())
-    for lo, hi in region.components:
-        spacing = (hi - lo) * Dyadic(1, 4)
-        p = lo
-        while p <= hi:
-            pool.add(p)
-            p = p + spacing
-    return sorted(pool, key=Dyadic.as_fraction)
+    pool.update(_probe_grid(region))
+    return sort_points(pool)
+
+
+def _neighbours(pool: list[Dyadic],
+                y: Dyadic) -> tuple[list[Dyadic], list[Dyadic]]:
+    """The up to four points of a sorted pool below y, and the up to five
+    from y upward."""
+    emax = max(y.exp, max(p.exp for p in pool))
+    keys = [p.num << (emax - p.exp) for p in pool]
+    idx = bisect_left(keys, y.num << (emax - y.exp))
+    return pool[max(0, idx - 4):idx], pool[idx:idx + 5]
 
 
 def singularity_scan(

@@ -21,7 +21,10 @@ from .integrator import (
     LevelEstimate,
     LimitReport,
     SearchConfig,
+    _best_value,
     _extremal_spans,
+    _grid_spacing,
+    _tighten,
     _verdict,
     candidate_point_sets,
     estimate_norm_limits,
@@ -182,30 +185,9 @@ def seeded_guillotine(region: Rect, specials: Sequence[Rect],
     return RectDivision(region, rects, "extended")
 
 
-def _rect_spacing(e: Dyadic) -> Dyadic:
-    # cells up to 2s per side keep the diameter under e when s <= e/4
-    k = floor_log2(e)
-    s = Dyadic(1, -(k - 2))
-    while (s + s).as_fraction() * 2 > e.as_fraction():
-        s = s.half()
-    return s
-
-
 def _extremal_2d(gT: RectFunction, division: RectDivision,
                  sense: str) -> float:
-    total = []
-    want_max = sense == "max"
-    for r in division.rects:
-        if gT.bracket_independent:
-            total.append(gT(r))
-            continue
-        best = None
-        for v in r.variants():
-            val = gT(v)
-            if best is None or (val > best if want_max else val < best):
-                best = val
-        total.append(best)
-    return xsum(total)
+    return xsum(_best_value(gT, r, sense)[0] for r in division.rects)
 
 
 def _default_2d_schedule() -> tuple[Dyadic, ...]:
@@ -227,7 +209,8 @@ def _rect_key(r: Rect) -> tuple:
 
 def candidate_divisions_2d(gT: RectFunction, region: Rect, e: Dyadic,
                            mode: str) -> list[RectDivision]:
-    s = _rect_spacing(e)
+    # cells up to 2s per side keep the diameter under e when s <= e/4
+    s = _grid_spacing(e, 4)
     specials = gT.special_rects(region, e)
     key = (mode, (e.num, e.exp), _rect_key(region),
            tuple(_rect_key(sp) for sp in specials))
@@ -271,11 +254,8 @@ def estimate_norm_limits_2d(
         up = max(_extremal_2d(gT, c, "max") for c in cands)
         low = min(_extremal_2d(gT, c, "min") for c in cands)
         levels.append(LevelEstimate(e, up, low))
-    for i in range(len(levels) - 2, -1, -1):
-        levels[i].upper = max(levels[i].upper, levels[i + 1].upper)
-        levels[i].lower = min(levels[i].lower, levels[i + 1].lower)
-    return LimitReport(levels, _verdict(levels, tol,
-                                        cfg.divergence_threshold))
+    _tighten(levels)
+    return LimitReport(levels, _verdict(levels, tol))
 
 
 # ---------------------------------------------------------------------------

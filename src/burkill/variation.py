@@ -23,10 +23,13 @@ from .errors import BracketDependent
 from .integrator import (
     LimitReport,
     SearchConfig,
+    _best_value,
     _extremal_spans,
     _fill,
     _growth_diverging,
+    _neighbours,
     _scan_candidates,
+    _triple_pool,
     estimate_norm_limits,
 )
 
@@ -70,8 +73,7 @@ def variation(
     levels = [(lv.e, lv.upper) for lv in abs_report.levels]
     raw = [lv.upper if lv.raw_upper is None else lv.raw_upper
            for lv in abs_report.levels]
-    infinite = (raw[-1] == INF
-                or _growth_diverging(raw, cfg.divergence_threshold))
+    infinite = raw[-1] == INF or _growth_diverging(raw)
     a_bound = max(abs(base_report.upper), abs(base_report.lower))
     j_table = []
     if scan_j:
@@ -115,12 +117,8 @@ def j_singularity(
     ag = abs_fn(g)
     # carry y and the defect scan's nearest anchor points, so any split the
     # defect estimate sees is available here (c <= 2j stays checkable)
-    from bisect import bisect_left
-    from .integrator import _triple_pool
-    pool = _triple_pool(g, region, cfg)
-    keys = [p.as_fraction() for p in pool]
-    idx = bisect_left(keys, y.as_fraction())
-    anchors = pool[max(0, idx - 4):idx + 5]
+    below, above = _neighbours(_triple_pool(g, region, cfg), y)
+    anchors = below + above
     trace = []
     for e in cfg.e_schedule:
         window = _window(region, y, e)
@@ -137,7 +135,7 @@ def j_singularity(
         val = max(_extremal_spans(ag, with_y, window, "max")[0],
                   _extremal_spans(ag, without_y, window, "max")[0])
         trace.append(val)
-    if trace[-1] == INF or _growth_diverging(trace, cfg.divergence_threshold):
+    if trace[-1] == INF or _growth_diverging(trace):
         return INF
     return trace[-1]
 
@@ -172,18 +170,6 @@ def _pack_pool(g: IntervalFunction, region: Region, cfg: SearchConfig,
         )
         pool = scored[:pool_cap]
     return pool
-
-
-def _best_value(g: IntervalFunction, iv: Interval,
-                sense: str) -> tuple[float, Interval]:
-    if g.bracket_independent:
-        return g(iv), iv
-    best, best_iv = None, iv
-    for v in iv.variants():
-        val = g(v)
-        if best is None or (val > best if sense == "max" else val < best):
-            best, best_iv = val, v
-    return best, best_iv
 
 
 def pack_search(

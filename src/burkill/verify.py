@@ -81,9 +81,8 @@ class CheckResult:
         return f"[{mark}] criterion {self.criterion:2d} {self.name}: {self.detail}"
 
 
-def _cfg_fine(parallel: bool = False) -> SearchConfig:
-    return SearchConfig(e_schedule=tuple(Dyadic(1, k) for k in range(3, 13)),
-                        parallel=parallel)
+def _cfg_fine() -> SearchConfig:
+    return SearchConfig(e_schedule=tuple(Dyadic(1, k) for k in range(3, 13)))
 
 
 def _cfg_geo() -> SearchConfig:
@@ -373,9 +372,8 @@ def check_10_sign_tables() -> CheckResult:
         f"continuity bound {bound!r}")
 
 
-def _determinism_snapshot(parallel: bool) -> bytes:
-    cfg = SearchConfig(e_schedule=tuple(Dyadic(1, k) for k in range(3, 10)),
-                       parallel=parallel)
+def _determinism_snapshot() -> bytes:
+    cfg = SearchConfig(e_schedule=tuple(Dyadic(1, k) for k in range(3, 10)))
     fx = fixture("saks_A_counterexample")
     parts = [
         limit_report_json(estimate_norm_limits(
@@ -391,13 +389,10 @@ def _determinism_snapshot(parallel: bool) -> bytes:
 
 
 def check_11_determinism() -> CheckResult:
-    a = _determinism_snapshot(parallel=False)
-    b = _determinism_snapshot(parallel=False)
-    c = _determinism_snapshot(parallel=True)
-    ok = a == b == c
-    return CheckResult(11, "determinism", ok,
-                       f"{len(a)} report bytes identical across reruns "
-                       f"and under parallel evaluation")
+    a = _determinism_snapshot()
+    b = _determinism_snapshot()
+    return CheckResult(11, "determinism", a == b,
+                       f"{len(a)} report bytes identical across reruns")
 
 
 ALL_CHECKS = {
@@ -416,6 +411,10 @@ ALL_CHECKS = {
 
 
 def run_all(criteria: Optional[list[int]] = None) -> list[CheckResult]:
+    unknown = sorted(set(criteria or ()) - set(ALL_CHECKS))
+    if unknown:
+        raise ValueError(f"unknown criteria {unknown}; "
+                         f"choose from {sorted(ALL_CHECKS)}")
     results = []
     for num in sorted(ALL_CHECKS):
         if criteria and num not in criteria:

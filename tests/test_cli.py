@@ -1,9 +1,14 @@
 import io
 import json
-from contextlib import redirect_stdout
+import os
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import burkill
 from burkill.cli import main
 from burkill.errors import UnsupportedFormat
 from burkill.reporting import export
@@ -89,3 +94,24 @@ class TestCli:
                              "--format", "csv"])
         assert code == 0
         assert len(out.strip().splitlines()) == 4  # header + levels 3..5
+
+    @pytest.mark.parametrize("e_min", ["0", "-1/2^3"])
+    def test_non_positive_e_min_exits_2(self, e_min):
+        # in a child process, so that a regression hangs no test run
+        src = str(Path(burkill.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        child = subprocess.run(
+            [sys.executable, "-m", "burkill.cli", "integrate", "--fixture",
+             "origin_indicator", f"--e-min={e_min}"],
+            env=env, capture_output=True, text=True, timeout=30)
+        assert child.returncode == 2
+        assert "e-min must be positive" in child.stderr
+
+    def test_unknown_criterion_exits_2(self):
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli(["verify", "--criteria", "99"])
+        assert code == 2
+        assert out == ""
+        assert "unknown criteria [99]" in err.getvalue()

@@ -41,6 +41,21 @@ UNIT = Region.interval(ZERO, D(1))
 SYM = Region.interval(D(-1), D(1))
 
 
+class TestSearchConfig:
+    def test_empty_schedule_rejected(self):
+        with pytest.raises(ValueError, match="e_schedule"):
+            SearchConfig(e_schedule=())
+
+    @pytest.mark.parametrize("density", [0, -1])
+    def test_non_positive_grid_density_rejected(self, density):
+        with pytest.raises(ValueError, match="grid_density"):
+            SearchConfig(grid_density=density)
+
+    def test_unknown_convention_mode_rejected(self):
+        with pytest.raises(ValueError, match="convention_mode"):
+            SearchConfig(convention_mode="enumerate")
+
+
 class TestRiemannSum:
     def test_length_sums_to_measure(self):
         d = division_from_points(UNIT, [ZERO, D(1, 3), D(1, 1), D(7, 3), D(1)])
