@@ -10,6 +10,7 @@ oracle name or a construction note.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -21,6 +22,7 @@ from .core import (
     ZERO,
     floor_log2,
     is_pow2,
+    sort_points,
 )
 from .errors import IndeterminateForm, UnknownFixture
 
@@ -105,7 +107,7 @@ class IntervalFunction:
             return []
         pts = [p for p in self._special(region, resolution)
                if region.contains_point(p)]
-        return sorted(set(pts), key=Dyadic.as_fraction)
+        return sort_points(set(pts))
 
     def singular_schedule(self, region: Region, resolution: Dyadic):
         if self._schedule is None:
@@ -264,49 +266,44 @@ def sawtooth_harmonic() -> PointFunction:
 def cantor_staircase_12() -> tuple[PointFunction, list[tuple[Dyadic, Dyadic]]]:
     """Depth-12 singular staircase with dyadic breakpoints.
 
-    The middle-thirds construction is carried exactly in rationals and each
-    depth-12 breakpoint is rounded outward to the 2^-32 grid, so the 4096
-    rise intervals have exact dyadic endpoints with total measure just
-    above (2/3)^12.  Returns the function and the rise intervals.
+    The middle-thirds construction is carried exactly in integers over the
+    denominator 3^12 and each depth-12 breakpoint is rounded outward to the
+    2^-32 grid, so the 4096 rise intervals have exact dyadic endpoints with
+    total measure just above (2/3)^12.  Returns the function and the rise
+    intervals.
     """
     depth, grid = 12, 32
-    segs = [(Fraction(0), Fraction(1))]
+    den = 3 ** depth
+    segs = [(0, den)]
     for _ in range(depth):
         nxt = []
         for a, b in segs:
-            w = (b - a) / 3
+            w = (b - a) // 3
             nxt.append((a, a + w))
             nxt.append((b - w, b))
         segs = nxt
-
-    def floor_to(v: Fraction) -> Dyadic:
-        return Dyadic((v.numerator << grid) // v.denominator, grid)
-
-    def ceil_to(v: Fraction) -> Dyadic:
-        return Dyadic(-((-v.numerator << grid) // v.denominator), grid)
-
-    spans = [(floor_to(a), ceil_to(b)) for a, b in segs]
-    rise = Fraction(1, 1 << depth)
+    # breakpoints as integers on the 2^-32 grid, rounded outward
+    starts = [(a << grid) // den for a, _ in segs]
+    ends = [-((-b << grid) // den) for _, b in segs]
+    spans = [(Dyadic(a, grid), Dyadic(b, grid)) for a, b in zip(starts, ends)]
+    rise = 1 << depth
+    last = len(spans) - 1
 
     def ev(x: Dyadic) -> float:
-        xf = x.as_fraction()
-        lo_i, hi_i = 0, len(spans) - 1
-        if x <= spans[0][0]:
+        # x and the breakpoints as integers at one exponent e >= grid
+        e = max(grid, x.exp)
+        shift = e - grid
+        xi = x.num << (e - x.exp)
+        if xi <= starts[0] << shift:
             return 0.0
-        if x >= spans[-1][1]:
+        if xi >= ends[last] << shift:
             return 1.0
-        while lo_i < hi_i:              # last span with a <= x
-            mid = (lo_i + hi_i + 1) // 2
-            if spans[mid][0] <= x:
-                lo_i = mid
-            else:
-                hi_i = mid - 1
-        a, b = spans[lo_i]
-        base = rise * lo_i
-        if x >= b:
-            return float(base + rise)
-        frac = (xf - a.as_fraction()) / (b.as_fraction() - a.as_fraction())
-        return float(base + rise * frac)
+        i = bisect_right(starts, xi >> shift) - 1   # last span with a <= x
+        a, b = starts[i] << shift, ends[i] << shift
+        if xi >= b:
+            return (i + 1) / rise
+        # (i + (x - a) / (b - a)) / 2^12, correctly rounded
+        return (i * (b - a) + xi - a) / (rise * (b - a))
 
     return PointFunction("staircase12", ev), spans
 
@@ -535,7 +532,7 @@ def cantor_staircase_function() -> tuple[IntervalFunction, list]:
     """
     if not _STAIRCASE_CACHE:
         f, spans = cantor_staircase_12()
-        pts = sorted({p for s in spans for p in s}, key=Dyadic.as_fraction)
+        pts = sort_points({p for s in spans for p in s})
 
         def specials(region, resolution):
             return list(pts)

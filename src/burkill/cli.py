@@ -35,19 +35,29 @@ CONFIG_KEYS = ("e_min", "tol", "grid_density", "max_points")
 
 
 def _load_config_file(path: Optional[str]) -> dict:
+    """Read key=value lines; a named file must exist and hold known keys."""
     path = path or os.environ.get(CONFIG_ENV)
     out: dict = {}
-    if not path or not os.path.exists(path):
+    if not path:
         return out
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(
+            f"cannot read config file {path!r}: {exc.strerror}") from exc
+    with fh:
+        for n, line in enumerate(fh, 1):
             line = line.strip()
-            if not line or line.startswith("#") or "=" not in line:
+            if not line or line.startswith("#"):
                 continue
-            key, _, value = line.partition("=")
+            key, eq, value = line.partition("=")
             key = key.strip()
-            if key in CONFIG_KEYS:
-                out[key] = value.strip()
+            if not eq:
+                raise ValueError(f"{path}:{n}: expected key = value")
+            if key not in CONFIG_KEYS:
+                raise ValueError(f"{path}:{n}: unknown config key {key!r}; "
+                                 f"known keys: {', '.join(CONFIG_KEYS)}")
+            out[key] = value.strip()
     return out
 
 
@@ -168,6 +178,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 
 def _dispatch(args) -> int:
+    file_cfg = _load_config_file(args.config)
     if args.verb == "list":
         for name in fixture_names():
             fx = fixture(name)
@@ -198,7 +209,6 @@ def _dispatch(args) -> int:
         return _emit(report, args.format)
 
     fx = fixture(args.fixture)
-    file_cfg = _load_config_file(args.config)
     cfg = _config_from(args, file_cfg)
     region = _parse_region(args.region, fx.region)
 
@@ -233,6 +243,10 @@ def _dispatch(args) -> int:
     if args.verb == "density":
         sets = fx.companion_sets
         if args.set_name:
+            if args.set_name not in sets:
+                raise ValueError(
+                    f"fixture {fx.name} has no set {args.set_name!r}; "
+                    f"known sets: {', '.join(sets) or 'none'}")
             E = MeasurableSet(list(sets[args.set_name]))
         elif sets:
             E = MeasurableSet(list(next(iter(sets.values()))))

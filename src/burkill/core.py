@@ -284,7 +284,11 @@ class Region:
     __slots__ = ("components",)
 
     def __init__(self, spans: Iterable[tuple[Dyadic, Dyadic]]):
-        spans = sorted(spans, key=lambda s: (s[0].as_fraction(), s[1].as_fraction()))
+        spans = list(spans)
+        if len(spans) > 1:
+            e = max(max(lo.exp, hi.exp) for lo, hi in spans)
+            spans.sort(key=lambda s: (s[0].num << (e - s[0].exp),
+                                      s[1].num << (e - s[1].exp)))
         merged: list[tuple[Dyadic, Dyadic]] = []
         for lo, hi in spans:
             if not lo < hi:
@@ -509,9 +513,8 @@ def refine(division: Division, extra_points: Iterable[Dyadic]) -> Division:
     New interior points take the default ")[" junction; the norm never
     increases and refining with no new points returns an equal division.
     """
-    extras = sorted(set(division.region.clip_points(extra_points))
-                    - set(division.points),
-                    key=Dyadic.as_fraction)
+    extras = sort_points(set(division.region.clip_points(extra_points))
+                         - set(division.points))
     for p in extra_points:
         if not division.region.contains_point(p):
             raise PointOutsideRegion(f"{p} outside {division.region}")
@@ -528,7 +531,7 @@ def refine(division: Division, extra_points: Iterable[Dyadic]) -> Division:
             lc = iv.left_closed if i == 0 else DEFAULT_CONVENTION[1]
             rc = iv.right_closed if i == len(cuts) - 2 else DEFAULT_CONVENTION[0]
             intervals.append(Interval(cuts[i], cuts[i + 1], lc, rc))
-    points = sorted(set(division.points) | set(extras), key=Dyadic.as_fraction)
+    points = sort_points(set(division.points) | set(extras))
     return Division(division.region, intervals, points)
 
 

@@ -29,7 +29,10 @@ class MeasurableSet:
     __slots__ = ("components",)
 
     def __init__(self, intervals: Sequence[Interval] = ()):
-        comps = sorted(intervals, key=lambda iv: iv.lo.as_fraction())
+        comps = list(intervals)
+        if len(comps) > 1:
+            e = max(iv.lo.exp for iv in comps)
+            comps.sort(key=lambda iv: iv.lo.num << (e - iv.lo.exp))
         for a, b in zip(comps, comps[1:]):
             if b.lo < a.hi:
                 raise ValueError(f"components {a} and {b} overlap")

@@ -597,36 +597,60 @@ def cauchy_existence_check(
 # Additivity defects and the singularity scan
 # ---------------------------------------------------------------------------
 
+def _variant_values(g: IntervalFunction, lo: Dyadic, hi: Dyadic,
+                    memo: dict) -> list[float]:
+    """g over the four bracket variants of lo..hi, in canonical order; the
+    memo maps each span already seen to its values."""
+    key = (lo.num, lo.exp, hi.num, hi.exp)
+    if key not in memo:
+        memo[key] = [g(v) for v in Interval(lo, hi).variants()]
+    return memo[key]
+
+
+def _spread(left: list[float], right: list[float]) -> float:
+    sums = [a + b for a in left for b in right]
+    return max(sums) - min(sums)
+
+
+def _split_scores(whole: list[float], left: list[float],
+                  right: list[float]) -> tuple[float, float]:
+    """The split defect over the 64 bracket choices, and the two-sided
+    defect max(split defect, pair spread), from the variant values."""
+    c = 0.0
+    for w in whole:
+        for a in left:
+            for b in right:
+                val = abs(w - a - b)
+                if val > c:
+                    c = val
+    return c, max(c, _spread(left, right))
+
+
+def _triple_values(g: IntervalFunction, x: Dyadic, y: Dyadic, z: Dyadic,
+                   memo: dict):
+    return (_variant_values(g, x, z, memo), _variant_values(g, x, y, memo),
+            _variant_values(g, y, z, memo))
+
+
 def additivity_defect(g: IntervalFunction, x: Dyadic, y: Dyadic,
                       z: Dyadic) -> float:
     """Maximum of |g(x..z) - g(x..y) - g(y..z)| over the 64 bracket choices."""
     if not (x < y < z):
         raise ValueError("need x < y < z")
-    best = 0.0
-    whole = [g(v) for v in Interval(x, z).variants()]
-    left = [g(v) for v in Interval(x, y).variants()]
-    right = [g(v) for v in Interval(y, z).variants()]
-    for w in whole:
-        for a in left:
-            for b in right:
-                val = abs(w - a - b)
-                if val > best:
-                    best = val
-    return best
+    return _split_scores(*_triple_values(g, x, y, z, {}))[0]
 
 
 def pair_spread(g: IntervalFunction, x: Dyadic, y: Dyadic, z: Dyadic) -> float:
     """Spread of the 16 split sums g(x..y)+g(y..z) over bracket choices."""
-    sums = [a + b
-            for a in (g(v) for v in Interval(x, y).variants())
-            for b in (g(v) for v in Interval(y, z).variants())]
-    return max(sums) - min(sums)
+    return _spread(_variant_values(g, x, y, {}), _variant_values(g, y, z, {}))
 
 
 def point_defect(g: IntervalFunction, x: Dyadic, y: Dyadic,
                  z: Dyadic) -> float:
     """The two-sided defect: split defect or pair spread, whichever larger."""
-    return max(additivity_defect(g, x, y, z), pair_spread(g, x, y, z))
+    if not (x < y < z):
+        raise ValueError("need x < y < z")
+    return _split_scores(*_triple_values(g, x, y, z, {}))[1]
 
 
 def _probe_grid(region: Region) -> list[Dyadic]:
@@ -659,20 +683,33 @@ def _scan_candidates(g: IntervalFunction, region: Region,
     return out
 
 
-def _defect_at(g: IntervalFunction, region: Region, y: Dyadic,
-               cfg: SearchConfig, pool: list[Dyadic]):
-    near_below, near_above = _neighbours(pool, y)
+def _defect_at(g: IntervalFunction, y: Dyadic, cfg: SearchConfig,
+               pool: list[Dyadic], memo: dict):
+    below, above = _neighbours(pool, y)
+    above = [p for p in above if p > y][:4]
+    # distances to y and norm bounds as integers at one exponent
+    ex = max(p.exp for p in (y, *below, *above, *cfg.e_schedule))
+    yk = y.num << (ex - y.exp)
+    gap_below = [yk - (p.num << (ex - p.exp)) for p in below]
+    gap_above = [(p.num << (ex - p.exp)) - yk for p in above]
+    scores: dict = {}                    # (i, j) -> (split defect, two-sided)
     trace = []
     sigma_trace = []
     for e in cfg.e_schedule:
-        below = [p for p in near_below if y - p < e]
-        above = [p for p in near_above if p > y and p - y < e][:4]
+        ek = e.num << (ex - e.exp)
+        js = [j for j, d in enumerate(gap_above) if d < ek]
         c_best = 0.0
         s_best = 0.0
-        for x in below:
-            for z in above:
-                c_best = max(c_best, additivity_defect(g, x, y, z))
-                s_best = max(s_best, point_defect(g, x, y, z))
+        for i, d in enumerate(gap_below):
+            if d >= ek:
+                continue
+            for j in js:
+                cs = scores.get((i, j))
+                if cs is None:
+                    cs = scores[i, j] = _split_scores(
+                        *_triple_values(g, below[i], y, above[j], memo))
+                c_best = max(c_best, cs[0])
+                s_best = max(s_best, cs[1])
         trace.append((e, c_best))
         sigma_trace.append((e, s_best))
     # a triple inside a fine window is inside every coarser one
@@ -718,7 +755,8 @@ def singularity_scan(
         return []
     scan = _scan_candidates(g, region, cfg)
     pool = _triple_pool(g, region, cfg)
-    reports = [_defect_at(g, region, y, cfg, pool) for y in scan]
+    memo: dict = {}                      # span -> its four variant values
+    reports = [_defect_at(g, y, cfg, pool, memo) for y in scan]
     return [r for r in reports if r.c > tol]
 
 
@@ -726,4 +764,4 @@ def defect_report_at(g: IntervalFunction, region: Region, y: Dyadic,
                      cfg: Optional[SearchConfig] = None) -> DefectReport:
     """Defect trace at one chosen point (y must be interior)."""
     cfg = cfg or SearchConfig()
-    return _defect_at(g, region, y, cfg, _triple_pool(g, region, cfg))
+    return _defect_at(g, y, cfg, _triple_pool(g, region, cfg), {})

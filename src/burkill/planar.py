@@ -15,7 +15,15 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .catalog import IntervalFunction, xsum
-from .core import Dyadic, Interval, Region, ZERO, dmid, floor_log2
+from .core import (
+    Dyadic,
+    Interval,
+    Region,
+    ZERO,
+    dmid,
+    floor_log2,
+    sort_points,
+)
 from .errors import BudgetExceeded
 from .integrator import (
     LevelEstimate,
@@ -135,7 +143,7 @@ def grid_division(region: Rect, s: Dyadic,
     def lines(lo, hi, anchors):
         if not anchors:
             return chop(lo, hi, s)
-        pts = sorted(set(list(anchors) + [lo, hi]), key=Dyadic.as_fraction)
+        pts = sort_points(set(list(anchors) + [lo, hi]))
         out = [lo]
         for a, b in zip(pts, pts[1:]):
             seg = chop(a, b, s)
@@ -159,7 +167,7 @@ def seeded_guillotine(region: Rect, specials: Sequence[Rect],
     for sp in specials:
         xcuts.add(sp.x.lo)
         xcuts.add(sp.x.hi)
-    xs = sorted(xcuts, key=Dyadic.as_fraction)
+    xs = sort_points(xcuts)
     rects: list[Rect] = []
     for x0, x1 in zip(xs, xs[1:]):
         owner = None

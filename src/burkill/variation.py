@@ -23,7 +23,6 @@ from .errors import BracketDependent
 from .integrator import (
     LimitReport,
     SearchConfig,
-    _best_value,
     _extremal_spans,
     _fill,
     _growth_diverging,
@@ -144,8 +143,11 @@ def j_singularity(
 # Pack search: absolute continuity and variation splits
 # ---------------------------------------------------------------------------
 
-def _pack_pool(g: IntervalFunction, region: Region, cfg: SearchConfig,
-               pool_cap: int = 1 << 13) -> list[Interval]:
+POOL_CAP = 1 << 13
+
+
+def _pack_candidates(g: IntervalFunction, region: Region,
+                     cfg: SearchConfig) -> list[Interval]:
     """Candidate pack intervals: special-point gaps plus dyadic cells."""
     pool: list[Interval] = []
     specials = g.special_points(region, cfg.finest())
@@ -161,15 +163,110 @@ def _pack_pool(g: IntervalFunction, region: Region, cfg: SearchConfig,
                 q = dmin(p + h, hi)
                 pool.append(Interval(p, q, True, True))
                 p = q
-    if len(pool) > pool_cap:
-        scored = sorted(
-            pool,
-            key=lambda iv: (-abs(_best_value(g, iv, "max")[0]
-                                 ) / float(iv.length),
-                            iv.lo.as_fraction()),
-        )
-        pool = scored[:pool_cap]
     return pool
+
+
+class _ScoredPool:
+    """A pack pool with each interval's variants evaluated once: the float
+    lengths and, for "max" and for "min", the optimal values with the
+    variants attaining them (ties keep the first variant, as in
+    integrator._best_value).  Spans compare as integers at the pool's
+    largest exponent E."""
+
+    __slots__ = ("pool", "lengths", "best", "E")
+
+    def __init__(self, g: IntervalFunction, pool: Sequence[Interval]):
+        self.pool = list(pool)
+        self.E = max((max(iv.lo.exp, iv.hi.exp) for iv in pool), default=0)
+        self.lengths = [float(iv.length) for iv in pool]
+        if g.bracket_independent:
+            vals = [g(iv) for iv in pool]
+            self.best = {"max": (vals, self.pool), "min": (vals, self.pool)}
+            return
+        self.best = {"max": ([], []), "min": ([], [])}
+        for iv in pool:
+            variants = iv.variants()
+            vals = [g(v) for v in variants]
+            i_max = i_min = 0
+            for k in range(1, 4):
+                if vals[k] > vals[i_max]:
+                    i_max = k
+                if vals[k] < vals[i_min]:
+                    i_min = k
+            for sense, k in (("max", i_max), ("min", i_min)):
+                self.best[sense][0].append(vals[k])
+                self.best[sense][1].append(variants[k])
+
+    def _key(self, d: Dyadic) -> int:
+        return d.num << (self.E - d.exp)
+
+    def cap(self, n: int) -> None:
+        """Keep the n intervals of highest max-sense value density, ties
+        to the leftmost."""
+        vals = self.best["max"][0]
+        keep = sorted(range(len(self.pool)),
+                      key=lambda i: (-abs(vals[i]) / self.lengths[i],
+                                     self._key(self.pool[i].lo)))[:n]
+
+        def pick(col):
+            return [col[i] for i in keep]
+
+        self.pool, self.lengths = pick(self.pool), pick(self.lengths)
+        self.best = {s: (pick(v), pick(b)) for s, (v, b) in self.best.items()}
+
+    def ranked(self, sense: str) -> list[tuple]:
+        """Intervals whose optimum has the sense's sign, by decreasing value
+        density, then by span: (-density, lo, hi, value, variant)."""
+        vals, variants = self.best[sense]
+        out = []
+        for iv, length, val, biv in zip(self.pool, self.lengths, vals,
+                                        variants):
+            if (sense == "max" and val <= 0) or (sense == "min" and val >= 0):
+                continue
+            out.append((-(abs(val) / length), self._key(iv.lo),
+                        self._key(iv.hi), val, biv))
+        out.sort(key=lambda t: (t[0], t[1], t[2]))
+        return out
+
+
+def _scored_pack_pool(g: IntervalFunction, region: Region,
+                      cfg: SearchConfig) -> _ScoredPool:
+    """The pack pool, scored and capped at POOL_CAP intervals."""
+    scored = _ScoredPool(g, _pack_candidates(g, region, cfg))
+    if len(scored.pool) > POOL_CAP:
+        scored.cap(POOL_CAP)
+    return scored
+
+
+def _pack_pool(g: IntervalFunction, region: Region,
+               cfg: SearchConfig) -> list[Interval]:
+    """Candidate pack intervals, capped at POOL_CAP."""
+    return _scored_pack_pool(g, region, cfg).pool
+
+
+def _greedy(E: int, ranked: list[tuple], mu) -> tuple[float, list[Interval]]:
+    """Take ranked intervals in order while they fit the measure budget mu
+    and overlap nothing taken; spans and measures are integers at E."""
+    mu = Fraction(mu)
+    budget = (mu.numerator << E) // mu.denominator      # floor(mu * 2^E)
+    taken_spans: list[tuple[int, int]] = []
+    total_measure = 0
+    total_value = 0.0
+    chosen: list[Interval] = []
+    for _, lo, hi, val, biv in ranked:
+        m = hi - lo
+        if total_measure + m > budget:
+            continue
+        pos = bisect_left(taken_spans, (lo, hi))
+        if pos > 0 and taken_spans[pos - 1][1] > lo:
+            continue
+        if pos < len(taken_spans) and taken_spans[pos][0] < hi:
+            continue
+        insort(taken_spans, (lo, hi))
+        total_measure += m
+        total_value += val
+        chosen.append(biv)
+    return total_value, chosen
 
 
 def pack_search(
@@ -183,33 +280,8 @@ def pack_search(
     Intervals are ranked by value density; the result is a lower bound on
     the true supremum of |sum g| over packs of that measure.
     """
-    scored = []
-    for iv in pool:
-        val, biv = _best_value(g, iv, sense)
-        if (sense == "max" and val <= 0) or (sense == "min" and val >= 0):
-            continue
-        density = abs(val) / float(iv.length)
-        scored.append((-density, iv.lo.as_fraction(),
-                       iv.hi.as_fraction(), val, biv))
-    scored.sort(key=lambda t: (t[0], t[1], t[2]))
-    taken_spans: list[tuple[Fraction, Fraction]] = []
-    total_measure = Fraction(0)
-    total_value = 0.0
-    chosen: list[Interval] = []
-    for _, lof, hif, val, biv in scored:
-        m = hif - lof
-        if total_measure + m > mu:
-            continue
-        pos = bisect_left(taken_spans, (lof, hif))
-        if pos > 0 and taken_spans[pos - 1][1] > lof:
-            continue
-        if pos < len(taken_spans) and taken_spans[pos][0] < hif:
-            continue
-        insort(taken_spans, (lof, hif))
-        total_measure += m
-        total_value += val
-        chosen.append(biv)
-    return total_value, chosen
+    scored = _ScoredPool(g, pool)
+    return _greedy(scored.E, scored.ranked(sense), mu)
 
 
 def is_absolutely_continuous(
@@ -224,13 +296,14 @@ def is_absolutely_continuous(
     stays below the fixed threshold.
     """
     cfg = cfg or SearchConfig()
-    pool = _pack_pool(g, region, cfg)
-    trace: list[tuple[Fraction, float]] = []
-    for k in range(5, 13):
-        mu = Fraction(1, 1 << k)
-        pos, _ = pack_search(g, pool, mu, "max")
-        neg, _ = pack_search(g, pool, mu, "min")
-        trace.append((mu, max(abs(pos), abs(neg))))
+    scored = _scored_pack_pool(g, region, cfg)
+    budgets = [Fraction(1, 1 << k) for k in range(5, 13)]
+    best = {}
+    for sense in ("max", "min"):
+        ranked = scored.ranked(sense)
+        best[sense] = [_greedy(scored.E, ranked, mu)[0] for mu in budgets]
+    trace = [(mu, max(abs(pos), abs(neg)))
+             for mu, pos, neg in zip(budgets, best["max"], best["min"])]
     verdict = trace[-1][1] < AC_THRESHOLD
     return verdict, trace
 
@@ -249,9 +322,9 @@ def is_absolutely_semicontinuous(
     if side not in ("upper", "lower"):
         raise ValueError("side must be 'upper' or 'lower'")
     cfg = cfg or SearchConfig()
-    pool = _pack_pool(g, region, cfg)
-    val, _ = pack_search(g, pool, Fraction(1, 1 << 12),
-                         "max" if side == "upper" else "min")
+    scored = _scored_pack_pool(g, region, cfg)
+    ranked = scored.ranked("max" if side == "upper" else "min")
+    val, _ = _greedy(scored.E, ranked, Fraction(1, 1 << 12))
     return abs(val) < AC_THRESHOLD
 
 

@@ -115,3 +115,41 @@ class TestCli:
         assert code == 2
         assert out == ""
         assert "unknown criteria [99]" in err.getvalue()
+
+    def test_unknown_density_set_exits_2(self):
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli(["density", "--fixture", "density_left_limit",
+                                 "--set", "bogus"])
+        assert code == 2
+        assert out == ""
+        assert "no set 'bogus'" in err.getvalue()
+        assert "oscillating_blocks" in err.getvalue()
+
+    def test_missing_config_file_exits_2(self, tmp_path, monkeypatch):
+        missing = str(tmp_path / "absent.cfg")
+        argv = ["integrate", "--fixture", "origin_indicator"]
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, _ = run_cli(["--config", missing] + argv)
+        assert code == 2
+        assert "cannot read config file" in err.getvalue()
+        monkeypatch.setenv("BURKILL_CONFIG", missing)
+        with redirect_stderr(io.StringIO()):
+            code, _ = run_cli(argv)
+        assert code == 2
+
+    @pytest.mark.parametrize("text, message", [
+        ("e-min = 1/2^4\n", "unknown config key 'e-min'"),
+        ("e_min = 1/2^4\ndensity\n", "expected key = value"),
+    ])
+    def test_bad_config_line_exits_2(self, tmp_path, text, message):
+        cfg = tmp_path / "lab.cfg"
+        cfg.write_text("# lab settings\n\n" + text)
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli(["--config", str(cfg), "integrate",
+                                 "--fixture", "origin_indicator"])
+        assert code == 2
+        assert out == ""
+        assert message in err.getvalue()

@@ -236,3 +236,22 @@ class TestDivision:
         d = division_from_points(region, [D(0), D(1)])
         obj = json.loads(d.to_json())
         assert set(obj) == {"points", "brackets", "region"}
+
+
+class TestIntegerSortKeys:
+    @given(st.lists(st.tuples(dyadics, dyadics), min_size=1, max_size=12))
+    @settings(max_examples=80)
+    def test_region_matches_fraction_keyed_sort(self, pairs):
+        spans = [(a, b) if a < b else (b, a) for a, b in pairs if a != b]
+        if not spans:
+            return
+        ref = sorted(spans, key=lambda s: (s[0].as_fraction(),
+                                           s[1].as_fraction()))
+        merged = []
+        for lo, hi in ref:
+            if merged and lo <= merged[-1][1]:
+                merged[-1] = (merged[-1][0], max(merged[-1][1], hi,
+                                                 key=Dyadic.as_fraction))
+            else:
+                merged.append((lo, hi))
+        assert Region(spans).components == tuple(merged)

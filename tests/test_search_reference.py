@@ -1,0 +1,356 @@
+"""The memoized defect scan, the integer pack greedy and the integer
+staircase against the straightforward loops they replaced, kept here as
+references; results must agree to the last bit (repr equality)."""
+
+import importlib
+from bisect import bisect_left, insort
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from burkill.catalog import (
+    IntervalFunction,
+    cantor_staircase_12,
+    cantor_staircase_function,
+    fixture,
+)
+from burkill.core import Dyadic, Interval, Region, ZERO, sort_points
+from burkill.integrator import (
+    DefectReport,
+    SearchConfig,
+    _defect_at,
+    _neighbours,
+    additivity_defect,
+    defect_report_at,
+    pair_spread,
+    point_defect,
+)
+from burkill.variation import (
+    _pack_candidates,
+    is_absolutely_continuous,
+    pack_search,
+)
+
+INF = float("inf")
+# the package exports the function variation() under the module's name
+variation_mod = importlib.import_module("burkill.variation")
+
+# ---------------------------------------------------------------------------
+# reference loops
+# ---------------------------------------------------------------------------
+
+
+def ref_additivity_defect(g, x, y, z):
+    best = 0.0
+    whole = [g(v) for v in Interval(x, z).variants()]
+    left = [g(v) for v in Interval(x, y).variants()]
+    right = [g(v) for v in Interval(y, z).variants()]
+    for w in whole:
+        for a in left:
+            for b in right:
+                val = abs(w - a - b)
+                if val > best:
+                    best = val
+    return best
+
+
+def ref_pair_spread(g, x, y, z):
+    sums = [a + b
+            for a in (g(v) for v in Interval(x, y).variants())
+            for b in (g(v) for v in Interval(y, z).variants())]
+    return max(sums) - min(sums)
+
+
+def ref_point_defect(g, x, y, z):
+    return max(ref_additivity_defect(g, x, y, z), ref_pair_spread(g, x, y, z))
+
+
+def ref_defect_at(g, y, cfg, pool):
+    """Every level rescans its window and rescores every triple."""
+    near_below, near_above = _neighbours(pool, y)
+    trace = []
+    sigma_trace = []
+    for e in cfg.e_schedule:
+        below = [p for p in near_below if y - p < e]
+        above = [p for p in near_above if p > y and p - y < e][:4]
+        c_best = 0.0
+        s_best = 0.0
+        for x in below:
+            for z in above:
+                c_best = max(c_best, ref_additivity_defect(g, x, y, z))
+                s_best = max(s_best, ref_point_defect(g, x, y, z))
+        trace.append((e, c_best))
+        sigma_trace.append((e, s_best))
+    for i in range(len(trace) - 2, -1, -1):
+        trace[i] = (trace[i][0], max(trace[i][1], trace[i + 1][1]))
+        sigma_trace[i] = (sigma_trace[i][0],
+                          max(sigma_trace[i][1], sigma_trace[i + 1][1]))
+    return DefectReport(y, trace, trace[-1][1], sigma_trace[-1][1])
+
+
+def ref_best_value(g, iv, sense):
+    if g.bracket_independent:
+        return g(iv), iv
+    best, best_iv = None, iv
+    for v in iv.variants():
+        val = g(v)
+        if best is None or (val > best if sense == "max" else val < best):
+            best, best_iv = val, v
+    return best, best_iv
+
+
+def ref_pack_search(g, pool, mu, sense="max"):
+    """The greedy with Fraction spans, measures and sort keys."""
+    scored = []
+    for iv in pool:
+        val, biv = ref_best_value(g, iv, sense)
+        if (sense == "max" and val <= 0) or (sense == "min" and val >= 0):
+            continue
+        density = abs(val) / float(iv.length)
+        scored.append((-density, iv.lo.as_fraction(),
+                       iv.hi.as_fraction(), val, biv))
+    scored.sort(key=lambda t: (t[0], t[1], t[2]))
+    taken_spans = []
+    total_measure = Fraction(0)
+    total_value = 0.0
+    chosen = []
+    for _, lof, hif, val, biv in scored:
+        m = hif - lof
+        if total_measure + m > mu:
+            continue
+        pos = bisect_left(taken_spans, (lof, hif))
+        if pos > 0 and taken_spans[pos - 1][1] > lof:
+            continue
+        if pos < len(taken_spans) and taken_spans[pos][0] < hif:
+            continue
+        insort(taken_spans, (lof, hif))
+        total_measure += m
+        total_value += val
+        chosen.append(biv)
+    return total_value, chosen
+
+
+def ref_pack_pool(g, region, cfg, pool_cap):
+    pool = _pack_candidates(g, region, cfg)
+    if len(pool) > pool_cap:
+        pool = sorted(pool, key=lambda iv: (
+            -abs(ref_best_value(g, iv, "max")[0]) / float(iv.length),
+            iv.lo.as_fraction()))[:pool_cap]
+    return pool
+
+
+def ref_staircase():
+    """The staircase built and evaluated in Fractions."""
+    depth, grid = 12, 32
+    segs = [(Fraction(0), Fraction(1))]
+    for _ in range(depth):
+        nxt = []
+        for a, b in segs:
+            w = (b - a) / 3
+            nxt.append((a, a + w))
+            nxt.append((b - w, b))
+        segs = nxt
+    spans = [(Dyadic((a.numerator << grid) // a.denominator, grid),
+              Dyadic(-((-b.numerator << grid) // b.denominator), grid))
+             for a, b in segs]
+    rise = Fraction(1, 1 << depth)
+
+    def ev(x):
+        xf = x.as_fraction()
+        lo_i, hi_i = 0, len(spans) - 1
+        if x <= spans[0][0]:
+            return 0.0
+        if x >= spans[-1][1]:
+            return 1.0
+        while lo_i < hi_i:
+            mid = (lo_i + hi_i + 1) // 2
+            if spans[mid][0] <= x:
+                lo_i = mid
+            else:
+                hi_i = mid - 1
+        a, b = spans[lo_i]
+        base = rise * lo_i
+        if x >= b:
+            return float(base + rise)
+        frac = (xf - a.as_fraction()) / (b.as_fraction() - a.as_fraction())
+        return float(base + rise * frac)
+
+    return ev, spans
+
+
+def counting(g):
+    """g behind a counter of its calls."""
+    calls = [0]
+
+    def ev(iv):
+        calls[0] += 1
+        return g(iv)
+
+    return IntervalFunction(g.name, ev, additive=g.additive,
+                            bracket_independent=g.bracket_independent,
+                            special_points=g.special_points), calls
+
+
+# ---------------------------------------------------------------------------
+# strategies: bracket-dependent tables with infinities
+# ---------------------------------------------------------------------------
+
+TABLE_VALUES = st.one_of(
+    st.floats(min_value=-8, max_value=8, allow_nan=False,
+              allow_infinity=False),
+    st.sampled_from((0.0, 1.0, -1.0, INF, -INF)))
+
+
+def table_function(values, bkfree=False):
+    """A deterministic g: each (span, brackets) picks one of the values."""
+    n = len(values)
+
+    def ev(iv):
+        lo = iv.lo.num << (16 - iv.lo.exp)
+        hi = iv.hi.num << (16 - iv.hi.exp)
+        k = (lo * 7919 + hi * 104729) % 1000003
+        if not bkfree:
+            k += 2 * iv.left_closed + iv.right_closed
+        return values[k % n]
+
+    return IntervalFunction("table", ev, bracket_independent=bkfree)
+
+
+POINTS = st.builds(Dyadic, st.integers(-48, 48), st.integers(0, 4))
+
+
+@st.composite
+def defect_cases(draw):
+    pool = sort_points(draw(st.lists(POINTS, min_size=2, max_size=12,
+                                     unique=True)))
+    lo, hi = pool[0], pool[-1]
+    interior = [p for p in pool if lo < p < hi]
+    ys = draw(st.lists(st.one_of(st.sampled_from(interior), POINTS)
+                       if interior else POINTS, min_size=1, max_size=4))
+    ks = sorted(draw(st.sets(st.integers(-3, 6), min_size=1, max_size=5)))
+    cfg = SearchConfig(e_schedule=tuple(Dyadic(1, k) if k >= 0
+                                        else Dyadic(1 << -k) for k in ks))
+    values = draw(st.lists(TABLE_VALUES, min_size=1, max_size=16))
+    return pool, ys, cfg, table_function(values)
+
+
+class TestDefectScanReference:
+    @settings(max_examples=200, deadline=None)
+    @given(defect_cases())
+    def test_memo_scan_equals_per_triple_recomputation(self, case):
+        pool, ys, cfg, g = case
+        memo: dict = {}                      # shared across points, as a scan
+        for y in ys:
+            got = _defect_at(g, y, cfg, pool, memo)
+            assert repr(got) == repr(ref_defect_at(g, y, cfg, pool))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(POINTS, min_size=3, max_size=3, unique=True),
+           st.lists(TABLE_VALUES, min_size=1, max_size=16))
+    def test_defect_wrappers_equal_reference(self, pts, values):
+        g = table_function(values)
+        x, y, z = sort_points(pts)
+        for new, ref in ((additivity_defect, ref_additivity_defect),
+                         (pair_spread, ref_pair_spread),
+                         (point_defect, ref_point_defect)):
+            assert repr(new(g, x, y, z)) == repr(ref(g, x, y, z))
+
+    def test_defect_report_evaluates_each_interval_once(self):
+        fx = fixture("m_power_singularity")
+        g, calls = counting(fx.fn)
+        cfg = SearchConfig(e_schedule=tuple(Dyadic(1, k) for k in range(3, 9)))
+        defect_report_at(g, fx.region, ZERO, cfg)
+        assert calls[0] == 96
+
+
+# ---------------------------------------------------------------------------
+# pack greedy
+# ---------------------------------------------------------------------------
+
+BUDGETS = st.one_of(
+    st.builds(lambda n, k: Fraction(n, 1 << k),
+              st.integers(0, 64), st.integers(0, 8)),        # dyadic
+    st.builds(Fraction, st.integers(0, 200), st.integers(1, 97)))
+
+
+@st.composite
+def pack_cases(draw):
+    pool = []
+    for lo, hi in draw(st.lists(st.tuples(POINTS, POINTS), max_size=30)):
+        if lo != hi:
+            lo, hi = min(lo, hi), max(lo, hi)
+            pool.append(Interval(lo, hi, draw(st.booleans()),
+                                 draw(st.booleans())))
+    pool += draw(st.lists(st.sampled_from(pool), max_size=4)) if pool else []
+    values = draw(st.lists(TABLE_VALUES, min_size=1, max_size=16))
+    g = table_function(values, bkfree=draw(st.booleans()))
+    return g, pool
+
+
+class TestPackReference:
+    @settings(max_examples=300, deadline=None)
+    @given(pack_cases(), BUDGETS, st.sampled_from(("max", "min")))
+    def test_integer_greedy_equals_fraction_greedy(self, case, mu, sense):
+        g, pool = case
+        value, chosen = pack_search(g, pool, mu, sense)
+        ref_value, ref_chosen = ref_pack_search(g, pool, mu, sense)
+        assert repr(value) == repr(ref_value)
+        assert chosen == ref_chosen
+
+    def test_capped_pool_and_budgets_equal_reference(self, monkeypatch):
+        # a small cap, so that the cap ranking decides the pool
+        monkeypatch.setattr(variation_mod, "POOL_CAP", 40)
+        cfg = SearchConfig(e_schedule=(Dyadic(1, 3), Dyadic(1, 4)))
+        for name in ("origin_indicator", "k_convention_jump",
+                     "saks_A_counterexample"):
+            fx = fixture(name)
+            assert variation_mod._pack_pool(fx.fn, fx.region, cfg) == \
+                ref_pack_pool(fx.fn, fx.region, cfg, 40)
+            pool = ref_pack_pool(fx.fn, fx.region, cfg, 40)
+            trace = []
+            for k in range(5, 13):
+                mu = Fraction(1, 1 << k)
+                pos, _ = ref_pack_search(fx.fn, pool, mu, "max")
+                neg, _ = ref_pack_search(fx.fn, pool, mu, "min")
+                trace.append((mu, max(abs(pos), abs(neg))))
+            got = is_absolutely_continuous(fx.fn, fx.region, cfg)
+            assert repr(got[1]) == repr(trace)
+
+    def test_staircase_probe_evaluates_each_interval_once(self):
+        g, calls = counting(cantor_staircase_function()[0])
+        cfg = SearchConfig(e_schedule=tuple(Dyadic(1, k)
+                                            for k in range(3, 11)))
+        is_absolutely_continuous(g, Region.interval(ZERO, Dyadic(1)), cfg)
+        assert calls[0] == 13_647
+
+
+# ---------------------------------------------------------------------------
+# integer staircase
+# ---------------------------------------------------------------------------
+
+_REF_EV, _REF_SPANS = ref_staircase()
+_EV, _SPANS = cantor_staircase_12()
+
+
+class TestStaircaseReference:
+    def test_breakpoints_equal_reference(self):
+        assert _SPANS == _REF_SPANS
+        for a, b in _SPANS:
+            for x in (a, b):
+                assert repr(_EV(x)) == repr(_REF_EV(x))
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(0, 80).flatmap(lambda k: st.builds(
+        Dyadic, st.integers(-(1 << k) // 8 - 1, (1 << k) + (1 << k) // 8 + 1),
+        st.just(k))))
+    def test_random_points_equal_reference(self, x):
+        assert repr(_EV(x)) == repr(_REF_EV(x))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, (1 << 12) - 1), st.integers(33, 80),
+           st.integers(-(1 << 16), 1 << 16))
+    def test_points_near_breakpoints_equal_reference(self, i, k, off):
+        # a breakpoint moved by a few units at a fine exponent
+        a = _SPANS[i][0]
+        x = Dyadic((a.num << (k - a.exp)) + off, k)
+        assert repr(_EV(x)) == repr(_REF_EV(x))
