@@ -532,7 +532,9 @@ def cantor_staircase_function() -> tuple[IntervalFunction, list]:
     """
     if not _STAIRCASE_CACHE:
         f, spans = cantor_staircase_12()
-        pts = sort_points({p for s in spans for p in s})
+        # the rise intervals are disjoint and in order, so their endpoints
+        # are already sorted and distinct
+        pts = [p for s in spans for p in s]
 
         def specials(region, resolution):
             return list(pts)

@@ -23,7 +23,7 @@ from .core import (
     Dyadic,
     Interval,
     Region,
-    ZERO,
+    _component_runs,
     division_from_points,
     dmid,
     floor_log2,
@@ -142,33 +142,118 @@ def riemann_sum(g: IntervalFunction, division: Division) -> float:
 
 
 _VARIANTS = ((False, False), (False, True), (True, False), (True, True))
+_ALL = (0, 1, 2, 3)
 
 
-def _allowed_variants(lo: Dyadic, hi: Dyadic, locks: dict) -> tuple[Lock, ...]:
-    llock = locks.get(lo)
-    rlock = locks.get(hi)
-    out = []
-    for lc, rc in _VARIANTS:
-        if llock is not None and lc != llock[1]:
-            continue
-        if rlock is not None and rc != rlock[0]:
-            continue
-        out.append((lc, rc))
-    return tuple(out)
+def _span_variants(locks: dict, keys: list[int], pts: list[Dyadic],
+                   i: int) -> tuple[int, ...]:
+    """Indices into _VARIANTS of the variants of span i that honour the
+    junction locks (keyed by integer point keys) at its two ends."""
+    llock, rlock = locks.get(keys[i]), locks.get(keys[i + 1])
+    if llock is None and rlock is None:
+        return _ALL
+    allowed = tuple(k for k, (lc, rc) in enumerate(_VARIANTS)
+                    if (llock is None or lc == llock[1])
+                    and (rlock is None or rc == rlock[0]))
+    if not allowed:
+        raise ValueError(f"conflicting locks at {pts[i]}..{pts[i + 1]}")
+    return allowed
 
 
 class Candidate:
-    """A candidate point set with its in-component consecutive spans."""
+    """A candidate point set: the sorted points, their integer keys at one
+    exponent, and the (start, stop) index range of the points inside each
+    region component.  Consecutive points of a range bound one interval."""
 
-    __slots__ = ("points", "spans")
+    __slots__ = ("points", "keys", "runs")
 
-    def __init__(self, points: list[Dyadic],
-                 spans: list[tuple[Dyadic, Dyadic]]):
+    def __init__(self, points: list[Dyadic], keys: Optional[list[int]] = None,
+                 runs: Optional[list[tuple[int, int]]] = None):
         self.points = points
-        self.spans = spans
+        if keys is None:
+            ex = max((p.exp for p in points), default=0)
+            keys = [_key(p, ex) for p in points]
+        self.keys = keys
+        self.runs = [(0, len(points))] if runs is None else runs
 
-    def key(self) -> tuple:
-        return tuple((p.num, p.exp) for p in self.points)
+    @property
+    def spans(self) -> list[tuple[Dyadic, Dyadic]]:
+        pts = self.points
+        return [(pts[i], pts[i + 1])
+                for start, stop in self.runs for i in range(start, stop - 1)]
+
+
+def _score(g: IntervalFunction, cand: Candidate, memo: dict, locks: dict,
+           absolute: bool = False):
+    """One pass over a candidate's spans that scores both senses.
+
+    memo maps a span's integer endpoints to g's value when g is bracket
+    independent, else to its four variant values, filled as they are
+    needed.  Per span, each sense takes the first allowed variant unless a
+    later one is strictly better.  absolute scores |g| off the same values.
+    Returns the values and the variant indices chosen in the max and the
+    min sense; a bracket-independent g shares one list between the senses,
+    and None stands for the open variant on every span.
+    """
+    pts, keys = cand.points, cand.keys
+    raw = Interval.raw
+    if g.bracket_independent:
+        vals: list[float] = []
+        choice: Optional[list[int]] = [] if locks else None
+        for start, stop in cand.runs:
+            for i in range(start, stop - 1):
+                k = 0
+                if locks:
+                    k = _span_variants(locks, keys, pts, i)[0]
+                    choice.append(k)
+                key = (keys[i], keys[i + 1])
+                v = memo.get(key)
+                if v is None:
+                    v = memo[key] = g(raw(pts[i], pts[i + 1], *_VARIANTS[k]))
+                vals.append(abs(v) if absolute else v)
+        return vals, vals, choice, choice
+    ups: list[float] = []
+    lows: list[float] = []
+    up_k: list[int] = []
+    low_k: list[int] = []
+    for start, stop in cand.runs:
+        for i in range(start, stop - 1):
+            allowed = _span_variants(locks, keys, pts, i) if locks else _ALL
+            key = (keys[i], keys[i + 1])
+            row = memo.get(key)
+            if row is None:
+                row = memo[key] = [None] * 4
+            vs = []
+            for k in allowed:
+                v = row[k]
+                if v is None:
+                    v = row[k] = g(raw(pts[i], pts[i + 1], *_VARIANTS[k]))
+                vs.append(abs(v) if absolute else v)
+            hi = lo = 0
+            for j in range(1, len(vs)):
+                if vs[j] > vs[hi]:
+                    hi = j
+                if vs[j] < vs[lo]:
+                    lo = j
+            ups.append(vs[hi])
+            up_k.append(allowed[hi])
+            lows.append(vs[lo])
+            low_k.append(allowed[lo])
+    return ups, lows, up_k, low_k
+
+
+def _witness(region: Region, cand: Candidate,
+             choice: Optional[list[int]]) -> Division:
+    """The division of a candidate's spans with the chosen variants."""
+    pts = cand.points
+    raw = Interval.raw
+    chosen = iter(choice) if choice is not None else None
+    intervals = []
+    for start, stop in cand.runs:
+        for i in range(start, stop - 1):
+            lc, rc = _VARIANTS[next(chosen) if chosen else 0]
+            intervals.append(raw(pts[i], pts[i + 1], lc, rc))
+    return Division(region, intervals, tuple(pts))
 
 
 def _extremal_spans(
@@ -178,29 +263,12 @@ def _extremal_spans(
     sense: str,
     locks: Optional[dict] = None,
 ) -> tuple[float, Division]:
-    want_max = sense == "max"
-    bkfree = g.bracket_independent
-    chosen: list[Interval] = []
-    values: list[float] = []
-    raw = Interval.raw
-    for a, b in cand.spans:
-        allowed = _allowed_variants(a, b, locks) if locks else _VARIANTS
-        if not allowed:
-            raise ValueError(f"conflicting locks at {a}..{b}")
-        # the first allowed variant seeds the optimum; only a strict
-        # improvement replaces it, so ties keep the earliest variant
-        lc, rc = allowed[0]
-        best = raw(a, b, lc, rc)
-        best_val = g(best)
-        if not bkfree:
-            for lc, rc in allowed[1:]:
-                iv = raw(a, b, lc, rc)
-                v = g(iv)
-                if v > best_val if want_max else v < best_val:
-                    best, best_val = iv, v
-        chosen.append(best)
-        values.append(best_val)
-    return xsum(values), Division(region, chosen, tuple(cand.points))
+    ilocks = ({k: locks[p] for p, k in zip(cand.points, cand.keys)
+               if p in locks} if locks else {})
+    ups, lows, up_k, low_k = _score(g, cand, {}, ilocks)
+    if sense == "max":
+        return xsum(ups), _witness(region, cand, up_k)
+    return xsum(lows), _witness(region, cand, low_k)
 
 
 def _best_value(g, iv, sense: str):
@@ -232,9 +300,12 @@ def extremal_sum(
     """
     if sense not in ("max", "min"):
         raise ValueError("sense must be 'max' or 'min'")
-    base = division_from_points(region, points)
-    cand = Candidate(list(points), [(iv.lo, iv.hi) for iv in base])
-    return _extremal_spans(g, cand, region, sense, locks)
+    runs, start = [], 0
+    for run in _component_runs(region, points):
+        runs.append((start, start + len(run)))
+        start += len(run)
+    return _extremal_spans(g, Candidate(list(points), runs=runs), region,
+                           sense, locks)
 
 
 def brute_force_extremal(
@@ -258,8 +329,36 @@ def brute_force_extremal(
 
 
 # ---------------------------------------------------------------------------
-# Candidate point sets
+# Candidate point sets, built on integer keys at one exponent per level
 # ---------------------------------------------------------------------------
+
+def _key(p: Dyadic, ex: int) -> int:
+    """p * 2**ex, an integer when ex >= p.exp."""
+    return p.num << (ex - p.exp)
+
+
+def _dyadics(keys: list[int], ex: int, cache: dict) -> list[Dyadic]:
+    """Keys at exponent ex as Dyadics, one object per distinct key."""
+    out = []
+    for k in keys:
+        p = cache.get(k)
+        if p is None:
+            p = cache[k] = Dyadic(k, ex)
+        out.append(p)
+    return out
+
+
+def _comp_keys(region: Region, ex: int) -> list[tuple[int, int]]:
+    return [(_key(lo, ex), _key(hi, ex)) for lo, hi in region.components]
+
+
+def _fill_depth(region: Region, e: Dyadic, ex: int) -> int:
+    """The most halvings a fill below e makes in one gap of the region;
+    ex must hold e and the region's endpoints."""
+    ek = _key(e, ex)
+    return max(((hi - lo) // ek).bit_length()
+               for lo, hi in _comp_keys(region, ex))
+
 
 def _grid_spacing(e: Dyadic, density: int) -> Dyadic:
     """Largest power of two not above e/density."""
@@ -271,59 +370,112 @@ def _grid_spacing(e: Dyadic, density: int) -> Dyadic:
     return spacing
 
 
-def _grid(region: Region, start: Dyadic, spacing: Dyadic) -> list[Dyadic]:
-    """Points lo + start + k*spacing below hi, component by component."""
-    out: list[Dyadic] = []
-    for lo, hi in region.components:
-        p = lo + start
-        while p < hi:
+def _grid_keys(comps: list[tuple[int, int]], start: int,
+               step: int) -> list[int]:
+    """Keys lo + start + j*step below hi, component by component."""
+    return [k for lo, hi in comps for k in range(lo + start, hi, step)]
+
+
+def _fill_keys(keys: list[int], comps: list[tuple[int, int]], ek: int,
+               cap: int) -> tuple[list[int], list[tuple[int, int]]]:
+    """Insert points into sorted distinct keys until every in-component gap
+    is below ek; keys outside the components are dropped.
+
+    A gap is cut into 2**d equal parts, d the fewest halvings that bring it
+    below ek: the points recursive bisection inserts, so the keys' exponent
+    must hold them.  Bisection checks the budget before each split, which
+    fails exactly when len(out) + 2**d - 2 > cap.  Returns the keys and
+    each component's (start, stop) range in them.
+    """
+    out: list[int] = []
+    runs: list[tuple[int, int]] = []
+    idx, n = 0, len(keys)
+    for lo, hi in comps:
+        while idx < n and keys[idx] < lo:
+            idx += 1
+        start = len(out)
+        prev = None
+        while idx < n and keys[idx] <= hi:
+            p = keys[idx]
+            if prev is not None:
+                d = ((p - prev) // ek).bit_length()
+                if d:
+                    if len(out) + (1 << d) - 2 > cap:
+                        raise BudgetExceeded(
+                            f"fill needs more than {cap} points")
+                    step = (p - prev) >> d
+                    out.extend(range(prev + step, p, step))
             out.append(p)
-            p = p + spacing
-    return out
-
-
-def _fill_gap(a: Dyadic, b: Dyadic, e: Dyadic, out: list, cap: int):
-    """Append midpoints of (a, b), in order, until every gap is below e."""
-    if b - a < e:
-        return
-    if len(out) > cap:
-        raise BudgetExceeded(f"fill needs more than {cap} points")
-    m = dmid(a, b)
-    _fill_gap(a, m, e, out, cap)
-    out.append(m)
-    _fill_gap(m, b, e, out, cap)
+            prev = p
+            idx += 1
+        runs.append((start, len(out)))
+    return out, runs
 
 
 def _fill(points, region: Region, e: Dyadic, max_points: int) -> Candidate:
     """Insert midpoints until every in-component gap is below e."""
-    pts = sort_points(set(points) | set(region.endpoints()))
-    out: list[Dyadic] = []
-    spans: list[tuple[Dyadic, Dyadic]] = []
-    idx = 0
-    n = len(pts)
-    for lo, hi in region.components:
-        while idx < n and pts[idx] < lo:
-            idx += 1
-        run_start = len(out)
-        prev = None
-        while idx < n and pts[idx] <= hi:
-            p = pts[idx]
-            if prev is not None:
-                _fill_gap(prev, p, e, out, max_points)
-            out.append(p)
-            prev = p
-            idx += 1
-        for i in range(run_start, len(out) - 1):
-            spans.append((out[i], out[i + 1]))
-    return Candidate(out, spans)
+    pts = list(points) + region.endpoints()
+    ex = max(e.exp, max(p.exp for p in pts))
+    ex += _fill_depth(region, e, ex)
+    keys, runs = _fill_keys(sorted({_key(p, ex) for p in pts}),
+                            _comp_keys(region, ex), _key(e, ex), max_points)
+    return Candidate(_dyadics(keys, ex, {}), keys, runs)
 
 
-def _jitter(cand: Candidate) -> list[Dyadic]:
-    """Points plus midpoints of every consecutive in-component gap."""
-    extra = list(cand.points)
-    for a, b in cand.spans:
-        extra.append(dmid(a, b))
-    return extra
+def _level_candidates(
+    g: IntervalFunction,
+    region: Region,
+    e: Dyadic,
+    cfg: SearchConfig,
+    extra: Sequence[Dyadic] = (),
+) -> tuple[list[Candidate], int]:
+    """The candidate family at norm bound e, and its keys' exponent.
+
+    The family: the grid, the offset grid, the grid with the special
+    points, the special points alone and the latter with every gap's
+    midpoint (the jitter), each with the extra points and filled below e,
+    without repeats.
+    """
+    spacing = _grid_spacing(e, cfg.grid_density)
+    ex = max(spacing.exp, max(p.exp for p in region.endpoints()))
+    sp = _key(spacing, ex)
+    # the grid's points plus each component's right end
+    n_grid = sum(len(range(lo, hi, sp)) for lo, hi in _comp_keys(region, ex))
+    if n_grid + len(region.components) > cfg.max_points:
+        raise BudgetExceeded(f"grid needs more than {cfg.max_points} points")
+    specials = (g.special_points(region, e) if cfg.use_special_points else [])
+    extras = [p for p in extra if region.contains_point(p)]
+    # the offset grid avoids interior alignment points (e.g. the origin);
+    # one exponent holds its half step, the special and extra
+    # points, every fill midpoint and every jitter midpoint
+    ex = max(ex + 1, e.exp, *(p.exp for p in specials),
+             *(p.exp for p in extras))
+    ex += _fill_depth(region, e, ex) + 1
+    comps = _comp_keys(region, ex)
+    sp = _key(spacing, ex)
+    ek = _key(e, ex)
+    fixed = [k for comp in comps for k in comp] + [_key(p, ex) for p in extras]
+
+    def prep(keys: list[int]):
+        return _fill_keys(sorted(set(keys).union(fixed)), comps, ek,
+                          cfg.max_points)
+
+    grid = _grid_keys(comps, 0, sp)
+    filled = [prep(grid), prep(_grid_keys(comps, sp >> 1, sp))]
+    if specials:
+        spec = [_key(p, ex) for p in specials]
+        filled.append(prep(grid + spec))
+        keys, runs = prep(spec)
+        filled.append((keys, runs))
+        filled.append(prep(keys + [(keys[i] + keys[i + 1]) >> 1
+                                   for start, stop in runs
+                                   for i in range(start, stop - 1)]))
+    cache: dict = {}
+    unique: list[Candidate] = []
+    for keys, runs in filled:
+        if all(keys != c.keys for c in unique):
+            unique.append(Candidate(_dyadics(keys, ex, cache), keys, runs))
+    return unique, ex
 
 
 def candidate_point_sets(
@@ -334,39 +486,64 @@ def candidate_point_sets(
     extra: Sequence[Dyadic] = (),
 ) -> list[Candidate]:
     """The candidate family at norm bound e, all gaps strictly below e."""
-    base = region.endpoints()
-    spacing = _grid_spacing(e, cfg.grid_density)
-    grid = _grid(region, ZERO, spacing)
-    # the grid's points plus each component's right end
-    if len(grid) + len(region.components) > cfg.max_points:
-        raise BudgetExceeded(f"grid needs more than {cfg.max_points} points")
-    specials = (g.special_points(region, e) if cfg.use_special_points else [])
-    extras = [p for p in extra if region.contains_point(p)]
-    # the offset grid avoids interior alignment points (e.g. the origin)
-    offset = _grid(region, spacing.half(), spacing)
-
-    def prep(pts: list[Dyadic]) -> Candidate:
-        return _fill(pts + extras, region, e, cfg.max_points)
-
-    cands = [prep(base + grid), prep(base + offset)]
-    if specials:
-        cands.append(prep(base + grid + specials))
-        spec_set = prep(base + specials)
-        cands.append(spec_set)
-        cands.append(prep(_jitter(spec_set)))
-    seen = set()
-    unique = []
-    for c in cands:
-        key = c.key()
-        if key not in seen:
-            seen.add(key)
-            unique.append(c)
-    return unique
+    return _level_candidates(g, region, e, cfg, extra)[0]
 
 
 # ---------------------------------------------------------------------------
 # Norm-limits
 # ---------------------------------------------------------------------------
+
+def _search_levels(
+    g: IntervalFunction,
+    region: Region,
+    cfg: SearchConfig,
+    traces: Sequence[tuple],
+    extra_points: Sequence[Dyadic] = (),
+    mandatory_for_level=None,
+) -> list[list[LevelEstimate]]:
+    """Suffix-tightened level estimates of several traces over shared
+    candidates.
+
+    A trace is (locks_for_level or None, absolute): its junction locks per
+    level, and whether it scores |g| instead of g.  At each level the
+    candidates are built once and scored once per trace, all against one
+    memo of g's values that is dropped when the level ends.  A candidate
+    replaces a trace's best only on a strict improvement, and only the
+    winners get witness divisions.
+    """
+    out: list[list[LevelEstimate]] = [[] for _ in traces]
+    fixed = cfg.convention_mode == "fixed"
+    for e in cfg.e_schedule:
+        level_locks = [lf(e) if lf else {} for lf, _ in traces]
+        mandatory = mandatory_for_level(e) if mandatory_for_level else []
+        cands, ex = _level_candidates(
+            g, region, e, cfg, list(extra_points) + list(mandatory))
+        ilocks = [{_key(p, ex): lock for p, lock in locks.items()
+                   if p.exp <= ex} for locks in level_locks]
+        memo: dict = {}
+        best = [[-INF, INF, None, None] for _ in traces]
+        for cand in cands:
+            every = (dict.fromkeys(cand.keys, DEFAULT_CONVENTION)
+                     if fixed else None)
+            for (_, absolute), locks, b in zip(traces, ilocks, best):
+                ups, lows, up_k, low_k = _score(g, cand, memo, every or locks,
+                                                absolute)
+                up = xsum(ups)
+                low = up if lows is ups else xsum(lows)
+                if up > b[0]:
+                    b[0], b[2] = up, (cand, up_k)
+                if low < b[1]:
+                    b[1], b[3] = low, (cand, low_k)
+        for levels, (up, low, wu, wl) in zip(out, best):
+            levels.append(LevelEstimate(
+                e, up, low,
+                None if wu is None else _witness(region, *wu),
+                None if wl is None else _witness(region, *wl),
+                raw_upper=up, raw_lower=low))
+    for levels in out:
+        _tighten(levels)
+    return out
+
 
 def _estimate_levels(
     g: IntervalFunction,
@@ -376,27 +553,8 @@ def _estimate_levels(
     locks_for_level=None,
     mandatory_for_level=None,
 ) -> list[LevelEstimate]:
-    levels: list[LevelEstimate] = []
-    for e in cfg.e_schedule:
-        locks = locks_for_level(e) if locks_for_level else {}
-        mandatory = mandatory_for_level(e) if mandatory_for_level else []
-        cands = candidate_point_sets(
-            g, region, e, cfg, extra=list(extra_points) + list(mandatory))
-        best_up, best_low = -INF, INF
-        wit_up = wit_low = None
-        for cand in cands:
-            lk = ({p: DEFAULT_CONVENTION for p in cand.points}
-                  if cfg.convention_mode == "fixed" else locks)
-            up, wu = _extremal_spans(g, cand, region, "max", lk)
-            low, wl = _extremal_spans(g, cand, region, "min", lk)
-            if up > best_up:
-                best_up, wit_up = up, wu
-            if low < best_low:
-                best_low, wit_low = low, wl
-        levels.append(LevelEstimate(e, best_up, best_low, wit_up, wit_low,
-                                    raw_upper=best_up, raw_lower=best_low))
-    _tighten(levels)
-    return levels
+    return _search_levels(g, region, cfg, [(locks_for_level, False)],
+                          extra_points, mandatory_for_level)[0]
 
 
 def _tighten(levels: list[LevelEstimate]) -> None:
@@ -520,22 +678,38 @@ def k_chain_reports(
 ) -> tuple[LimitReport, LimitReport]:
     """Norm and k reports over shared candidates.
 
-    Both runs use identical candidate point sets (the k run's mandatory
-    points are handed to the norm run as plain extra points level by
-    level), so the chain lower_N <= lower_k <= upper_k <= upper_N holds at
+    One level loop builds the candidates once, with the k run's mandatory
+    points, and scores the locked k run and the free norm run against one
+    memo, so the chain lower_N <= lower_k <= upper_k <= upper_N holds at
     every level by construction: the k assignments are a subset of the
     free ones.
     """
     cfg = cfg or SearchConfig()
     tol = cfg.tol_float if tol is None else tol
     locks_for, mandatory_for = _permanent_schedule(g, region, permanent)
-    k_levels = _estimate_levels(g, region, cfg,
-                                locks_for_level=locks_for,
-                                mandatory_for_level=mandatory_for)
-    n_levels = _estimate_levels(g, region, cfg,
-                                mandatory_for_level=mandatory_for)
+    k_levels, n_levels = _search_levels(
+        g, region, cfg, [(locks_for, False), (None, False)],
+        mandatory_for_level=mandatory_for)
     return (LimitReport(n_levels, _verdict(n_levels, tol)),
             LimitReport(k_levels, _verdict(k_levels, tol)))
+
+
+def abs_norm_reports(
+    g: IntervalFunction,
+    region: Region,
+    cfg: Optional[SearchConfig] = None,
+    tol: Optional[float] = None,
+) -> tuple[LimitReport, LimitReport]:
+    """Norm-limit reports of |g| and of g, as estimate_norm_limits gives
+    them, over shared candidates: |g| is read off g's values."""
+    cfg = cfg or SearchConfig()
+    if region.is_empty:
+        raise ValueError("region is empty")
+    tol = cfg.tol_float if tol is None else tol
+    abs_levels, levels = _search_levels(g, region, cfg,
+                                        [(None, True), (None, False)])
+    return (LimitReport(abs_levels, _verdict(abs_levels, tol)),
+            LimitReport(levels, _verdict(levels, tol)))
 
 
 def estimate_sigma_limit(
@@ -555,14 +729,19 @@ def estimate_sigma_limit(
     points: set[Dyadic] = set(region.endpoints())
     levels: list[LevelEstimate] = []
     for e in cfg.e_schedule:
-        points.update(_grid(region, ZERO, _grid_spacing(e, cfg.grid_density)))
+        spacing = _grid_spacing(e, cfg.grid_density)
+        ex = max(spacing.exp, *(p.exp for p in region.endpoints()))
+        points.update(_dyadics(_grid_keys(_comp_keys(region, ex), 0,
+                                          _key(spacing, ex)), ex, {}))
         if cfg.use_special_points:
             points.update(g.special_points(region, e))
         stage = _fill(points, region, e, cfg.max_points)
         points.update(stage.points)
-        up, wit_up = _extremal_spans(g, stage, region, "max")
-        low, wit_low = _extremal_spans(g, stage, region, "min")
-        levels.append(LevelEstimate(e, up, low, wit_up, wit_low))
+        ups, lows, up_k, low_k = _score(g, stage, {}, {})
+        up = xsum(ups)
+        low = up if lows is ups else xsum(lows)
+        levels.append(LevelEstimate(e, up, low, _witness(region, stage, up_k),
+                                    _witness(region, stage, low_k)))
     return LimitReport(levels, _verdict(levels, tol))
 
 

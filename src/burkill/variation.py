@@ -29,7 +29,7 @@ from .integrator import (
     _neighbours,
     _scan_candidates,
     _triple_pool,
-    estimate_norm_limits,
+    abs_norm_reports,
 )
 
 AC_THRESHOLD = 1e-3          # pack value below this at mu = 2^-12 passes AC
@@ -67,8 +67,7 @@ def variation(
 ) -> VariationReport:
     """Estimate Var(g; region) as the upper norm-limit of |g|."""
     cfg = cfg or SearchConfig()
-    abs_report = estimate_norm_limits(abs_fn(g), region, cfg)
-    base_report = estimate_norm_limits(g, region, cfg)
+    abs_report, base_report = abs_norm_reports(g, region, cfg)
     levels = [(lv.e, lv.upper) for lv in abs_report.levels]
     raw = [lv.upper if lv.raw_upper is None else lv.raw_upper
            for lv in abs_report.levels]
@@ -228,9 +227,13 @@ class _ScoredPool:
         out.sort(key=lambda t: (t[0], t[1], t[2]))
         return out
 
+    def pack(self, mu, sense: str) -> tuple[float, list[Interval]]:
+        """The greedy pack of measure at most mu, as pack_search."""
+        return _greedy(self.E, self.ranked(sense), mu)
 
-def _scored_pack_pool(g: IntervalFunction, region: Region,
-                      cfg: SearchConfig) -> _ScoredPool:
+
+def scored_pack_pool(g: IntervalFunction, region: Region,
+                     cfg: SearchConfig) -> _ScoredPool:
     """The pack pool, scored and capped at POOL_CAP intervals."""
     scored = _ScoredPool(g, _pack_candidates(g, region, cfg))
     if len(scored.pool) > POOL_CAP:
@@ -241,7 +244,7 @@ def _scored_pack_pool(g: IntervalFunction, region: Region,
 def _pack_pool(g: IntervalFunction, region: Region,
                cfg: SearchConfig) -> list[Interval]:
     """Candidate pack intervals, capped at POOL_CAP."""
-    return _scored_pack_pool(g, region, cfg).pool
+    return scored_pack_pool(g, region, cfg).pool
 
 
 def _greedy(E: int, ranked: list[tuple], mu) -> tuple[float, list[Interval]]:
@@ -280,23 +283,25 @@ def pack_search(
     Intervals are ranked by value density; the result is a lower bound on
     the true supremum of |sum g| over packs of that measure.
     """
-    scored = _ScoredPool(g, pool)
-    return _greedy(scored.E, scored.ranked(sense), mu)
+    return _ScoredPool(g, pool).pack(mu, sense)
 
 
 def is_absolutely_continuous(
     g: IntervalFunction,
     region: Region,
     cfg: Optional[SearchConfig] = None,
+    scored: Optional[_ScoredPool] = None,
 ) -> tuple[bool, list[tuple[Fraction, float]]]:
     """Probe whether pack sums vanish with the packs' total measure.
 
     Over shrinking measure budgets the greedy maximizer of |sum g| is run
     on the candidate pool; AC is declared when the finest budget's maximum
-    stays below the fixed threshold.
+    stays below the fixed threshold.  A caller that also packs the pool
+    passes it in as scored, from scored_pack_pool(g, region, cfg).
     """
     cfg = cfg or SearchConfig()
-    scored = _scored_pack_pool(g, region, cfg)
+    if scored is None:
+        scored = scored_pack_pool(g, region, cfg)
     budgets = [Fraction(1, 1 << k) for k in range(5, 13)]
     best = {}
     for sense in ("max", "min"):
@@ -322,9 +327,8 @@ def is_absolutely_semicontinuous(
     if side not in ("upper", "lower"):
         raise ValueError("side must be 'upper' or 'lower'")
     cfg = cfg or SearchConfig()
-    scored = _scored_pack_pool(g, region, cfg)
-    ranked = scored.ranked("max" if side == "upper" else "min")
-    val, _ = _greedy(scored.E, ranked, Fraction(1, 1 << 12))
+    val, _ = scored_pack_pool(g, region, cfg).pack(
+        Fraction(1, 1 << 12), "max" if side == "upper" else "min")
     return abs(val) < AC_THRESHOLD
 
 

@@ -47,9 +47,8 @@ from .reporting import export, limit_report_json
 from .variation import (
     is_absolutely_continuous,
     j_singularity,
-    pack_search,
+    scored_pack_pool,
     variation,
-    _pack_pool,
 )
 from .walsh import (
     StepFunction,
@@ -270,10 +269,10 @@ def check_8_absolute_continuity() -> CheckResult:
     len_exact = all(val <= float(mu) + 1e-15 for mu, val in trace_len)
 
     stair, _spans = cantor_staircase_function()
-    ac_stair, _ = is_absolutely_continuous(stair, region, cfg)
+    scored = scored_pack_pool(stair, region, cfg)
+    ac_stair, _ = is_absolutely_continuous(stair, region, cfg, scored=scored)
     mu = Fraction(2, 3) ** 12 + Fraction(1, 1 << 14)
-    pool = _pack_pool(stair, region, cfg)
-    carried, _ = pack_search(stair, pool, mu, "max")
+    carried, _ = scored.pack(mu, "max")
 
     bv_ok = True
     for g in (length_fn(), stieltjes(poly("x^2", [0, 0, 1]))):

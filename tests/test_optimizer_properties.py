@@ -63,7 +63,7 @@ def test_locked_optimum_matches_filtered_enumeration(table, sense, data):
     g, points = table
     region = Region.interval(points[0], points[-1])
     locks = data.draw(st.dictionaries(st.sampled_from(points), LOCKS))
-    cand = Candidate(list(points), list(zip(points, points[1:])))
+    cand = Candidate(list(points))
     fast, witness = _extremal_spans(g, cand, region, sense, locks)
 
     def honors(div):

@@ -1,6 +1,7 @@
-"""The memoized defect scan, the integer pack greedy and the integer
-staircase against the straightforward loops they replaced, kept here as
-references; results must agree to the last bit (repr equality)."""
+"""The memoized defect scan, the integer pack greedy, the integer
+staircase, the fused max/min pass and the integer candidate construction
+against the straightforward loops they replaced, kept here as references;
+results must agree to the last bit (repr equality)."""
 
 import importlib
 from bisect import bisect_left, insort
@@ -8,20 +9,44 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+import pytest
+
+from burkill import verify
 from burkill.catalog import (
     IntervalFunction,
+    abs_fn,
     cantor_staircase_12,
     cantor_staircase_function,
     fixture,
+    fixture_names,
+    xsum,
 )
-from burkill.core import Dyadic, Interval, Region, ZERO, sort_points
+from burkill.core import (
+    Division,
+    Dyadic,
+    Interval,
+    Region,
+    ZERO,
+    dmid,
+    floor_log2,
+    sort_points,
+)
+from burkill.errors import BudgetExceeded, IndeterminateForm
 from burkill.integrator import (
+    Candidate,
     DefectReport,
     SearchConfig,
     _defect_at,
+    _fill,
     _neighbours,
+    _score,
+    _witness,
     additivity_defect,
+    candidate_point_sets,
     defect_report_at,
+    estimate_norm_limits,
+    estimate_sigma_limit,
+    k_chain_reports,
     pair_spread,
     point_defect,
 )
@@ -335,6 +360,10 @@ _EV, _SPANS = cantor_staircase_12()
 class TestStaircaseReference:
     def test_breakpoints_equal_reference(self):
         assert _SPANS == _REF_SPANS
+        g, _ = cantor_staircase_function()
+        assert g.special_points(Region.interval(ZERO, Dyadic(1)),
+                                Dyadic(1, 12)) == \
+            sort_points({p for span in _REF_SPANS for p in span})
         for a, b in _SPANS:
             for x in (a, b):
                 assert repr(_EV(x)) == repr(_REF_EV(x))
@@ -354,3 +383,328 @@ class TestStaircaseReference:
         a = _SPANS[i][0]
         x = Dyadic((a.num << (k - a.exp)) + off, k)
         assert repr(_EV(x)) == repr(_REF_EV(x))
+
+
+# ---------------------------------------------------------------------------
+# the fused max/min pass against two single-sense passes
+# ---------------------------------------------------------------------------
+
+VARIANTS = ((False, False), (False, True), (True, False), (True, True))
+LOCKS = st.sampled_from(VARIANTS)
+TABLE_VALUES_NAN = st.one_of(TABLE_VALUES, st.just(float("nan")))
+
+
+def ref_allowed_variants(lo, hi, locks):
+    llock = locks.get(lo)
+    rlock = locks.get(hi)
+    out = []
+    for lc, rc in VARIANTS:
+        if llock is not None and lc != llock[1]:
+            continue
+        if rlock is not None and rc != rlock[0]:
+            continue
+        out.append((lc, rc))
+    return tuple(out)
+
+
+def ref_extremal_spans(g, points, spans, region, sense, locks=None):
+    """One sense per pass; every allowed variant evaluated per span."""
+    want_max = sense == "max"
+    chosen = []
+    values = []
+    for a, b in spans:
+        allowed = ref_allowed_variants(a, b, locks) if locks else VARIANTS
+        if not allowed:
+            raise ValueError(f"conflicting locks at {a}..{b}")
+        lc, rc = allowed[0]
+        best = Interval.raw(a, b, lc, rc)
+        best_val = g(best)
+        if not g.bracket_independent:
+            for lc, rc in allowed[1:]:
+                iv = Interval.raw(a, b, lc, rc)
+                v = g(iv)
+                if v > best_val if want_max else v < best_val:
+                    best, best_val = iv, v
+        chosen.append(best)
+        values.append(best_val)
+    return xsum(values), Division(region, chosen, tuple(points))
+
+
+def _outcome(fn):
+    """(repr of the value, intervals, points), or the exception's name."""
+    try:
+        value, div = fn()
+    except (IndeterminateForm, ValueError, BudgetExceeded) as exc:
+        return type(exc).__name__
+    return repr(value), div.intervals, div.points
+
+
+@st.composite
+def fused_cases(draw):
+    pool = sort_points(draw(st.lists(POINTS, min_size=3, max_size=10,
+                                     unique=True)))
+    n = len(pool)
+    split = draw(st.integers(0, n - 3)) if n >= 4 else 0
+    ends = ([(pool[0], pool[split]), (pool[split + 1], pool[-1])] if split
+            else [(pool[0], pool[-1])])
+    region = Region(ends)
+    fixed = {p for span in ends for p in span}
+    cands = []
+    for _ in range(draw(st.integers(1, 3))):
+        inner = draw(st.sets(st.sampled_from(pool)))
+        pts = sort_points(fixed | inner)
+        runs, start = [], 0
+        for lo, hi in ends:
+            stop = start + sum(lo <= p <= hi for p in pts)
+            runs.append((start, stop))
+            start = stop
+        cands.append((pts, runs))
+    values = draw(st.lists(TABLE_VALUES_NAN, min_size=1, max_size=16))
+    g = table_function(values, bkfree=draw(st.booleans()))
+    locks = draw(st.dictionaries(st.sampled_from(pool), LOCKS))
+    return region, cands, g, locks, draw(st.booleans())
+
+
+class TestFusedPassReference:
+    @settings(max_examples=400, deadline=None)
+    @given(fused_cases())
+    def test_fused_pass_equals_two_single_sense_passes(self, case):
+        region, cands, g, locks, absolute = case
+        seen = []
+
+        def ev(iv):
+            seen.append((iv.lo, iv.hi, iv.left_closed, iv.right_closed))
+            return g(iv)
+
+        cg = IntervalFunction("counted", ev,
+                              bracket_independent=g.bracket_independent)
+        ref_g = abs_fn(g) if absolute else g
+        memo: dict = {}                   # shared, as within one level
+        for pts, runs in cands:
+            cand = Candidate(pts, [p.num << (4 - p.exp) for p in pts], runs)
+            spans = [(a, b) for a, b in zip(pts, pts[1:])
+                     if any(lo <= a and b <= hi
+                            for lo, hi in region.components)]
+            assert cand.spans == spans
+            ilocks = {k: locks[p] for p, k in zip(pts, cand.keys)
+                      if p in locks}
+            try:
+                ups, lows, up_k, low_k = _score(cg, cand, memo, ilocks,
+                                                absolute)
+            except ValueError:
+                assert _outcome(lambda: ref_extremal_spans(
+                    ref_g, pts, spans, region, "max", locks)) == "ValueError"
+                continue
+            for sense, vals, choice in (("max", ups, up_k),
+                                        ("min", lows, low_k)):
+                got = _outcome(lambda: (xsum(vals),
+                                        _witness(region, cand, choice)))
+                ref = _outcome(lambda: ref_extremal_spans(
+                    ref_g, pts, spans, region, sense, locks))
+                assert got == ref
+        # one evaluation per (span, brackets) across the shared memo
+        assert len(seen) == len(set(seen))
+
+
+# ---------------------------------------------------------------------------
+# integer candidate construction against the recursive Dyadic fill
+# ---------------------------------------------------------------------------
+
+def ref_fill_gap(a, b, e, out, cap):
+    if b - a < e:
+        return
+    if len(out) > cap:
+        raise BudgetExceeded(f"fill needs more than {cap} points")
+    m = dmid(a, b)
+    ref_fill_gap(a, m, e, out, cap)
+    out.append(m)
+    ref_fill_gap(m, b, e, out, cap)
+
+
+def ref_fill(points, region, e, max_points):
+    pts = sort_points(set(points) | set(region.endpoints()))
+    out = []
+    spans = []
+    idx, n = 0, len(pts)
+    for lo, hi in region.components:
+        while idx < n and pts[idx] < lo:
+            idx += 1
+        run_start = len(out)
+        prev = None
+        while idx < n and pts[idx] <= hi:
+            p = pts[idx]
+            if prev is not None:
+                ref_fill_gap(prev, p, e, out, max_points)
+            out.append(p)
+            prev = p
+            idx += 1
+        for i in range(run_start, len(out) - 1):
+            spans.append((out[i], out[i + 1]))
+    return out, spans
+
+
+def ref_grid_spacing(e, density):
+    spacing = Dyadic(1, -floor_log2(e))
+    while spacing.as_fraction() * density > e.as_fraction():
+        spacing = spacing.half()
+    return spacing
+
+
+def ref_grid(region, start, spacing):
+    out = []
+    for lo, hi in region.components:
+        p = lo + start
+        while p < hi:
+            out.append(p)
+            p = p + spacing
+    return out
+
+
+def ref_candidate_point_sets(g, region, e, cfg, extra=()):
+    base = region.endpoints()
+    spacing = ref_grid_spacing(e, cfg.grid_density)
+    grid = ref_grid(region, ZERO, spacing)
+    if len(grid) + len(region.components) > cfg.max_points:
+        raise BudgetExceeded(f"grid needs more than {cfg.max_points} points")
+    specials = g.special_points(region, e) if cfg.use_special_points else []
+    extras = [p for p in extra if region.contains_point(p)]
+    offset = ref_grid(region, spacing.half(), spacing)
+
+    def prep(pts):
+        return ref_fill(pts + extras, region, e, cfg.max_points)
+
+    cands = [prep(base + grid), prep(base + offset)]
+    if specials:
+        cands.append(prep(base + grid + specials))
+        spec_pts, spec_spans = prep(base + specials)
+        cands.append((spec_pts, spec_spans))
+        cands.append(prep(spec_pts + [dmid(a, b) for a, b in spec_spans]))
+    unique = []
+    for c in cands:
+        if c not in unique:
+            unique.append(c)
+    return unique
+
+
+def _family(fn):
+    try:
+        return fn()
+    except BudgetExceeded:
+        return "BudgetExceeded"
+
+
+@st.composite
+def regions(draw):
+    ends = sorted(draw(st.sets(st.integers(-40, 40), min_size=2,
+                               max_size=6)))
+    ends = ends[:len(ends) // 2 * 2]
+    return Region([(Dyadic(a, 2), Dyadic(b, 2))
+                   for a, b in zip(ends[::2], ends[1::2])])
+
+
+NORM_BOUNDS = st.builds(Dyadic, st.integers(1, 7), st.integers(0, 2))
+
+
+class TestCandidateReference:
+    @settings(max_examples=200, deadline=None)
+    @given(regions(), st.lists(POINTS, max_size=10), NORM_BOUNDS)
+    def test_integer_fill_equals_recursive_fill(self, region, points, e):
+        full, _ = ref_fill(points, region, e, 1 << 30)
+        # every budget up to the one the fill needs, so each boundary shows
+        for cap in range(len(full) + 2):
+            cand = _family(lambda: _fill(points, region, e, cap))
+            ref = _family(lambda: ref_fill(points, region, e, cap))
+            if ref == "BudgetExceeded":
+                assert cand == ref
+            else:
+                assert (cand.points, cand.spans) == ref
+
+    @settings(max_examples=200, deadline=None)
+    @given(regions(), st.lists(POINTS, max_size=8),
+           st.lists(POINTS, max_size=4), NORM_BOUNDS, st.integers(1, 3),
+           st.sampled_from((0, 8, 40, 120, 200_000)), st.booleans())
+    def test_candidate_family_equals_reference(self, region, specials, extra,
+                                               e, density, cap, use_specials):
+        g = IntervalFunction("points", lambda iv: 0.0,
+                             special_points=lambda r, res: specials)
+        cfg = SearchConfig(e_schedule=(e,), grid_density=density,
+                           max_points=cap, use_special_points=use_specials)
+        got = _family(lambda: [(c.points, c.spans) for c in
+                               candidate_point_sets(g, region, e, cfg, extra)])
+        assert got == _family(lambda: ref_candidate_point_sets(
+            g, region, e, cfg, extra))
+
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_fixture_families_equal_reference(self, name):
+        fx = fixture(name)
+        extra = [p for p, _ in fx.permanent]
+        cfg = SearchConfig()
+        for k in range(3, 10):
+            e = Dyadic(1, k)
+            got = [(c.points, c.spans) for c in
+                   candidate_point_sets(fx.fn, fx.region, e, cfg, extra)]
+            assert got == ref_candidate_point_sets(fx.fn, fx.region, e, cfg,
+                                                   extra)
+
+
+# ---------------------------------------------------------------------------
+# evaluation counts
+# ---------------------------------------------------------------------------
+
+LEVELS = SearchConfig(e_schedule=tuple(Dyadic(1, k) for k in range(3, 9)))
+
+
+def level_counting(g):
+    """g behind a record of calls, and of the calls that repeat a (span,
+    brackets) since the last special-points call, which every level of
+    the norm, k-chain and sigma searches makes once."""
+    seen = set()
+    counts = {"calls": 0, "repeats": 0}
+
+    def ev(iv):
+        key = (iv.lo, iv.hi, iv.left_closed, iv.right_closed)
+        counts["calls"] += 1
+        counts["repeats"] += key in seen
+        seen.add(key)
+        return g(iv)
+
+    def specials(region, e):
+        seen.clear()
+        return g.special_points(region, e)
+
+    return IntervalFunction(g.name, ev, additive=g.additive,
+                            bracket_independent=g.bracket_independent,
+                            special_points=specials,
+                            singular_schedule=g.singular_schedule), counts
+
+
+def _perms(fx):
+    return list(fx.permanent) or [(dmid(*fx.region.components[0]), None)]
+
+
+SEARCHES = {
+    "norm": lambda g, fx: estimate_norm_limits(g, fx.region, LEVELS),
+    "k_chain": lambda g, fx: k_chain_reports(g, fx.region, _perms(fx),
+                                             LEVELS),
+    "sigma": lambda g, fx: estimate_sigma_limit(g, fx.region, LEVELS),
+    "variation": lambda g, fx: variation_mod.variation(
+        g, fx.region, LEVELS, scan_j=False),
+}
+
+
+class TestEvaluationCounts:
+    @pytest.mark.parametrize("search", sorted(SEARCHES))
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_no_span_evaluated_twice_per_level(self, name, search):
+        fx = fixture(name)
+        g, counts = level_counting(fx.fn)
+        SEARCHES[search](g, fx)
+        assert counts["calls"] > 0
+        assert counts["repeats"] == 0
+
+    def test_criterion_8_scores_the_staircase_pool_once(self, monkeypatch):
+        g, calls = counting(cantor_staircase_function()[0])
+        monkeypatch.setattr(verify, "cantor_staircase_function",
+                            lambda: (g, None))
+        assert verify.check_8_absolute_continuity().passed
+        assert calls[0] == 13_647
