@@ -40,10 +40,9 @@ def around_limits(
     E: MeasurableSet,
     region: Region,
     cfg: Optional[SearchConfig] = None,
-    tol: Optional[float] = None,
 ) -> LimitReport:
     """Upper and lower norm-limits of g around (region, E)."""
-    return estimate_norm_limits(around_part(g, E), region, cfg, tol=tol)
+    return estimate_norm_limits(around_part(g, E), region, cfg)
 
 
 @dataclass

@@ -73,18 +73,12 @@ def _config_from(args, file_cfg: dict) -> SearchConfig:
         k += 1
     exps.append(k)
     tol = float(args.tol if args.tol else file_cfg.get("tol", "1e-6"))
-    density = int(args_attr(args, "grid_density")
-                  or file_cfg.get("grid_density", "2"))
     return SearchConfig(
         e_schedule=tuple(Dyadic(1, j) for j in exps),
-        grid_density=density,
+        grid_density=int(file_cfg.get("grid_density", "2")),
         tol_float=tol,
         max_points=int(file_cfg.get("max_points", "200000")),
     )
-
-
-def args_attr(args, name):
-    return getattr(args, name, None)
 
 
 def _parse_region(text: Optional[str], default: Region) -> Region:
@@ -216,8 +210,7 @@ def _dispatch(args) -> int:
         report = estimate_norm_limits(fx.fn, region, cfg)
         return _emit(report, args.format)
     if args.verb == "klimit":
-        perms = _parse_permanent(args_attr(args, "permanent")) or list(
-            fx.permanent)
+        perms = _parse_permanent(args.permanent) or list(fx.permanent)
         report = estimate_k_limits(fx.fn, region, perms, cfg)
         return _emit(report, args.format)
     if args.verb == "sigmalimit":
@@ -254,8 +247,7 @@ def _dispatch(args) -> int:
             E = MeasurableSet.from_spans(
                 [(lo, hi) for lo, hi in region.components])
         report = density_integral(fx.fn, E, region, cfg)
-        fmt = "json" if args.format == "json" else args.format
-        if fmt == "json":
+        if args.format == "json":
             sys.stdout.write(export(report, "json") + "\n")
         else:
             return _emit(report.report, args.format)

@@ -158,7 +158,6 @@ def density_integral(
     fundamental: Region,
     cfg: Optional[SearchConfig] = None,
     gprime: Optional[Callable[[float], float]] = None,
-    tol: Optional[float] = None,
 ) -> DensityReport:
     """Upper/lower density integrals of g for E over the fundamental region.
 
@@ -166,7 +165,7 @@ def density_integral(
     g), the Lebesgue reference value is attached for comparison.
     """
     kernel = density_kernel(g, E)
-    report = estimate_norm_limits(kernel, fundamental, cfg, tol=tol)
+    report = estimate_norm_limits(kernel, fundamental, cfg)
     ref = None
     if gprime is not None:
         ref = lebesgue_reference(gprime, E)

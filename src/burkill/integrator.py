@@ -49,7 +49,7 @@ class SearchConfig:
     e_schedule is non-empty and strictly decreasing; grids use spacing
     e/grid_density.  convention_mode "optimize" picks extremal brackets per
     interval, and "fixed" applies the default ")[" convention at every
-    junction.
+    junction.  tol_float is the convergence tolerance of every verdict.
     """
 
     e_schedule: tuple[Dyadic, ...] = field(default_factory=_default_schedule)
@@ -64,6 +64,9 @@ class SearchConfig:
             raise ValueError("e_schedule must not be empty")
         if self.grid_density <= 0:
             raise ValueError("grid_density must be positive")
+        if not self.tol_float >= 0:
+            raise ValueError(f"tol_float, the convergence tolerance, must be "
+                             f"a non-negative number, not {self.tol_float!r}")
         if self.convention_mode not in CONVENTION_MODES:
             raise ValueError(f"convention_mode must be one of "
                              f"{CONVENTION_MODES}, not {self.convention_mode!r}")
@@ -256,21 +259,6 @@ def _witness(region: Region, cand: Candidate,
     return Division(region, intervals, tuple(pts))
 
 
-def _extremal_spans(
-    g: IntervalFunction,
-    cand: Candidate,
-    region: Region,
-    sense: str,
-    locks: Optional[dict] = None,
-) -> tuple[float, Division]:
-    ilocks = ({k: locks[p] for p, k in zip(cand.points, cand.keys)
-               if p in locks} if locks else {})
-    ups, lows, up_k, low_k = _score(g, cand, {}, ilocks)
-    if sense == "max":
-        return xsum(ups), _witness(region, cand, up_k)
-    return xsum(lows), _witness(region, cand, low_k)
-
-
 def _best_value(g, iv, sense: str):
     """Optimal value of g over the bracket variants of one interval or
     rectangle, with the variant that attains it (ties keep the first)."""
@@ -304,8 +292,13 @@ def extremal_sum(
     for run in _component_runs(region, points):
         runs.append((start, start + len(run)))
         start += len(run)
-    return _extremal_spans(g, Candidate(list(points), runs=runs), region,
-                           sense, locks)
+    cand = Candidate(list(points), runs=runs)
+    ilocks = ({k: locks[p] for p, k in zip(cand.points, cand.keys)
+               if p in locks} if locks else {})
+    ups, lows, up_k, low_k = _score(g, cand, {}, ilocks)
+    if sense == "max":
+        return xsum(ups), _witness(region, cand, up_k)
+    return xsum(lows), _witness(region, cand, low_k)
 
 
 def brute_force_extremal(
@@ -496,21 +489,24 @@ def candidate_point_sets(
 def _search_levels(
     g: IntervalFunction,
     region: Region,
-    cfg: SearchConfig,
+    cfg: Optional[SearchConfig],
     traces: Sequence[tuple],
     extra_points: Sequence[Dyadic] = (),
     mandatory_for_level=None,
-) -> list[list[LevelEstimate]]:
-    """Suffix-tightened level estimates of several traces over shared
-    candidates.
+) -> list[LimitReport]:
+    """Norm-limit reports of several traces over shared candidates.
 
     A trace is (locks_for_level or None, absolute): its junction locks per
     level, and whether it scores |g| instead of g.  At each level the
     candidates are built once and scored once per trace, all against one
     memo of g's values that is dropped when the level ends.  A candidate
     replaces a trace's best only on a strict improvement, and only the
-    winners get witness divisions.
+    winners get witness divisions.  Each trace is suffix-tightened and
+    judged against cfg.tol_float.
     """
+    cfg = cfg or SearchConfig()
+    if region.is_empty:
+        raise ValueError("region is empty")
     out: list[list[LevelEstimate]] = [[] for _ in traces]
     fixed = cfg.convention_mode == "fixed"
     for e in cfg.e_schedule:
@@ -542,19 +538,8 @@ def _search_levels(
                 raw_upper=up, raw_lower=low))
     for levels in out:
         _tighten(levels)
-    return out
-
-
-def _estimate_levels(
-    g: IntervalFunction,
-    region: Region,
-    cfg: SearchConfig,
-    extra_points: Sequence[Dyadic] = (),
-    locks_for_level=None,
-    mandatory_for_level=None,
-) -> list[LevelEstimate]:
-    return _search_levels(g, region, cfg, [(locks_for_level, False)],
-                          extra_points, mandatory_for_level)[0]
+    return [LimitReport(levels, _verdict(levels, cfg.tol_float))
+            for levels in out]
 
 
 def _tighten(levels: list[LevelEstimate]) -> None:
@@ -604,7 +589,6 @@ def estimate_norm_limits(
     g: IntervalFunction,
     region: Region,
     cfg: Optional[SearchConfig] = None,
-    tol: Optional[float] = None,
     extra_points: Sequence[Dyadic] = (),
 ) -> LimitReport:
     """Estimate the upper and lower norm-limits of g over a region.
@@ -613,12 +597,7 @@ def estimate_norm_limits(
     sum over the candidate family; the verdict compares the finest-level
     envelope against the tolerance.
     """
-    cfg = cfg or SearchConfig()
-    if region.is_empty:
-        raise ValueError("region is empty")
-    tol = cfg.tol_float if tol is None else tol
-    levels = _estimate_levels(g, region, cfg, extra_points=extra_points)
-    return LimitReport(levels, _verdict(levels, tol))
+    return _search_levels(g, region, cfg, [(None, False)], extra_points)[0]
 
 
 def _permanent_schedule(g: IntervalFunction, region: Region,
@@ -647,7 +626,6 @@ def estimate_k_limits(
     region: Region,
     permanent: Sequence[tuple[Dyadic, Optional[Lock]]],
     cfg: Optional[SearchConfig] = None,
-    tol: Optional[float] = None,
 ) -> LimitReport:
     """Norm-limits over divisions holding permanent points with fixed
     conventions.
@@ -658,15 +636,11 @@ def estimate_k_limits(
     both parameters, so the path does not matter); a lock of None keeps
     the point mandatory with free brackets.
     """
-    cfg = cfg or SearchConfig()
-    tol = cfg.tol_float if tol is None else tol
     if not permanent:
-        return estimate_norm_limits(g, region, cfg, tol=tol)
+        return estimate_norm_limits(g, region, cfg)
     locks_for, mandatory_for = _permanent_schedule(g, region, permanent)
-    levels = _estimate_levels(g, region, cfg,
-                              locks_for_level=locks_for,
-                              mandatory_for_level=mandatory_for)
-    return LimitReport(levels, _verdict(levels, tol))
+    return _search_levels(g, region, cfg, [(locks_for, False)],
+                          mandatory_for_level=mandatory_for)[0]
 
 
 def k_chain_reports(
@@ -674,7 +648,6 @@ def k_chain_reports(
     region: Region,
     permanent: Sequence[tuple[Dyadic, Optional[Lock]]],
     cfg: Optional[SearchConfig] = None,
-    tol: Optional[float] = None,
 ) -> tuple[LimitReport, LimitReport]:
     """Norm and k reports over shared candidates.
 
@@ -684,39 +657,29 @@ def k_chain_reports(
     every level by construction: the k assignments are a subset of the
     free ones.
     """
-    cfg = cfg or SearchConfig()
-    tol = cfg.tol_float if tol is None else tol
     locks_for, mandatory_for = _permanent_schedule(g, region, permanent)
-    k_levels, n_levels = _search_levels(
-        g, region, cfg, [(locks_for, False), (None, False)],
-        mandatory_for_level=mandatory_for)
-    return (LimitReport(n_levels, _verdict(n_levels, tol)),
-            LimitReport(k_levels, _verdict(k_levels, tol)))
+    k_rep, n_rep = _search_levels(g, region, cfg,
+                                  [(locks_for, False), (None, False)],
+                                  mandatory_for_level=mandatory_for)
+    return n_rep, k_rep
 
 
 def abs_norm_reports(
     g: IntervalFunction,
     region: Region,
     cfg: Optional[SearchConfig] = None,
-    tol: Optional[float] = None,
 ) -> tuple[LimitReport, LimitReport]:
     """Norm-limit reports of |g| and of g, as estimate_norm_limits gives
     them, over shared candidates: |g| is read off g's values."""
-    cfg = cfg or SearchConfig()
-    if region.is_empty:
-        raise ValueError("region is empty")
-    tol = cfg.tol_float if tol is None else tol
-    abs_levels, levels = _search_levels(g, region, cfg,
-                                        [(None, True), (None, False)])
-    return (LimitReport(abs_levels, _verdict(abs_levels, tol)),
-            LimitReport(levels, _verdict(levels, tol)))
+    abs_rep, rep = _search_levels(g, region, cfg,
+                                  [(None, True), (None, False)])
+    return abs_rep, rep
 
 
 def estimate_sigma_limit(
     g: IntervalFunction,
     region: Region,
     cfg: Optional[SearchConfig] = None,
-    tol: Optional[float] = None,
 ) -> LimitReport:
     """Limit over the refinement order: divisions containing a base
     division's points.
@@ -725,7 +688,8 @@ def estimate_sigma_limit(
     envelope at each stage; the limit exists when the envelope collapses.
     """
     cfg = cfg or SearchConfig()
-    tol = cfg.tol_float if tol is None else tol
+    if region.is_empty:
+        raise ValueError("region is empty")
     points: set[Dyadic] = set(region.endpoints())
     levels: list[LevelEstimate] = []
     for e in cfg.e_schedule:
@@ -742,7 +706,7 @@ def estimate_sigma_limit(
         low = up if lows is ups else xsum(lows)
         levels.append(LevelEstimate(e, up, low, _witness(region, stage, up_k),
                                     _witness(region, stage, low_k)))
-    return LimitReport(levels, _verdict(levels, tol))
+    return LimitReport(levels, _verdict(levels, cfg.tol_float))
 
 
 def oscillation(report: LimitReport) -> float:
@@ -759,14 +723,13 @@ def cauchy_existence_check(
     g: IntervalFunction,
     region: Region,
     cfg: Optional[SearchConfig] = None,
-    tol: Optional[float] = None,
 ) -> tuple[bool, list[tuple[Dyadic, float]]]:
     """Largest pairwise sum gap over sampled division pairs per level.
 
     The existence verdict agrees with estimate_norm_limits convergence by
     construction, since the same candidate divisions witness the gap.
     """
-    report = estimate_norm_limits(g, region, cfg, tol=tol)
+    report = estimate_norm_limits(g, region, cfg)
     gaps = [(lv.e, lv.upper - lv.lower) for lv in report.levels]
     exists = report.verdict.kind == "converged"
     return exists, gaps
@@ -819,19 +782,6 @@ def additivity_defect(g: IntervalFunction, x: Dyadic, y: Dyadic,
     return _split_scores(*_triple_values(g, x, y, z, {}))[0]
 
 
-def pair_spread(g: IntervalFunction, x: Dyadic, y: Dyadic, z: Dyadic) -> float:
-    """Spread of the 16 split sums g(x..y)+g(y..z) over bracket choices."""
-    return _spread(_variant_values(g, x, y, {}), _variant_values(g, y, z, {}))
-
-
-def point_defect(g: IntervalFunction, x: Dyadic, y: Dyadic,
-                 z: Dyadic) -> float:
-    """The two-sided defect: split defect or pair spread, whichever larger."""
-    if not (x < y < z):
-        raise ValueError("need x < y < z")
-    return _split_scores(*_triple_values(g, x, y, z, {}))[1]
-
-
 def _probe_grid(region: Region) -> list[Dyadic]:
     """17 evenly spaced points per component, both ends included."""
     out: list[Dyadic] = []
@@ -844,8 +794,8 @@ def _probe_grid(region: Region) -> list[Dyadic]:
     return out
 
 
-def _scan_candidates(g: IntervalFunction, region: Region,
-                     cfg: SearchConfig) -> list[Dyadic]:
+def scan_candidates(g: IntervalFunction, region: Region,
+                    cfg: SearchConfig) -> list[Dyadic]:
     """Points to probe: special-point midpoints first (accumulation points
     live there), then the specials, then a coarse grid; capped at 64."""
     specials = g.special_points(region, cfg.finest())
@@ -921,22 +871,20 @@ def singularity_scan(
     g: IntervalFunction,
     region: Region,
     cfg: Optional[SearchConfig] = None,
-    tol: Optional[float] = None,
 ) -> list[DefectReport]:
     """Estimate the additivity-defect function at special and grid points.
 
-    Returns the points whose defect estimate exceeds the tolerance; an
+    Returns the points whose defect estimate exceeds cfg.tol_float; an
     additive bracket-independent function yields an empty list.
     """
     cfg = cfg or SearchConfig()
-    tol = cfg.tol_float if tol is None else tol
     if g.additive and g.bracket_independent:
         return []
-    scan = _scan_candidates(g, region, cfg)
+    scan = scan_candidates(g, region, cfg)
     pool = _triple_pool(g, region, cfg)
     memo: dict = {}                      # span -> its four variant values
     reports = [_defect_at(g, y, cfg, pool, memo) for y in scan]
-    return [r for r in reports if r.c > tol]
+    return [r for r in reports if r.c > cfg.tol_float]
 
 
 def defect_report_at(g: IntervalFunction, region: Region, y: Dyadic,

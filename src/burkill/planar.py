@@ -29,8 +29,8 @@ from .integrator import (
     LevelEstimate,
     LimitReport,
     SearchConfig,
+    _VARIANTS,
     _best_value,
-    _extremal_spans,
     _grid_spacing,
     _tighten,
     _verdict,
@@ -245,13 +245,11 @@ def estimate_norm_limits_2d(
     region: Rect,
     mode: str = "extended",
     cfg: Optional[SearchConfig] = None,
-    tol: Optional[float] = None,
 ) -> LimitReport:
     """Norm-limit estimates over restricted grids or guillotine tilings."""
     if mode not in ("restricted", "extended"):
         raise ValueError("mode must be 'restricted' or 'extended'")
     cfg = cfg or planar_config()
-    tol = cfg.tol_float if tol is None else tol
     levels = []
     for e in cfg.e_schedule:
         cands = candidate_divisions_2d(gT, region, e, mode)
@@ -263,7 +261,7 @@ def estimate_norm_limits_2d(
         low = min(_extremal_2d(gT, c, "min") for c in cands)
         levels.append(LevelEstimate(e, up, low))
     _tighten(levels)
-    return LimitReport(levels, _verdict(levels, tol))
+    return LimitReport(levels, _verdict(levels, cfg.tol_float))
 
 
 # ---------------------------------------------------------------------------
@@ -313,14 +311,16 @@ def fubini_chain(
     Inner reports per x-interval are cached by span and brackets; the 2D
     side evaluates the same columns at the current level while the
     iterated side uses the finest inner level, which forces the ordering.
+    One pass per candidate scores all four bounds, each span taking its
+    best bracket variant per bound.
     """
     cfg = cfg or SearchConfig(e_schedule=_fubini_schedule())
     rx = Region.interval(region.x.lo, region.x.hi)
     ry = Region.interval(region.y.lo, region.y.hi)
-    nlev = len(cfg.e_schedule)
+    variants = _VARIANTS[:1] if gT.bracket_independent else _VARIANTS
     cache: dict = {}
 
-    def inner(ivx: Interval):
+    def inner(ivx: Interval) -> LimitReport:
         key = (ivx.lo.num, ivx.lo.exp, ivx.hi.num, ivx.hi.exp,
                ivx.left_closed, ivx.right_closed)
         if key not in cache:
@@ -330,26 +330,23 @@ def fubini_chain(
             cache[key] = estimate_norm_limits(fy, ry, cfg)
         return cache[key]
 
-    def h_at(level: int, bound: str) -> IntervalFunction:
-        def ev(ivx: Interval) -> float:
-            rep = inner(ivx)
-            lv = rep.levels[level]
-            return lv.upper if bound == "upper" else lv.lower
-        return IntervalFunction(f"h_{bound}_{level}", ev,
-                                bracket_independent=gT.bracket_independent)
-
+    # columns publish no special points, so only the grids are candidates
+    plain = IntervalFunction("column_bounds", lambda ivx: 0.0)
     levels = []
     for i, e in enumerate(cfg.e_schedule):
-        cands = candidate_point_sets(h_at(nlev - 1, "upper"), rx, e, cfg)
-        it_up = max(_extremal_spans(h_at(nlev - 1, "upper"), c, rx, "max")[0]
-                    for c in cands)
-        it_low = min(_extremal_spans(h_at(nlev - 1, "lower"), c, rx, "min")[0]
-                     for c in cands)
-        up_2d = max(_extremal_spans(h_at(i, "upper"), c, rx, "max")[0]
-                    for c in cands)
-        low_2d = min(_extremal_spans(h_at(i, "lower"), c, rx, "min")[0]
-                     for c in cands)
-        levels.append((e, low_2d, it_low, it_up, up_2d))
+        sums = []                      # per candidate: the four span sums
+        for c in candidate_point_sets(plain, rx, e, cfg):
+            cols: list[list[float]] = [[], [], [], []]
+            for a, b in c.spans:
+                reps = [inner(Interval.raw(a, b, lc, rc))
+                        for lc, rc in variants]
+                cols[0].append(min(r.levels[i].lower for r in reps))
+                cols[1].append(min(r.lower for r in reps))
+                cols[2].append(max(r.upper for r in reps))
+                cols[3].append(max(r.levels[i].upper for r in reps))
+            sums.append([xsum(col) for col in cols])
+        levels.append((e, min(s[0] for s in sums), min(s[1] for s in sums),
+                       max(s[2] for s in sums), max(s[3] for s in sums)))
     return FubiniReport(levels, tol)
 
 

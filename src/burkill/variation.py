@@ -17,19 +17,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .catalog import INF, IntervalFunction, abs_fn
+from .catalog import INF, IntervalFunction, abs_fn, xsum
 from .core import Dyadic, Interval, Region, dmax, dmin
 from .errors import BracketDependent
 from .integrator import (
     LimitReport,
     SearchConfig,
-    _extremal_spans,
     _fill,
     _growth_diverging,
     _neighbours,
-    _scan_candidates,
+    _score,
     _triple_pool,
     abs_norm_reports,
+    scan_candidates,
 )
 
 AC_THRESHOLD = 1e-3          # pack value below this at mu = 2^-12 passes AC
@@ -75,7 +75,7 @@ def variation(
     a_bound = max(abs(base_report.upper), abs(base_report.lower))
     j_table = []
     if scan_j:
-        for y in _scan_candidates(g, region, cfg)[:8]:
+        for y in scan_candidates(g, region, cfg)[:8]:
             j_table.append((y, j_singularity(g, region, y, cfg)))
     return VariationReport(
         levels=levels,
@@ -126,13 +126,13 @@ def j_singularity(
         fine = e.half().half()
         near = [p for p in anchors if window.contains_point(p)]
         base = window.endpoints() + near + ag.special_points(window, fine)
-        # one candidate splits at y, one straddles it
+        # one candidate splits at y, one straddles it; the two fills can
+        # key their points at different exponents, so each gets its own memo
         with_y = _fill(base + [y], window, fine, cfg.max_points)
         without_y = _fill([p for p in base if p != y], window, fine,
                           cfg.max_points)
-        val = max(_extremal_spans(ag, with_y, window, "max")[0],
-                  _extremal_spans(ag, without_y, window, "max")[0])
-        trace.append(val)
+        trace.append(max(xsum(_score(ag, c, {}, {})[0])
+                         for c in (with_y, without_y)))
     if trace[-1] == INF or _growth_diverging(trace):
         return INF
     return trace[-1]
@@ -239,12 +239,6 @@ def scored_pack_pool(g: IntervalFunction, region: Region,
     if len(scored.pool) > POOL_CAP:
         scored.cap(POOL_CAP)
     return scored
-
-
-def _pack_pool(g: IntervalFunction, region: Region,
-               cfg: SearchConfig) -> list[Interval]:
-    """Candidate pack intervals, capped at POOL_CAP."""
-    return scored_pack_pool(g, region, cfg).pool
 
 
 def _greedy(E: int, ranked: list[tuple], mu) -> tuple[float, list[Interval]]:

@@ -32,6 +32,7 @@ from .integrator import (
     extremal_sum,
     defect_report_at,
     k_chain_reports,
+    scan_candidates,
 )
 from .planar import (
     bottom_strips_function,
@@ -99,8 +100,7 @@ def check_1_saks() -> CheckResult:
     details = []
     ok = True
     for (a, b), target in want:
-        rep = estimate_norm_limits(fx.fn, Region.interval(a, b), cfg,
-                                   tol=TOL_EXACT)
+        rep = estimate_norm_limits(fx.fn, Region.interval(a, b), cfg)
         details.append(f"upper[{a},{b}]={rep.upper!r}")
         ok = ok and abs(rep.upper - target) <= TOL_EXACT
     one = Dyadic(1)
@@ -239,12 +239,11 @@ def check_7_variation() -> CheckResult:
 
     # additivity defect is bounded by twice the local variation, at the
     # fixtures' own singular points and at scanned candidates
-    from burkill.integrator import _scan_candidates
     points_checked = 0
     for name in fixture_names():
         fx = fixture(name)
-        scan = list(fx.scan_points) + _scan_candidates(fx.fn, fx.region,
-                                                       cfg)[:3]
+        scan = list(fx.scan_points) + scan_candidates(fx.fn, fx.region,
+                                                      cfg)[:3]
         seen = set()
         for y in scan:
             if y in seen or not any(lo < y < hi

@@ -95,6 +95,35 @@ class TestCli:
         assert code == 0
         assert len(out.strip().splitlines()) == 4  # header + levels 3..5
 
+    def test_config_file_grid_density_reaches_search(self, tmp_path,
+                                                      monkeypatch):
+        import burkill.cli as cli
+        seen = []
+        real = cli.estimate_norm_limits
+
+        def spy(g, region, cfg):
+            seen.append(cfg.grid_density)
+            return real(g, region, cfg)
+
+        monkeypatch.setattr(cli, "estimate_norm_limits", spy)
+        cfg = tmp_path / "lab.cfg"
+        cfg.write_text("e_min = 1/2^4\ngrid_density = 4\n")
+        code, _ = run_cli(["--config", str(cfg), "integrate",
+                           "--fixture", "origin_indicator"])
+        assert code == 0
+        assert seen == [4]
+
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_bad_tolerance_exits_2(self, tol):
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli([
+                "integrate", "--fixture", "saks_A_counterexample",
+                "--region", "1,2", "--e-min", "1/2^5", f"--tol={tol}"])
+        assert code == 2
+        assert out == ""
+        assert "tol_float" in err.getvalue()
+
     @pytest.mark.parametrize("e_min", ["0", "-1/2^3"])
     def test_non_positive_e_min_exits_2(self, e_min):
         # in a child process, so that a regression hangs no test run

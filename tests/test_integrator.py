@@ -14,6 +14,8 @@ from burkill.catalog import (
 from burkill.core import Dyadic, Interval, Region, ZERO, division_from_points
 from burkill.integrator import (
     SearchConfig,
+    _search_levels,
+    abs_norm_reports,
     additivity_defect,
     brute_force_extremal,
     cauchy_existence_check,
@@ -27,6 +29,7 @@ from burkill.integrator import (
     riemann_sum,
     singularity_scan,
 )
+from burkill.variation import variation
 
 D = Dyadic
 INF = float("inf")
@@ -54,6 +57,33 @@ class TestSearchConfig:
     def test_unknown_convention_mode_rejected(self):
         with pytest.raises(ValueError, match="convention_mode"):
             SearchConfig(convention_mode="enumerate")
+
+    @pytest.mark.parametrize("tol", [-1.0, -1e-12, float("nan")])
+    def test_bad_tolerance_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol_float"):
+            SearchConfig(tol_float=tol)
+
+    def test_zero_tolerance_accepted(self):
+        assert SearchConfig(tol_float=0.0).tol_float == 0.0
+
+
+EMPTY_REGION_ESTIMATES = {
+    "norm": estimate_norm_limits,
+    "k": lambda g, r, c: estimate_k_limits(g, r, [(ZERO, (False, True))], c),
+    "k_chain": lambda g, r, c: k_chain_reports(g, r, [(ZERO, (False, True))],
+                                               c),
+    "abs_norm": abs_norm_reports,
+    "sigma": estimate_sigma_limit,
+    "cauchy": cauchy_existence_check,
+    "variation": variation,
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMPTY_REGION_ESTIMATES))
+def test_empty_region_rejected(name):
+    estimate = EMPTY_REGION_ESTIMATES[name]
+    with pytest.raises(ValueError, match="region is empty"):
+        estimate(length_fn(), Region([]), cfg_levels(3, 5))
 
 
 class TestRiemannSum:
@@ -305,7 +335,6 @@ class TestKLimits:
         # more permanent points with locked conventions narrow the envelope:
         # plain limits enclose the few-point family, which encloses the
         # full singular family, level by level over shared candidates
-        from burkill.integrator import _estimate_levels, SearchConfig
         fx = fixture("k_convention_jump")
         cfg = cfg_levels(3, 9)
         lock = (False, True)
@@ -315,10 +344,9 @@ class TestKLimits:
         mandatory = list(full)
 
         def levels(locks):
-            return _estimate_levels(
-                fx.fn, fx.region, cfg,
-                locks_for_level=lambda e: locks,
-                mandatory_for_level=lambda e: mandatory)
+            return _search_levels(
+                fx.fn, fx.region, cfg, [(lambda e: locks, False)],
+                mandatory_for_level=lambda e: mandatory)[0].levels
 
         plain = levels({})
         mid = levels(few)

@@ -6,8 +6,6 @@ from hypothesis import given, settings, strategies as st
 from burkill.catalog import IntervalFunction
 from burkill.core import Dyadic, Region, enumerate_bracket_assignments
 from burkill.integrator import (
-    Candidate,
-    _extremal_spans,
     brute_force_extremal,
     extremal_sum,
     riemann_sum,
@@ -63,8 +61,7 @@ def test_locked_optimum_matches_filtered_enumeration(table, sense, data):
     g, points = table
     region = Region.interval(points[0], points[-1])
     locks = data.draw(st.dictionaries(st.sampled_from(points), LOCKS))
-    cand = Candidate(list(points))
-    fast, witness = _extremal_spans(g, cand, region, sense, locks)
+    fast, witness = extremal_sum(g, points, region, sense, locks)
 
     def honors(div):
         return all(

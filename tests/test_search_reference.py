@@ -47,13 +47,12 @@ from burkill.integrator import (
     estimate_norm_limits,
     estimate_sigma_limit,
     k_chain_reports,
-    pair_spread,
-    point_defect,
 )
 from burkill.variation import (
     _pack_candidates,
     is_absolutely_continuous,
     pack_search,
+    scored_pack_pool,
 )
 
 INF = float("inf")
@@ -275,10 +274,8 @@ class TestDefectScanReference:
     def test_defect_wrappers_equal_reference(self, pts, values):
         g = table_function(values)
         x, y, z = sort_points(pts)
-        for new, ref in ((additivity_defect, ref_additivity_defect),
-                         (pair_spread, ref_pair_spread),
-                         (point_defect, ref_point_defect)):
-            assert repr(new(g, x, y, z)) == repr(ref(g, x, y, z))
+        assert repr(additivity_defect(g, x, y, z)) == \
+            repr(ref_additivity_defect(g, x, y, z))
 
     def test_defect_report_evaluates_each_interval_once(self):
         fx = fixture("m_power_singularity")
@@ -329,7 +326,7 @@ class TestPackReference:
         for name in ("origin_indicator", "k_convention_jump",
                      "saks_A_counterexample"):
             fx = fixture(name)
-            assert variation_mod._pack_pool(fx.fn, fx.region, cfg) == \
+            assert scored_pack_pool(fx.fn, fx.region, cfg).pool == \
                 ref_pack_pool(fx.fn, fx.region, cfg, 40)
             pool = ref_pack_pool(fx.fn, fx.region, cfg, 40)
             trace = []

@@ -19,9 +19,9 @@ from burkill.variation import (
     j_singularity,
     monotone_on_subdivision,
     pack_search,
+    scored_pack_pool,
     variation,
     variation_split,
-    _pack_pool,
 )
 
 D = Dyadic
@@ -114,7 +114,7 @@ class TestAbsoluteContinuity:
 
     def test_staircase_pack_carries_mass(self):
         stair, _ = cantor_staircase_function()
-        pool = _pack_pool(stair, UNIT, cfg())
+        pool = scored_pack_pool(stair, UNIT, cfg()).pool
         mu = Fraction(2, 3) ** 12 + Fraction(1, 1 << 14)
         carried, pack = pack_search(stair, pool, mu, "max")
         assert carried >= 0.99
