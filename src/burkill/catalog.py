@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from fractions import Fraction
+from math import ldexp
 from typing import Callable, Optional, Sequence
 
 from .core import (
@@ -72,6 +72,11 @@ class PointFunction:
 class IntervalFunction:
     """Pure evaluation contract g(Interval) -> extended real.
 
+    span, when given, is g on integer endpoints: span(a, b, ex, left_closed,
+    right_closed) evaluates g over a/2^ex .. b/2^ex, a < b, for any ex >= 0
+    that holds both ends.  Searches call it directly, with no Interval
+    built; a function given only span is called through it.
+
     special_points(region, resolution) returns dyadic hint points for
     divisions of norm below `resolution`; singular_schedule enumerates
     permanent points (with an optional locked junction convention) used to
@@ -81,8 +86,9 @@ class IntervalFunction:
     def __init__(
         self,
         name: str,
-        func: Callable[[Interval], float],
+        func: Optional[Callable[[Interval], float]] = None,
         *,
+        span: Optional[Callable[[int, int, int, bool, bool], float]] = None,
         additive: bool = False,
         bracket_independent: bool = False,
         continuous: bool = False,
@@ -92,7 +98,8 @@ class IntervalFunction:
         ] = None,
     ):
         self.name = name
-        self._func = func
+        self._func = func or self._from_span
+        self.span = span
         self.additive = additive
         self.bracket_independent = bracket_independent
         self.continuous = continuous
@@ -101,6 +108,12 @@ class IntervalFunction:
 
     def __call__(self, interval: Interval) -> float:
         return self._func(interval)
+
+    def _from_span(self, iv: Interval) -> float:
+        lo, hi = iv.lo, iv.hi
+        ex = max(lo.exp, hi.exp)
+        return self.span(lo.num << (ex - lo.exp), hi.num << (ex - hi.exp), ex,
+                         iv.left_closed, iv.right_closed)
 
     def special_points(self, region: Region, resolution: Dyadic) -> list[Dyadic]:
         if self._special is None:
@@ -128,9 +141,11 @@ def stieltjes(f: PointFunction) -> IntervalFunction:
 
 
 def abs_fn(g: IntervalFunction) -> IntervalFunction:
+    span = g.span
     return IntervalFunction(
         f"|{g.name}|",
         lambda iv: abs(g(iv)),
+        span=span and (lambda a, b, ex, lc, rc: abs(span(a, b, ex, lc, rc))),
         bracket_independent=g.bracket_independent,
         continuous=g.continuous,
         special_points=g._special,
@@ -221,46 +236,29 @@ def step(at: Dyadic, include_at: bool = True, jump: float = 1.0) -> PointFunctio
     return PointFunction(f"step@{at}", ev, continuous=False)
 
 
-def _ceil_log2(d: Dyadic) -> int:
-    k = floor_log2(d)
-    return k if is_pow2(d) else k + 1
+def _zigzag(a: int, ex: int) -> float:
+    """The zigzag on [0,1) at a/2^ex: 0 at 1-2^-2n, 1 at 1-2^-2n-1, linear
+    between."""
+    d = (1 << ex) - a                    # (1 - x) * 2^ex
+    if a < 0 or d <= 0:
+        raise ValueError(f"argument {Dyadic(a, ex)} outside [0,1)")
+    s = d.bit_length()
+    m = ex - s                           # 2^-m-1 <= 1 - x < 2^-m
+    u = ((1 << s) - d) * 2 / (1 << s)    # 2 * (1 - (1 - x) * 2^m), rounded once
+    return u if m % 2 == 0 else 1.0 - u
 
 
-def sawtooth_inverse_powers() -> PointFunction:
-    """Continuous on [0,1): 0 at 1-2^-2n, 1 at 1-2^-2n-1, linear between."""
-    from math import ldexp
-    one = Dyadic(1)
-
-    def ev(x: Dyadic) -> float:
-        if x.num < 0 or x >= one:
-            raise ValueError(f"argument {x} outside [0,1)")
-        d = one - x                      # in (0, 1]
-        m = -_ceil_log2(d)               # 2^-m-1 < d <= 2^-m
-        shift = d.exp - m                # u = 2*(1 - d*2^m), exactly
-        if shift <= 60:
-            u = ldexp((1 << shift) - d.num, 1 - shift)
-        else:
-            u = 2.0 * float(1 - d.as_fraction() * (1 << m))
-        return u if m % 2 == 0 else 1.0 - u
-
-    return PointFunction("zigzag", ev)
-
-
-def sawtooth_harmonic() -> PointFunction:
-    """Continuous on (0,1]: 0 at 1/(2n), 1 at 1/(2n+1), linear between."""
-    def ev(x: Dyadic) -> float:
-        if x.num <= 0 or x > Dyadic(1):
-            raise ValueError(f"argument {x} outside (0,1]")
-        q, r = divmod(1 << x.exp, x.num)
-        if r == 0:                       # exactly 1/m
-            return float(q % 2)
-        m = q                            # 1/(m+1) < x < 1/m
-        left = Fraction(1, m + 1)
-        u = float((x.as_fraction() - left) / (Fraction(1, m) - left))
-        f_left, f_right = (m + 1) % 2, m % 2
-        return f_left + u * (f_right - f_left)
-
-    return PointFunction("harmonic-zigzag", ev)
+def _harmonic_zigzag(k: int, ex: int) -> float:
+    """The zigzag on (0,1] at k/2^ex: 0 at 1/(2n), 1 at 1/(2n+1), linear
+    between."""
+    if k <= 0 or k > 1 << ex:
+        raise ValueError(f"argument {Dyadic(k, ex)} outside (0,1]")
+    m, r = divmod(1 << ex, k)
+    if r == 0:                           # exactly 1/m
+        return float(m % 2)
+    # 1/(m+1) < x < 1/m: u = (x - 1/(m+1)) / (1/m - 1/(m+1)), rounded once
+    u = (m * (m + 1) * k - (m << ex)) / (1 << ex)
+    return u if m % 2 else 1.0 - u
 
 
 def cantor_staircase_12() -> tuple[PointFunction, list[tuple[Dyadic, Dyadic]]]:
@@ -356,14 +354,15 @@ def _two_piece_zigzag() -> IntervalFunction:
     The upper norm-limit is 1 over [0,1] and over [0,2] but 0 over [1,2],
     and splitting any symmetric span at 1 loses exactly 1.
     """
-    f = sawtooth_inverse_powers()
     one, two = Dyadic(1), Dyadic(2)
 
-    def ev(iv: Interval) -> float:
-        if ZERO <= iv.lo and iv.hi < one:
-            return f(iv.hi) - f(iv.lo)
-        d = iv.hi - one
-        if d.num == 1 and d.exp % 2 == 0 and d == one - iv.lo:
+    def span(a: int, b: int, ex: int, lc: bool, rc: bool) -> float:
+        unit = 1 << ex
+        if 0 <= a and b < unit:
+            return _zigzag(b, ex) - _zigzag(a, ex)
+        d = b - unit                     # 1 - lo == hi - 1 == 2^-2n, n >= 0
+        if (0 < d <= unit and d & (d - 1) == 0 and unit - a == d
+                and (ex - d.bit_length()) % 2):
             return 1.0
         return 0.0
 
@@ -379,18 +378,14 @@ def _two_piece_zigzag() -> IntervalFunction:
         return pts
 
     return IntervalFunction(
-        "two_piece_zigzag", ev, bracket_independent=True,
+        "two_piece_zigzag", span=span, bracket_independent=True,
         special_points=specials)
 
 
 def _origin_indicator() -> IntervalFunction:
     """Additive unit charge at the origin: 1 exactly when 0 is in I."""
-    def ev(iv: Interval) -> float:
-        if iv.lo < ZERO < iv.hi:
-            return 1.0
-        if iv.lo == ZERO and iv.left_closed:
-            return 1.0
-        if iv.hi == ZERO and iv.right_closed:
+    def span(a: int, b: int, ex: int, lc: bool, rc: bool) -> float:
+        if a < 0 < b or (a == 0 and lc) or (b == 0 and rc):
             return 1.0
         return 0.0
 
@@ -398,7 +393,7 @@ def _origin_indicator() -> IntervalFunction:
         j = _resolution_index(resolution)
         return [ZERO, -pow2(j + 1), pow2(j + 1)]
 
-    return IntervalFunction("origin_indicator", ev, additive=True,
+    return IntervalFunction("origin_indicator", span=span, additive=True,
                             special_points=specials)
 
 
@@ -410,15 +405,10 @@ def _osc_left_limit() -> IntervalFunction:
     divisions telescope from a dyadic zero of the zigzag upward, so the
     upper estimate over (0,x) lands on the zigzag value at x.
     """
-    f = sawtooth_harmonic()
-
-    def ev(iv: Interval) -> float:
-        lo = iv.lo
-        if lo.num <= 0:
-            return 0.0
-        cube = lo * lo * lo
-        if iv.length < cube:
-            return f(iv.hi) - f(iv.lo)
+    def span(a: int, b: int, ex: int, lc: bool, rc: bool) -> float:
+        # (b - a) / 2^ex < (a / 2^ex)^3
+        if a > 0 and (b - a) << (ex << 1) < a * a * a:
+            return _harmonic_zigzag(b, ex) - _harmonic_zigzag(a, ex)
         return 0.0
 
     def specials(region: Region, resolution: Dyadic) -> list[Dyadic]:
@@ -443,7 +433,8 @@ def _osc_left_limit() -> IntervalFunction:
             p = p - down
         return pts
 
-    return IntervalFunction("osc_left_limit", ev, bracket_independent=True,
+    return IntervalFunction("osc_left_limit", span=span,
+                            bracket_independent=True,
                             continuous=True, special_points=specials)
 
 
@@ -455,32 +446,26 @@ def _k_convention_jump() -> IntervalFunction:
     from 0 to a mass point.  Geometric tails are summed in closed form so
     evaluation is exact.
     """
-    def mass(iv: Interval) -> float:
-        lo, hi = iv.lo, iv.hi
-        if hi.num <= 0:
+    def span(a: int, b: int, ex: int, lc: bool, rc: bool) -> float:
+        if b <= 0:
             return 0.0
         total = 0.0
+        hi_pow2 = b & (b - 1) == 0
+        hi_mass = hi_pow2 and b < 1 << ex        # hi is 2^-r, r >= 1
         # smallest r >= 1 with 2^-r strictly below hi
-        k = floor_log2(hi)
-        r_min = max(1, -k + 1 if is_pow2(hi) else -k)
-        if lo.num <= 0:
-            total += float(pow2(r_min - 1))      # full tail sum
+        r_min = max(1, ex - b.bit_length() + 1 + hi_pow2)
+        if a <= 0:
+            total += ldexp(1.0, 1 - r_min)       # full tail sum
         else:
-            r_max = -floor_log2(lo) - 1          # largest r with 2^-r > lo
+            r_max = ex - a.bit_length()          # largest r with 2^-r > lo
             if r_max >= r_min:
-                total += float(pow2(r_min - 1)) - float(pow2(r_max))
-            if iv.left_closed and is_pow2(lo) and lo.num == 1 and lo.exp >= 1:
-                total += float(lo)
-        if iv.right_closed and is_pow2(hi) and hi.num == 1 and hi.exp >= 1:
-            total += float(hi)
-        return total
-
-    def ev(iv: Interval) -> float:
-        bonus = 0.0
-        if (iv.lo == ZERO and iv.left_closed and iv.right_closed
-                and iv.hi.num == 1 and iv.hi.exp >= 1):
-            bonus = 1.0
-        return mass(iv) + bonus
+                total += ldexp(1.0, 1 - r_min) - ldexp(1.0, -r_max)
+            if lc and a & (a - 1) == 0 and a < 1 << ex:
+                total += ldexp(1.0, a.bit_length() - 1 - ex)
+        if rc and hi_mass:
+            total += ldexp(1.0, b.bit_length() - 1 - ex)
+        bonus = 1.0 if a == 0 and lc and rc and hi_mass else 0.0
+        return total + bonus
 
     def specials(region: Region, resolution: Dyadic) -> list[Dyadic]:
         j = _resolution_index(resolution)
@@ -493,7 +478,7 @@ def _k_convention_jump() -> IntervalFunction:
         out.extend((pow2(r), lock) for r in range(1, max(10, 2 * j) + 1))
         return out
 
-    return IntervalFunction("k_convention_jump", ev,
+    return IntervalFunction("k_convention_jump", span=span,
                             special_points=specials,
                             singular_schedule=schedule)
 
@@ -558,8 +543,8 @@ def _m_power_singularity() -> IntervalFunction:
     an additivity singularity with defect 1 while no single shrinking
     interval at 0 carries any value.
     """
-    def ev(iv: Interval) -> float:
-        if iv.lo == -iv.hi and iv.hi.num == 1:
+    def span(a: int, b: int, ex: int, lc: bool, rc: bool) -> float:
+        if a == -b and b & (b - 1) == 0 and b <= 1 << ex:
             return 1.0
         return 0.0
 
@@ -574,7 +559,7 @@ def _m_power_singularity() -> IntervalFunction:
     def schedule(region: Region, resolution: Dyadic):
         return [(ZERO, None)]                    # all conventions at 0
 
-    return IntervalFunction("m_power_singularity", ev,
+    return IntervalFunction("m_power_singularity", span=span,
                             bracket_independent=True,
                             special_points=specials,
                             singular_schedule=schedule)
@@ -586,9 +571,8 @@ def _dyadic_blocks() -> IntervalFunction:
     Divisions can stack arbitrarily many charged blocks near 0, so the
     variation diverges there, yet no interval containing 0 carries value.
     """
-    def ev(iv: Interval) -> float:
-        if (iv.lo.num == 1 and iv.hi.num == 1 and iv.lo.exp >= 1
-                and iv.lo.exp == iv.hi.exp + 1):
+    def span(a: int, b: int, ex: int, lc: bool, rc: bool) -> float:
+        if b == a << 1 and 0 < a < 1 << ex and a & (a - 1) == 0:
             return 1.0
         return 0.0
 
@@ -597,7 +581,8 @@ def _dyadic_blocks() -> IntervalFunction:
         n_cap = 8 << max(0, j - 3)               # doubles per level
         return [pow2(n) for n in range(0, n_cap + 1)]
 
-    return IntervalFunction("dyadic_blocks", ev, bracket_independent=True,
+    return IntervalFunction("dyadic_blocks", span=span,
+                            bracket_independent=True,
                             special_points=specials)
 
 
@@ -607,10 +592,8 @@ _DENSITY_BLOCK_EXPONENTS = [(13, 45), (88, 120), (163, 195)]
 
 def _density_left_limit() -> IntervalFunction:
     """Value a=1 exactly on intervals whose span ends at 0 from the left."""
-    def ev(iv: Interval) -> float:
-        if iv.hi == ZERO and iv.lo < ZERO:
-            return 1.0
-        return 0.0
+    def span(a: int, b: int, ex: int, lc: bool, rc: bool) -> float:
+        return 1.0 if b == 0 else 0.0
 
     def specials(region: Region, resolution: Dyadic) -> list[Dyadic]:
         pts = []
@@ -619,7 +602,7 @@ def _density_left_limit() -> IntervalFunction:
         pts.extend([pow2(13), pow2(45)])         # bound the gap, avoid 0
         return pts
 
-    return IntervalFunction("density_left_limit", ev,
+    return IntervalFunction("density_left_limit", span=span,
                             bracket_independent=True,
                             special_points=specials)
 

@@ -66,6 +66,9 @@ def _config_from(args, file_cfg: dict) -> SearchConfig:
     finest = Dyadic.parse(e_min)
     if finest.num <= 0:
         raise ValueError(f"e-min must be positive, got {e_min}")
+    if finest > Dyadic(1, 3):
+        raise ValueError(f"e-min must be at most 1/2^3, the schedule's first "
+                         f"norm bound, got {e_min}")
     exps = []
     k = 3
     while Dyadic(1, k) > finest:

@@ -64,6 +64,9 @@ class SearchConfig:
             raise ValueError("e_schedule must not be empty")
         if self.grid_density <= 0:
             raise ValueError("grid_density must be positive")
+        if self.max_points <= 0:
+            raise ValueError(f"max_points, the point budget of a candidate, "
+                             f"must be positive, not {self.max_points!r}")
         if not self.tol_float >= 0:
             raise ValueError(f"tol_float, the convergence tolerance, must be "
                              f"a non-negative number, not {self.tol_float!r}")
@@ -148,10 +151,10 @@ _VARIANTS = ((False, False), (False, True), (True, False), (True, True))
 _ALL = (0, 1, 2, 3)
 
 
-def _span_variants(locks: dict, keys: list[int], pts: list[Dyadic],
-                   i: int) -> tuple[int, ...]:
+def _span_variants(locks: dict, cand: "Candidate", i: int) -> tuple[int, ...]:
     """Indices into _VARIANTS of the variants of span i that honour the
     junction locks (keyed by integer point keys) at its two ends."""
+    keys = cand.keys
     llock, rlock = locks.get(keys[i]), locks.get(keys[i + 1])
     if llock is None and rlock is None:
         return _ALL
@@ -159,25 +162,36 @@ def _span_variants(locks: dict, keys: list[int], pts: list[Dyadic],
                     if (llock is None or lc == llock[1])
                     and (rlock is None or rc == rlock[0]))
     if not allowed:
+        pts = cand.points
         raise ValueError(f"conflicting locks at {pts[i]}..{pts[i + 1]}")
     return allowed
 
 
 class Candidate:
-    """A candidate point set: the sorted points, their integer keys at one
-    exponent, and the (start, stop) index range of the points inside each
-    region component.  Consecutive points of a range bound one interval."""
+    """A candidate point set: the sorted points, their integer keys at the
+    exponent ex, and the (start, stop) index range of the points inside each
+    region component.  Consecutive points of a range bound one interval.
+    Given keys and ex alone, the points are built on first use."""
 
-    __slots__ = ("points", "keys", "runs")
+    __slots__ = ("_points", "keys", "ex", "runs")
 
-    def __init__(self, points: list[Dyadic], keys: Optional[list[int]] = None,
-                 runs: Optional[list[tuple[int, int]]] = None):
-        self.points = points
+    def __init__(self, points: Optional[list[Dyadic]],
+                 keys: Optional[list[int]] = None,
+                 runs: Optional[list[tuple[int, int]]] = None,
+                 ex: Optional[int] = None):
+        self._points = points
         if keys is None:
             ex = max((p.exp for p in points), default=0)
             keys = [_key(p, ex) for p in points]
         self.keys = keys
-        self.runs = [(0, len(points))] if runs is None else runs
+        self.ex = ex
+        self.runs = [(0, len(keys))] if runs is None else runs
+
+    @property
+    def points(self) -> list[Dyadic]:
+        if self._points is None:
+            self._points = [Dyadic(k, self.ex) for k in self.keys]
+        return self._points
 
     @property
     def spans(self) -> list[tuple[Dyadic, Dyadic]]:
@@ -192,13 +206,15 @@ def _score(g: IntervalFunction, cand: Candidate, memo: dict, locks: dict,
 
     memo maps a span's integer endpoints to g's value when g is bracket
     independent, else to its four variant values, filled as they are
-    needed.  Per span, each sense takes the first allowed variant unless a
-    later one is strictly better.  absolute scores |g| off the same values.
+    needed; g.span, when g has it, evaluates straight from the keys.  Per
+    span, each sense takes the first allowed variant unless a later one is
+    strictly better.  absolute scores |g| off the same values.
     Returns the values and the variant indices chosen in the max and the
     min sense; a bracket-independent g shares one list between the senses,
     and None stands for the open variant on every span.
     """
-    pts, keys = cand.points, cand.keys
+    keys, ex, span = cand.keys, cand.ex, g.span
+    pts = None if span else cand.points
     raw = Interval.raw
     if g.bracket_independent:
         vals: list[float] = []
@@ -207,12 +223,14 @@ def _score(g: IntervalFunction, cand: Candidate, memo: dict, locks: dict,
             for i in range(start, stop - 1):
                 k = 0
                 if locks:
-                    k = _span_variants(locks, keys, pts, i)[0]
+                    k = _span_variants(locks, cand, i)[0]
                     choice.append(k)
                 key = (keys[i], keys[i + 1])
                 v = memo.get(key)
                 if v is None:
-                    v = memo[key] = g(raw(pts[i], pts[i + 1], *_VARIANTS[k]))
+                    v = memo[key] = (
+                        span(*key, ex, *_VARIANTS[k]) if span
+                        else g(raw(pts[i], pts[i + 1], *_VARIANTS[k])))
                 vals.append(abs(v) if absolute else v)
         return vals, vals, choice, choice
     ups: list[float] = []
@@ -221,7 +239,7 @@ def _score(g: IntervalFunction, cand: Candidate, memo: dict, locks: dict,
     low_k: list[int] = []
     for start, stop in cand.runs:
         for i in range(start, stop - 1):
-            allowed = _span_variants(locks, keys, pts, i) if locks else _ALL
+            allowed = _span_variants(locks, cand, i) if locks else _ALL
             key = (keys[i], keys[i + 1])
             row = memo.get(key)
             if row is None:
@@ -230,7 +248,9 @@ def _score(g: IntervalFunction, cand: Candidate, memo: dict, locks: dict,
             for k in allowed:
                 v = row[k]
                 if v is None:
-                    v = row[k] = g(raw(pts[i], pts[i + 1], *_VARIANTS[k]))
+                    v = row[k] = (
+                        span(*key, ex, *_VARIANTS[k]) if span
+                        else g(raw(pts[i], pts[i + 1], *_VARIANTS[k])))
                 vs.append(abs(v) if absolute else v)
             hi = lo = 0
             for j in range(1, len(vs)):
@@ -330,17 +350,6 @@ def _key(p: Dyadic, ex: int) -> int:
     return p.num << (ex - p.exp)
 
 
-def _dyadics(keys: list[int], ex: int, cache: dict) -> list[Dyadic]:
-    """Keys at exponent ex as Dyadics, one object per distinct key."""
-    out = []
-    for k in keys:
-        p = cache.get(k)
-        if p is None:
-            p = cache[k] = Dyadic(k, ex)
-        out.append(p)
-    return out
-
-
 def _comp_keys(region: Region, ex: int) -> list[tuple[int, int]]:
     return [(_key(lo, ex), _key(hi, ex)) for lo, hi in region.components]
 
@@ -412,7 +421,7 @@ def _fill(points, region: Region, e: Dyadic, max_points: int) -> Candidate:
     ex += _fill_depth(region, e, ex)
     keys, runs = _fill_keys(sorted({_key(p, ex) for p in pts}),
                             _comp_keys(region, ex), _key(e, ex), max_points)
-    return Candidate(_dyadics(keys, ex, {}), keys, runs)
+    return Candidate(None, keys, runs, ex)
 
 
 def _level_candidates(
@@ -463,11 +472,10 @@ def _level_candidates(
         filled.append(prep(keys + [(keys[i] + keys[i + 1]) >> 1
                                    for start, stop in runs
                                    for i in range(start, stop - 1)]))
-    cache: dict = {}
     unique: list[Candidate] = []
     for keys, runs in filled:
         if all(keys != c.keys for c in unique):
-            unique.append(Candidate(_dyadics(keys, ex, cache), keys, runs))
+            unique.append(Candidate(None, keys, runs, ex))
     return unique, ex
 
 
@@ -695,8 +703,8 @@ def estimate_sigma_limit(
     for e in cfg.e_schedule:
         spacing = _grid_spacing(e, cfg.grid_density)
         ex = max(spacing.exp, *(p.exp for p in region.endpoints()))
-        points.update(_dyadics(_grid_keys(_comp_keys(region, ex), 0,
-                                          _key(spacing, ex)), ex, {}))
+        points.update(Dyadic(k, ex) for k in _grid_keys(
+            _comp_keys(region, ex), 0, _key(spacing, ex)))
         if cfg.use_special_points:
             points.update(g.special_points(region, e))
         stage = _fill(points, region, e, cfg.max_points)

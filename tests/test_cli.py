@@ -137,6 +137,40 @@ class TestCli:
         assert child.returncode == 2
         assert "e-min must be positive" in child.stderr
 
+    @pytest.mark.parametrize("argv, text", [
+        (["--e-min", "1/2^1"], ""),
+        (["--e-min=3/2^4"], ""),
+        ([], "e_min = 1/2^2\n"),
+    ])
+    def test_e_min_coarser_than_first_level_exits_2(self, tmp_path, argv,
+                                                     text):
+        cfg = tmp_path / "lab.cfg"
+        cfg.write_text(text)
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli(["--config", str(cfg), "integrate",
+                                 "--fixture", "origin_indicator"] + argv)
+        assert code == 2
+        assert out == ""
+        assert "e-min must be at most 1/2^3" in err.getvalue()
+
+    def test_e_min_at_first_level_runs_one_level(self):
+        code, out = run_cli(["integrate", "--fixture", "origin_indicator",
+                             "--e-min", "1/2^3", "--format", "csv"])
+        assert code == 0
+        assert len(out.strip().splitlines()) == 2  # header + level 3
+
+    def test_config_file_bad_max_points_exits_2(self, tmp_path):
+        cfg = tmp_path / "lab.cfg"
+        cfg.write_text("max_points = -5\n")
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli(["--config", str(cfg), "integrate",
+                                 "--fixture", "origin_indicator"])
+        assert code == 2
+        assert out == ""
+        assert "max_points" in err.getvalue()
+
     def test_unknown_criterion_exits_2(self):
         err = io.StringIO()
         with redirect_stderr(err):

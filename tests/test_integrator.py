@@ -63,6 +63,11 @@ class TestSearchConfig:
         with pytest.raises(ValueError, match="tol_float"):
             SearchConfig(tol_float=tol)
 
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_non_positive_max_points_rejected(self, cap):
+        with pytest.raises(ValueError, match="max_points"):
+            SearchConfig(max_points=cap)
+
     def test_zero_tolerance_accepted(self):
         assert SearchConfig(tol_float=0.0).tol_float == 0.0
 

@@ -1,24 +1,29 @@
 """The memoized defect scan, the integer pack greedy, the integer
-staircase, the fused max/min pass and the integer candidate construction
-against the straightforward loops they replaced, kept here as references;
-results must agree to the last bit (repr equality)."""
+staircase, the fused max/min pass, the integer candidate construction and
+the fixtures' integer span evaluators against the straightforward code
+they replaced, kept here as references; results must agree to the last bit
+(repr equality)."""
 
 import importlib
 from bisect import bisect_left, insort
 from fractions import Fraction
+from math import ldexp
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import pytest
 
 from burkill import verify
 from burkill.catalog import (
     IntervalFunction,
+    _harmonic_zigzag,
+    _zigzag,
     abs_fn,
     cantor_staircase_12,
     cantor_staircase_function,
     fixture,
     fixture_names,
+    pow2,
     xsum,
 )
 from burkill.core import (
@@ -29,6 +34,7 @@ from burkill.core import (
     ZERO,
     dmid,
     floor_log2,
+    is_pow2,
     sort_points,
 )
 from burkill.errors import BudgetExceeded, IndeterminateForm
@@ -619,7 +625,7 @@ class TestCandidateReference:
     @settings(max_examples=200, deadline=None)
     @given(regions(), st.lists(POINTS, max_size=8),
            st.lists(POINTS, max_size=4), NORM_BOUNDS, st.integers(1, 3),
-           st.sampled_from((0, 8, 40, 120, 200_000)), st.booleans())
+           st.sampled_from((1, 8, 40, 120, 200_000)), st.booleans())
     def test_candidate_family_equals_reference(self, region, specials, extra,
                                                e, density, cap, use_specials):
         g = IntervalFunction("points", lambda iv: 0.0,
@@ -642,6 +648,226 @@ class TestCandidateReference:
                    candidate_point_sets(fx.fn, fx.region, e, cfg, extra)]
             assert got == ref_candidate_point_sets(fx.fn, fx.region, e, cfg,
                                                    extra)
+
+
+# ---------------------------------------------------------------------------
+# the fixtures' span evaluators against their Dyadic evaluators
+# ---------------------------------------------------------------------------
+
+ONE = Dyadic(1)
+
+
+def ref_zigzag(x):
+    """The zigzag on [0,1) in Dyadic arithmetic."""
+    if x.num < 0 or x >= ONE:
+        raise ValueError(f"argument {x} outside [0,1)")
+    d = ONE - x
+    m = -(floor_log2(d) + (not is_pow2(d)))     # 2^-m-1 < d <= 2^-m
+    shift = d.exp - m
+    if shift <= 60:
+        u = ldexp((1 << shift) - d.num, 1 - shift)
+    else:
+        u = 2.0 * float(1 - d.as_fraction() * (1 << m))
+    return u if m % 2 == 0 else 1.0 - u
+
+
+def ref_harmonic_zigzag(x):
+    """The harmonic zigzag on (0,1] in Fraction arithmetic."""
+    if x.num <= 0 or x > ONE:
+        raise ValueError(f"argument {x} outside (0,1]")
+    q, r = divmod(1 << x.exp, x.num)
+    if r == 0:
+        return float(q % 2)
+    m = q
+    left = Fraction(1, m + 1)
+    u = float((x.as_fraction() - left) / (Fraction(1, m) - left))
+    f_left, f_right = (m + 1) % 2, m % 2
+    return f_left + u * (f_right - f_left)
+
+
+def ref_two_piece_zigzag(iv):
+    if ZERO <= iv.lo and iv.hi < ONE:
+        return ref_zigzag(iv.hi) - ref_zigzag(iv.lo)
+    d = iv.hi - ONE
+    if d.num == 1 and d.exp % 2 == 0 and d == ONE - iv.lo:
+        return 1.0
+    return 0.0
+
+
+def ref_origin_indicator(iv):
+    if iv.lo < ZERO < iv.hi:
+        return 1.0
+    if iv.lo == ZERO and iv.left_closed:
+        return 1.0
+    if iv.hi == ZERO and iv.right_closed:
+        return 1.0
+    return 0.0
+
+
+def ref_osc_left_limit(iv):
+    lo = iv.lo
+    if lo.num <= 0:
+        return 0.0
+    if iv.length < lo * lo * lo:
+        return ref_harmonic_zigzag(iv.hi) - ref_harmonic_zigzag(iv.lo)
+    return 0.0
+
+
+def ref_mass(iv):
+    lo, hi = iv.lo, iv.hi
+    if hi.num <= 0:
+        return 0.0
+    total = 0.0
+    k = floor_log2(hi)
+    r_min = max(1, -k + 1 if is_pow2(hi) else -k)
+    if lo.num <= 0:
+        total += float(pow2(r_min - 1))
+    else:
+        r_max = -floor_log2(lo) - 1
+        if r_max >= r_min:
+            total += float(pow2(r_min - 1)) - float(pow2(r_max))
+        if iv.left_closed and is_pow2(lo) and lo.num == 1 and lo.exp >= 1:
+            total += float(lo)
+    if iv.right_closed and is_pow2(hi) and hi.num == 1 and hi.exp >= 1:
+        total += float(hi)
+    return total
+
+
+def ref_k_convention_jump(iv):
+    bonus = 0.0
+    if (iv.lo == ZERO and iv.left_closed and iv.right_closed
+            and iv.hi.num == 1 and iv.hi.exp >= 1):
+        bonus = 1.0
+    return ref_mass(iv) + bonus
+
+
+def ref_m_power_singularity(iv):
+    if iv.lo == -iv.hi and iv.hi.num == 1:
+        return 1.0
+    return 0.0
+
+
+def ref_dyadic_blocks(iv):
+    if (iv.lo.num == 1 and iv.hi.num == 1 and iv.lo.exp >= 1
+            and iv.lo.exp == iv.hi.exp + 1):
+        return 1.0
+    return 0.0
+
+
+def ref_density_left_limit(iv):
+    if iv.hi == ZERO and iv.lo < ZERO:
+        return 1.0
+    return 0.0
+
+
+REF_FIXTURES = {
+    "saks_A_counterexample": ref_two_piece_zigzag,
+    "origin_indicator": ref_origin_indicator,
+    "osc_left_limit": ref_osc_left_limit,
+    "k_convention_jump": ref_k_convention_jump,
+    "m_power_singularity": ref_m_power_singularity,
+    "dyadic_blocks": ref_dyadic_blocks,
+    "density_left_limit": ref_density_left_limit,
+}
+
+# where the fixtures' cases meet: 0, +-2^-r, 1 +- 2^-r, 2
+LANDMARKS = sorted({Dyadic(s << 80 >> r, 80) + c
+                    for r in range(0, 80, 3) for s in (1, -1)
+                    for c in (ZERO, ONE)} | {ZERO, Dyadic(2)},
+                   key=float)
+EXPONENTS = st.integers(0, 100)     # above 62 reaches the zigzag's wide path
+
+
+@st.composite
+def span_points(draw):
+    """A landmark, a landmark moved at a fine exponent, or any point."""
+    kind = draw(st.sampled_from(("landmark", "near", "any")))
+    if kind == "any":
+        k = draw(EXPONENTS)
+        return Dyadic(draw(st.integers(-(2 << k), 2 << k)), k)
+    p = draw(st.sampled_from(LANDMARKS))
+    if kind == "near":
+        k = draw(st.integers(max(p.exp, 1), 100))
+        p = Dyadic((p.num << (k - p.exp)) + draw(st.integers(-64, 64)), k)
+    return p
+
+
+@st.composite
+def spans(draw):
+    """lo < hi: a span some fixture charges, two points, or a point and a
+    short step above it, which makes steep-left spans of osc_left_limit
+    (and, near 1, spans past its zigzag's domain)."""
+    kind = draw(st.sampled_from(("charged", "points", "step")))
+    if kind == "charged":
+        h = Dyadic(1, draw(st.integers(-3, 3) | st.integers(4, 80)))
+        return draw(st.sampled_from(((-h, h), (ONE - h, ONE + h),
+                                     (h, h + h), (-h, ZERO))))
+    lo = draw(span_points())
+    if kind == "points":
+        hi = draw(span_points())
+    else:
+        hi = lo + Dyadic(draw(st.integers(1, 1 << 8)), draw(st.integers(0, 240)))
+    if lo == hi:
+        hi = lo + Dyadic(1, 100)
+    return (lo, hi) if lo < hi else (hi, lo)
+
+
+def _result(fn):
+    try:
+        return repr(fn())
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+class TestSpanEvaluatorReference:
+    @settings(max_examples=1000, deadline=None)
+    @given(st.sampled_from(sorted(REF_FIXTURES)), spans(), st.integers(0, 3))
+    # the edges of the charged spans: 1 -+ 1/2 and 1 -+ 4 are not charged
+    # (not 1 -+ 2^-2n), nor [1, 2] (no block) or [-2, 2] (not 2^-i); 1 is
+    # no mass point; [1/2, 5/8] has length the cube of 1/2, so it is inactive
+    @example("saks_A_counterexample", (Dyadic(1, 1), Dyadic(3, 1)), 0)
+    @example("saks_A_counterexample", (Dyadic(-3), Dyadic(5)), 0)
+    @example("dyadic_blocks", (Dyadic(1), Dyadic(2)), 0)
+    @example("m_power_singularity", (Dyadic(-1), Dyadic(1)), 1)
+    @example("m_power_singularity", (Dyadic(-2), Dyadic(2)), 0)
+    @example("k_convention_jump", (ZERO, Dyadic(1)), 2)
+    @example("osc_left_limit", (Dyadic(1, 1), Dyadic(5, 3)), 0)
+    def test_span_and_call_equal_dyadic_evaluator(self, name, span, pad):
+        fn, ref = fixture(name).fn, REF_FIXTURES[name]
+        lo, hi = span
+        ex = max(lo.exp, hi.exp) + pad          # keys need not be reduced
+        a, b = lo.num << (ex - lo.exp), hi.num << (ex - hi.exp)
+        for lc, rc in VARIANTS:
+            iv = Interval(lo, hi, lc, rc)
+            want = _result(lambda: ref(iv))
+            assert _result(lambda: fn(iv)) == want
+            assert _result(lambda: fn.span(a, b, ex, lc, rc)) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(span_points(), st.integers(0, 3))
+    def test_zigzags_equal_dyadic_zigzags(self, x, pad):
+        ex = x.exp + pad
+        k = x.num << pad
+        assert _result(lambda: _zigzag(k, ex)) == _result(lambda: ref_zigzag(x))
+        assert _result(lambda: _harmonic_zigzag(k, ex)) == \
+            _result(lambda: ref_harmonic_zigzag(x))
+
+    def test_osc_left_limit_past_its_domain_raises_alike(self):
+        # steep-left, with hi past 1: the harmonic zigzag refuses hi
+        fn = fixture("osc_left_limit").fn
+        lo, hi = Dyadic(15, 4), Dyadic(3, 1)
+        iv = Interval(lo, hi)
+        want = _result(lambda: ref_osc_left_limit(iv))
+        assert want == "ValueError: argument 3/2^1 outside (0,1]"
+        assert _result(lambda: fn(iv)) == want
+        assert _result(lambda: fn.span(30, 48, 5, True, True)) == want
+
+    def test_abs_fn_forwards_the_span_evaluator(self):
+        fn = fixture("saks_A_counterexample").fn
+        iv = Interval(Dyadic(1, 1), Dyadic(3, 2))     # the zigzag falls 1
+        assert fn(iv) == -1.0
+        assert abs_fn(fn).span(2, 3, 2, True, True) == abs_fn(fn)(iv) == 1.0
+        assert abs_fn(counting(fn)[0]).span is None
 
 
 # ---------------------------------------------------------------------------
@@ -680,12 +906,12 @@ def _perms(fx):
 
 
 SEARCHES = {
-    "norm": lambda g, fx: estimate_norm_limits(g, fx.region, LEVELS),
-    "k_chain": lambda g, fx: k_chain_reports(g, fx.region, _perms(fx),
-                                             LEVELS),
-    "sigma": lambda g, fx: estimate_sigma_limit(g, fx.region, LEVELS),
-    "variation": lambda g, fx: variation_mod.variation(
-        g, fx.region, LEVELS, scan_j=False),
+    "norm": lambda g, fx, cfg=LEVELS: estimate_norm_limits(g, fx.region, cfg),
+    "k_chain": lambda g, fx, cfg=LEVELS: k_chain_reports(
+        g, fx.region, _perms(fx), cfg),
+    "sigma": lambda g, fx, cfg=LEVELS: estimate_sigma_limit(g, fx.region, cfg),
+    "variation": lambda g, fx, cfg=LEVELS: variation_mod.variation(
+        g, fx.region, cfg, scan_j=False),
 }
 
 
@@ -698,6 +924,19 @@ class TestEvaluationCounts:
         SEARCHES[search](g, fx)
         assert counts["calls"] > 0
         assert counts["repeats"] == 0
+
+    @pytest.mark.parametrize("search", sorted(SEARCHES))
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_searches_evaluate_fixtures_on_spans(self, name, search,
+                                                 monkeypatch):
+        # the span evaluator serves every evaluation: no Interval is built
+        fx = fixture(name)
+        called = []
+        monkeypatch.setattr(IntervalFunction, "__call__",
+                            lambda g, iv: called.append(g.name))
+        cfg = SearchConfig(e_schedule=tuple(Dyadic(1, k) for k in range(3, 7)))
+        SEARCHES[search](fx.fn, fx, cfg)
+        assert called == []
 
     def test_criterion_8_scores_the_staircase_pool_once(self, monkeypatch):
         g, calls = counting(cantor_staircase_function()[0])
