@@ -25,6 +25,7 @@ from burkill.integrator import (
 )
 from burkill.planar import (
     RectFunction,
+    bottom_strips_function,
     closed_rect,
     estimate_norm_limits_2d,
     fubini_chain,
@@ -42,6 +43,7 @@ from burkill.variation import variation
 CFG = SearchConfig(e_schedule=tuple(Dyadic(1, k) for k in range(3, 9)))
 ONE = Dyadic(1)
 UNIT = closed_rect(ZERO, ONE, ZERO, ONE)
+TALL = closed_rect(ZERO, ONE, -ONE, ONE)
 
 
 def limit_bytes(rep) -> str:
@@ -97,19 +99,23 @@ def _density():
     return density_report_json(rep) + "\n" + limit_bytes(rep.report)
 
 
-def _planar(mode):
-    cfg = planar_config(e_schedule=(Dyadic(1, 3), Dyadic(1, 4)))
+def _asym():
+    """A bracket-dependent rectangle function: width times a charge at 0."""
+    charge = fixture("origin_indicator").fn
+    return RectFunction("asym", lambda r: float(r.x.length) * charge(r.y))
+
+
+def _planar(maker, mode, region=UNIT, levels=(3, 4)):
+    cfg = planar_config(e_schedule=tuple(Dyadic(1, k) for k in levels))
     return limit_report_json(
-        estimate_norm_limits_2d(two_squares_function(), UNIT, mode, cfg))
+        estimate_norm_limits_2d(maker(), region, mode, cfg))
 
 
 def _fubini():
     prod = product_function(stieltjes(poly("x^2", [0, 0, 1])),
                             stieltjes(poly("y^3", [0, 0, 0, 1])))
-    charge = fixture("origin_indicator").fn
-    asym = RectFunction("asym", lambda r: float(r.x.length) * charge(r.y))
     reps = [fubini_chain(prod, UNIT),
-            fubini_chain(asym, closed_rect(ZERO, ONE, -ONE, ONE),
+            fubini_chain(_asym(), TALL,
                          SearchConfig(e_schedule=(Dyadic(1, 2),
                                                   Dyadic(1, 3))))]
     return json.dumps([[(e.serialize(),) + tuple(map(repr, vals))
@@ -133,8 +139,16 @@ CASES.update({
     "singularity_scan:m_power_singularity": (_scan,),
     "variation:origin_indicator": (_variation,),
     "density_integral:density_left_limit": (_density,),
-    "planar:two_squares:restricted": (_planar, "restricted"),
-    "planar:two_squares:extended": (_planar, "extended"),
+    "planar:two_squares:restricted": (_planar, two_squares_function,
+                                      "restricted"),
+    "planar:two_squares:extended": (_planar, two_squares_function,
+                                    "extended"),
+    "planar:bottom_strips:restricted": (_planar, bottom_strips_function,
+                                        "restricted"),
+    "planar:bottom_strips:extended": (_planar, bottom_strips_function,
+                                      "extended"),
+    # the 16-variant path: 2^-4 would take several seconds
+    "planar:asym:extended": (_planar, _asym, "extended", TALL, (3,)),
     "fubini_chain:product+asym": (_fubini,),
     "around_chain_check:origin_indicator": (_around,),
 })
@@ -180,6 +194,12 @@ GOLDEN = {
         "088bcf89628ac20528c1bea5bf409884e167a78c56dce66c12ed0aaaa4e7d840",
     "norm:saks_A_counterexample":
         "2ec1443d4479eb2f051c2288a4203f145ebb0e563fe7525c6418e207c64922fb",
+    "planar:asym:extended":
+        "64774dd9a09961b801f7076423d84ed9ed8a63f68052a225f405a2f1e358f719",
+    "planar:bottom_strips:extended":
+        "7818fbd69e2dee5e78ca35762f8e70dcba75e2de0b7f14843c713e9038c8dfa6",
+    "planar:bottom_strips:restricted":
+        "ec1e037fae5bdfb5361590c8fc9cf19b523e03c86b426313e188efaaf4035172",
     "planar:two_squares:extended":
         "675b67ea473e34ca081e232e89eb19cf95a1de13d4146b7838dfbe33db5c8a4a",
     "planar:two_squares:restricted":
