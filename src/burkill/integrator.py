@@ -279,19 +279,6 @@ def _witness(region: Region, cand: Candidate,
     return Division(region, intervals, tuple(pts))
 
 
-def _best_value(g, iv, sense: str):
-    """Optimal value of g over the bracket variants of one interval or
-    rectangle, with the variant that attains it (ties keep the first)."""
-    if g.bracket_independent:
-        return g(iv), iv
-    best, best_iv = None, iv
-    for v in iv.variants():
-        val = g(v)
-        if best is None or (val > best if sense == "max" else val < best):
-            best, best_iv = val, v
-    return best, best_iv
-
-
 def extremal_sum(
     g: IntervalFunction,
     points: Sequence[Dyadic],

@@ -5,7 +5,8 @@ chain of Fubini type.
 Extended-division generation is guillotine: recursive axis-aligned splits
 seeded to contain each function's special rectangles.  Restricted grids
 chop both axes with pieces between s and 2s, so a regularity floor of 1/2
-holds for plain grid cells.
+holds for plain grid cells.  Both are built as integer cells at one
+exponent; searches keep one memo per level and no state between calls.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .core import (
     ZERO,
     dmid,
     floor_log2,
-    sort_points,
 )
 from .errors import BudgetExceeded
 from .integrator import (
@@ -30,8 +30,8 @@ from .integrator import (
     LimitReport,
     SearchConfig,
     _VARIANTS,
-    _best_value,
     _grid_spacing,
+    _key,
     _tighten,
     _verdict,
     candidate_point_sets,
@@ -116,43 +116,79 @@ def riemann_sum_2d(gT: RectFunction, division: RectDivision) -> float:
     return xsum(gT(r) for r in division.rects)
 
 
+def _chop(a: int, b: int, s: int) -> list[int]:
+    """Cut points of [a, b] with pieces in [s, 2s); short spans stay whole."""
+    return [a, *range(a + s, b - s + 1, s), b]
+
+
+def _cells(xs: Sequence[int], ys: Sequence[int]) -> list[tuple]:
+    return [(x0, x1, y0, y1) for x0, x1 in zip(xs, xs[1:])
+            for y0, y1 in zip(ys, ys[1:])]
+
+
+def _grid_cells(region: tuple, s: int, x_anchor: Sequence[int] = (),
+                y_anchor: Sequence[int] = ()) -> list[tuple]:
+    """Full crossing lines chopped outward from the anchors inside the
+    region."""
+    def lines(lo, hi, anchors):
+        cuts = sorted({lo, hi, *(a for a in anchors if lo < a < hi)})
+        return [lo] + [k for a, b in zip(cuts, cuts[1:])
+                       for k in _chop(a, b, s)[1:]]
+
+    return _cells(lines(*region[:2], x_anchor), lines(*region[2:], y_anchor))
+
+
+def _guillotine_cells(region: tuple, specials: Sequence[tuple],
+                      s: int) -> list[tuple]:
+    rx0, rx1, ry0, ry1 = region
+    xs = sorted({rx0, rx1, *(k for sp in specials for k in sp[:2])})
+    cells: list[tuple] = []
+    for x0, x1 in zip(xs, xs[1:]):
+        cols = _chop(x0, x1, s)
+        own = next((sp[2:] for sp in specials
+                    if sp[0] <= x0 and x1 <= sp[1]), None)
+        bands = [(ry0, own[0]), own, (own[1], ry1)] if own else [(ry0, ry1)]
+        for b0, b1 in bands:
+            if b0 < b1:
+                cells += _cells(cols, [b0, b1] if (b0, b1) == own
+                                else _chop(b0, b1, s))
+    return cells
+
+
+def _exp(r: Rect) -> int:
+    return max(r.x.lo.exp, r.x.hi.exp, r.y.lo.exp, r.y.hi.exp)
+
+
+def _cell(r: Rect, ex: int) -> tuple:
+    """A rectangle's edges as integer keys at the exponent ex."""
+    return (_key(r.x.lo, ex), _key(r.x.hi, ex),
+            _key(r.y.lo, ex), _key(r.y.hi, ex))
+
+
+def _closed_rects(cells: Sequence[tuple], ex: int) -> list[Rect]:
+    pts, raw = {k: Dyadic(k, ex) for c in cells for k in c}, Interval.raw
+    return [Rect(raw(pts[x0], pts[x1], True, True),
+                 raw(pts[y0], pts[y1], True, True))
+            for x0, x1, y0, y1 in cells]
+
+
 def chop(a: Dyadic, b: Dyadic, s: Dyadic) -> list[Dyadic]:
     """Cut points of [a, b] with pieces in [s, 2s); short spans stay whole."""
-    pts = [a]
-    p = a
-    two_s = s + s
-    while b - p >= two_s:
-        p = p + s
-        pts.append(p)
-    pts.append(b)
-    return pts
-
-
-def _cells(xs: Sequence[Dyadic], ys: Sequence[Dyadic]) -> list[Rect]:
-    out = []
-    for i in range(len(xs) - 1):
-        for j in range(len(ys) - 1):
-            out.append(closed_rect(xs[i], xs[i + 1], ys[j], ys[j + 1]))
-    return out
+    ex = max(a.exp, b.exp, s.exp)
+    return [Dyadic(k, ex)
+            for k in _chop(_key(a, ex), _key(b, ex), _key(s, ex))]
 
 
 def grid_division(region: Rect, s: Dyadic,
                   x_anchor: Sequence[Dyadic] = (),
                   y_anchor: Sequence[Dyadic] = ()) -> RectDivision:
-    """Restricted division: full crossing lines chopped outward from anchors."""
-    def lines(lo, hi, anchors):
-        if not anchors:
-            return chop(lo, hi, s)
-        pts = sort_points(set(list(anchors) + [lo, hi]))
-        out = [lo]
-        for a, b in zip(pts, pts[1:]):
-            seg = chop(a, b, s)
-            out.extend(seg[1:])
-        return out
-
-    xs = lines(region.x.lo, region.x.hi, x_anchor)
-    ys = lines(region.y.lo, region.y.hi, y_anchor)
-    return RectDivision(region, _cells(xs, ys), "restricted")
+    """Restricted division: full crossing lines chopped outward from the
+    anchors inside the region."""
+    ex = max(s.exp, _exp(region), *(p.exp for p in (*x_anchor, *y_anchor)))
+    cells = _grid_cells(_cell(region, ex), _key(s, ex),
+                        [_key(a, ex) for a in x_anchor],
+                        [_key(a, ex) for a in y_anchor])
+    return RectDivision(region, _closed_rects(cells, ex), "restricted")
 
 
 def seeded_guillotine(region: Rect, specials: Sequence[Rect],
@@ -163,39 +199,10 @@ def seeded_guillotine(region: Rect, specials: Sequence[Rect],
     band is x-chopped at its own height, the rest of the column is chopped
     square-ish.  Specials must not overlap in x.
     """
-    xcuts = {region.x.lo, region.x.hi}
-    for sp in specials:
-        xcuts.add(sp.x.lo)
-        xcuts.add(sp.x.hi)
-    xs = sort_points(xcuts)
-    rects: list[Rect] = []
-    for x0, x1 in zip(xs, xs[1:]):
-        owner = None
-        for sp in specials:
-            if sp.x.lo <= x0 and x1 <= sp.x.hi:
-                owner = sp
-                break
-        ylo, yhi = region.y.lo, region.y.hi
-        if owner is None:
-            rects.extend(_cells(chop(x0, x1, s), chop(ylo, yhi, s)))
-            continue
-        bands = [(ylo, owner.y.lo), (owner.y.lo, owner.y.hi),
-                 (owner.y.hi, yhi)]
-        for b0, b1 in bands:
-            if not b0 < b1:
-                continue
-            if b0 == owner.y.lo and b1 == owner.y.hi:
-                xs_band = chop(x0, x1, s)
-                for a, b in zip(xs_band, xs_band[1:]):
-                    rects.append(closed_rect(a, b, b0, b1))
-            else:
-                rects.extend(_cells(chop(x0, x1, s), chop(b0, b1, s)))
-    return RectDivision(region, rects, "extended")
-
-
-def _extremal_2d(gT: RectFunction, division: RectDivision,
-                 sense: str) -> float:
-    return xsum(_best_value(gT, r, sense)[0] for r in division.rects)
+    ex = max(s.exp, _exp(region), *map(_exp, specials))
+    cells = _guillotine_cells(_cell(region, ex),
+                              [_cell(sp, ex) for sp in specials], _key(s, ex))
+    return RectDivision(region, _closed_rects(cells, ex), "extended")
 
 
 def _default_2d_schedule() -> tuple[Dyadic, ...]:
@@ -207,37 +214,25 @@ def planar_config(**overrides) -> SearchConfig:
     return SearchConfig(**overrides)
 
 
-_DIVISION_CACHE: dict = {}
+class _CellMemo(dict):
+    """Cell -> gT's largest and smallest value over the cell's bracket
+    variants (ties keep the first, in Rect.variants order).  A Rect is
+    built only on a miss, on Dyadic points shared across the level."""
 
+    def __init__(self, gT: RectFunction, ex: int):
+        super().__init__()
+        self.gT, self.ex, self.pts = gT, ex, {}
+        self.brackets = _VARIANTS[3:] if gT.bracket_independent else _VARIANTS
 
-def _rect_key(r: Rect) -> tuple:
-    return (r.x.lo.num, r.x.lo.exp, r.x.hi.num, r.x.hi.exp,
-            r.y.lo.num, r.y.lo.exp, r.y.hi.num, r.y.hi.exp)
-
-
-def candidate_divisions_2d(gT: RectFunction, region: Rect, e: Dyadic,
-                           mode: str) -> list[RectDivision]:
-    # cells up to 2s per side keep the diameter under e when s <= e/4
-    s = _grid_spacing(e, 4)
-    specials = gT.special_rects(region, e)
-    key = (mode, (e.num, e.exp), _rect_key(region),
-           tuple(_rect_key(sp) for sp in specials))
-    if key in _DIVISION_CACHE:
-        return _DIVISION_CACHE[key]
-    cands = [grid_division(region, s)]
-    for sp in specials:
-        cands.append(grid_division(
-            region, s,
-            x_anchor=[sp.x.lo, sp.x.hi],
-            y_anchor=[sp.y.lo, sp.y.hi]))
-    if mode == "extended":
-        if specials:
-            cands.append(seeded_guillotine(region, specials, s))
-            for sp in specials:
-                cands.append(seeded_guillotine(region, [sp], s))
-    if len(_DIVISION_CACHE) < 64:
-        _DIVISION_CACHE[key] = cands
-    return cands
+    def __missing__(self, cell: tuple) -> tuple[float, float]:
+        pts, raw, brackets = self.pts, Interval.raw, self.brackets
+        x0, x1, y0, y1 = [pts[k] if k in pts
+                          else pts.setdefault(k, Dyadic(k, self.ex))
+                          for k in cell]
+        vals = [self.gT(Rect(raw(x0, x1, *xb), raw(y0, y1, *yb)))
+                for xb in brackets for yb in brackets]
+        out = self[cell] = (max(vals), min(vals))
+        return out
 
 
 def estimate_norm_limits_2d(
@@ -246,20 +241,37 @@ def estimate_norm_limits_2d(
     mode: str = "extended",
     cfg: Optional[SearchConfig] = None,
 ) -> LimitReport:
-    """Norm-limit estimates over restricted grids or guillotine tilings."""
+    """Norm-limit estimates over restricted grids or guillotine tilings.
+
+    A level's candidates are integer cells at one exponent that holds the
+    region, the spacing and the special rectangles' edges; every candidate
+    is scored in one pass against one memo, dropped when the level ends.
+    """
     if mode not in ("restricted", "extended"):
         raise ValueError("mode must be 'restricted' or 'extended'")
     cfg = cfg or planar_config()
     levels = []
     for e in cfg.e_schedule:
-        cands = candidate_divisions_2d(gT, region, e, mode)
-        for c in cands:
-            if len(c.rects) > cfg.max_points:
+        # cells up to 2s per side keep the diameter under e when s <= e/4
+        s = _grid_spacing(e, 4)
+        specials = gT.special_rects(region, e)
+        ex = max(s.exp, _exp(region), *map(_exp, specials))
+        reg, sk = _cell(region, ex), _key(s, ex)
+        sps = [_cell(sp, ex) for sp in specials]
+        cands = [_grid_cells(reg, sk)]
+        cands += [_grid_cells(reg, sk, sp[:2], sp[2:]) for sp in sps]
+        if mode == "extended" and sps:
+            cands.append(_guillotine_cells(reg, sps, sk))
+            cands += [_guillotine_cells(reg, [sp], sk) for sp in sps]
+        for cells in cands:
+            if len(cells) > cfg.max_points:
                 raise BudgetExceeded(
-                    f"{len(c.rects)} cells exceed {cfg.max_points}")
-        up = max(_extremal_2d(gT, c, "max") for c in cands)
-        low = min(_extremal_2d(gT, c, "min") for c in cands)
-        levels.append(LevelEstimate(e, up, low))
+                    f"{len(cells)} cells exceed {cfg.max_points}")
+        memo = _CellMemo(gT, ex)
+        vals = [[memo[c] for c in cells] for cells in cands]
+        levels.append(LevelEstimate(
+            e, max(xsum(up for up, _ in vs) for vs in vals),
+            min(xsum(low for _, low in vs) for vs in vals)))
     _tighten(levels)
     return LimitReport(levels, _verdict(levels, cfg.tol_float))
 

@@ -168,9 +168,8 @@ def _pack_candidates(g: IntervalFunction, region: Region,
 class _ScoredPool:
     """A pack pool with each interval's variants evaluated once: the float
     lengths and, for "max" and for "min", the optimal values with the
-    variants attaining them (ties keep the first variant, as in
-    integrator._best_value).  Spans compare as integers at the pool's
-    largest exponent E."""
+    variants attaining them (ties keep the first variant).  Spans compare
+    as integers at the pool's largest exponent E."""
 
     __slots__ = ("pool", "lengths", "best", "E")
 
