@@ -1,8 +1,8 @@
 """The memoized defect scan, the integer pack greedy, the integer
-staircase, the fused max/min pass, the integer candidate construction and
-the fixtures' integer span evaluators against the straightforward code
-they replaced, kept here as references; results must agree to the last bit
-(repr equality)."""
+staircase, the fused max/min pass, the integer candidate construction,
+the fixtures' integer span evaluators and the planar integer cells against
+the straightforward code they replaced, kept here as references; results
+must agree to the last bit (repr equality)."""
 
 import importlib
 from bisect import bisect_left, insort
@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import pytest
 
-from burkill import verify
+from burkill import planar, verify
 from burkill.catalog import (
     IntervalFunction,
     _harmonic_zigzag,
@@ -52,8 +52,26 @@ from burkill.integrator import (
     defect_report_at,
     estimate_norm_limits,
     estimate_sigma_limit,
+    LevelEstimate,
+    LimitReport,
+    _tighten,
+    _verdict,
     k_chain_reports,
 )
+from burkill.planar import (
+    RectDivision,
+    RectFunction,
+    area_function,
+    bottom_strips_function,
+    chop,
+    closed_rect,
+    estimate_norm_limits_2d,
+    grid_division,
+    planar_config,
+    seeded_guillotine,
+    two_squares_function,
+)
+from burkill.reporting import limit_report_json
 from burkill.variation import (
     _pack_candidates,
     is_absolutely_continuous,
@@ -944,3 +962,253 @@ class TestEvaluationCounts:
                             lambda: (g, None))
         assert verify.check_8_absolute_continuity().passed
         assert calls[0] == 13_647
+
+
+# ---------------------------------------------------------------------------
+# planar integer cells against the Dyadic builders and the per-rectangle
+# bracket optimizer
+# ---------------------------------------------------------------------------
+
+def ref_chop(a, b, s):
+    pts = [a]
+    p = a
+    two_s = s + s
+    while b - p >= two_s:
+        p = p + s
+        pts.append(p)
+    pts.append(b)
+    return pts
+
+
+def ref_cells(xs, ys):
+    out = []
+    for i in range(len(xs) - 1):
+        for j in range(len(ys) - 1):
+            out.append(closed_rect(xs[i], xs[i + 1], ys[j], ys[j + 1]))
+    return out
+
+
+def ref_grid_division(region, s, x_anchor=(), y_anchor=()):
+    def lines(lo, hi, anchors):
+        if not anchors:
+            return ref_chop(lo, hi, s)
+        pts = sort_points(set(list(anchors) + [lo, hi]))
+        out = [lo]
+        for a, b in zip(pts, pts[1:]):
+            out.extend(ref_chop(a, b, s)[1:])
+        return out
+
+    xs = lines(region.x.lo, region.x.hi, x_anchor)
+    ys = lines(region.y.lo, region.y.hi, y_anchor)
+    return RectDivision(region, ref_cells(xs, ys), "restricted")
+
+
+def ref_seeded_guillotine(region, specials, s):
+    xcuts = {region.x.lo, region.x.hi}
+    for sp in specials:
+        xcuts.add(sp.x.lo)
+        xcuts.add(sp.x.hi)
+    xs = sort_points(xcuts)
+    rects = []
+    for x0, x1 in zip(xs, xs[1:]):
+        owner = None
+        for sp in specials:
+            if sp.x.lo <= x0 and x1 <= sp.x.hi:
+                owner = sp
+                break
+        ylo, yhi = region.y.lo, region.y.hi
+        if owner is None:
+            rects.extend(ref_cells(ref_chop(x0, x1, s), ref_chop(ylo, yhi, s)))
+            continue
+        bands = [(ylo, owner.y.lo), (owner.y.lo, owner.y.hi),
+                 (owner.y.hi, yhi)]
+        for b0, b1 in bands:
+            if not b0 < b1:
+                continue
+            if b0 == owner.y.lo and b1 == owner.y.hi:
+                xs_band = ref_chop(x0, x1, s)
+                for a, b in zip(xs_band, xs_band[1:]):
+                    rects.append(closed_rect(a, b, b0, b1))
+            else:
+                rects.extend(ref_cells(ref_chop(x0, x1, s),
+                                       ref_chop(b0, b1, s)))
+    return RectDivision(region, rects, "extended")
+
+
+def ref_estimate_norm_limits_2d(gT, region, mode, cfg):
+    """Dyadic candidates per level, each rectangle's best variant found
+    once per sense, and one pass per sense."""
+    levels = []
+    for e in cfg.e_schedule:
+        s = ref_grid_spacing(e, 4)
+        specials = gT.special_rects(region, e)
+        cands = [ref_grid_division(region, s)]
+        for sp in specials:
+            cands.append(ref_grid_division(region, s, [sp.x.lo, sp.x.hi],
+                                           [sp.y.lo, sp.y.hi]))
+        if mode == "extended" and specials:
+            cands.append(ref_seeded_guillotine(region, specials, s))
+            for sp in specials:
+                cands.append(ref_seeded_guillotine(region, [sp], s))
+        for c in cands:
+            if len(c.rects) > cfg.max_points:
+                raise BudgetExceeded(
+                    f"{len(c.rects)} cells exceed {cfg.max_points}")
+        up = max(xsum(ref_best_value(gT, r, "max")[0] for r in c.rects)
+                 for c in cands)
+        low = min(xsum(ref_best_value(gT, r, "min")[0] for r in c.rects)
+                  for c in cands)
+        levels.append(LevelEstimate(e, up, low))
+    _tighten(levels)
+    return LimitReport(levels, _verdict(levels, cfg.tol_float))
+
+
+def rect_table(values, specials, bkfree):
+    """A deterministic rectangle function that picks one of the values per
+    (rectangle, brackets), with fixed special rectangles."""
+    n = len(values)
+
+    def ev(r):
+        k = 0
+        for p in (r.x.lo, r.x.hi, r.y.lo, r.y.hi):
+            k = (k * 7919 + (p.num << (16 - p.exp))) % 1000003
+        if not bkfree:
+            k += (8 * r.x.left_closed + 4 * r.x.right_closed
+                  + 2 * r.y.left_closed + r.y.right_closed)
+        return values[k % n]
+
+    return RectFunction("table", ev, bracket_independent=bkfree,
+                        special_rects=lambda region, e: specials)
+
+
+def _inside(lo, hi):
+    """Dyadics in [lo, hi] at up to six more binary digits."""
+    return st.integers(0, 64).map(lambda i: lo + (hi - lo) * Dyadic(i, 6))
+
+
+@st.composite
+def plane_cases(draw, max_side=16):
+    """A region with sides of at most max_side/8, and specials inside it
+    that do not overlap in x."""
+    x0, y0 = draw(st.integers(-16, 16)), draw(st.integers(-16, 16))
+    region = closed_rect(Dyadic(x0, 3),
+                         Dyadic(x0 + draw(st.integers(1, max_side)), 3),
+                         Dyadic(y0, 3),
+                         Dyadic(y0 + draw(st.integers(1, max_side)), 3))
+    xs = sort_points(draw(st.sets(_inside(region.x.lo, region.x.hi),
+                                  max_size=6)))
+    specials = []
+    for a, b in zip(xs[::2], xs[1::2]):
+        ys = sort_points(draw(st.sets(_inside(region.y.lo, region.y.hi),
+                                      min_size=2, max_size=2)))
+        specials.append(closed_rect(a, b, *ys))
+    return region, specials
+
+
+SPACINGS = st.builds(Dyadic, st.integers(1, 3), st.integers(0, 4))
+
+
+class TestPlanarReference:
+    @settings(max_examples=300, deadline=None)
+    @given(POINTS, POINTS, SPACINGS)
+    def test_chop_equals_reference(self, a, b, s):
+        assert chop(a, b, s) == ref_chop(a, b, s)
+
+    @settings(max_examples=200, deadline=None)
+    @given(plane_cases(), SPACINGS, st.data())
+    def test_builders_equal_reference(self, case, s, data):
+        region, specials = case
+        xa = data.draw(st.lists(_inside(region.x.lo, region.x.hi),
+                                max_size=4))
+        ya = data.draw(st.lists(_inside(region.y.lo, region.y.hi),
+                                max_size=4))
+        for got, ref in (
+                (grid_division(region, s, xa, ya),
+                 ref_grid_division(region, s, xa, ya)),
+                (seeded_guillotine(region, specials, s),
+                 ref_seeded_guillotine(region, specials, s))):
+            assert (got.mode, got.rects) == (ref.mode, ref.rects)
+
+    def test_anchors_outside_the_region_are_ignored(self):
+        unit = closed_rect(ZERO, ONE, ZERO, ONE)
+        s = Dyadic(1, 3)
+        got = grid_division(unit, s, [Dyadic(-1), ONE, Dyadic(3, 1)],
+                            [Dyadic(5, 2), Dyadic(9)])
+        assert got.rects == grid_division(unit, s, [], [Dyadic(5, 2)]).rects
+
+    @settings(max_examples=150, deadline=None)
+    @given(plane_cases(max_side=8),
+           st.lists(TABLE_VALUES_NAN, min_size=1, max_size=16),
+           st.booleans(), st.sampled_from(("restricted", "extended")),
+           st.sampled_from((1, 40, 200_000)))
+    def test_estimate_equals_per_rectangle_optimizer(self, case, values,
+                                                     bkfree, mode, cap):
+        region, specials = case
+        gT = rect_table(values, specials, bkfree)
+        cfg = planar_config(e_schedule=(ONE, Dyadic(1, 1)), max_points=cap)
+
+        def report(search):
+            try:
+                return limit_report_json(search(gT, region, mode, cfg))
+            except (BudgetExceeded, IndeterminateForm) as exc:
+                return type(exc).__name__, str(exc)
+
+        assert report(estimate_norm_limits_2d) == report(
+            ref_estimate_norm_limits_2d)
+
+
+def rect_level_counting(gT):
+    """gT behind a record of calls, and of the calls that repeat a
+    (rectangle, brackets) since the last special-rectangles call, which
+    every level of the planar search makes once."""
+    seen = set()
+    counts = {"calls": 0, "repeats": 0}
+
+    def ev(r):
+        counts["calls"] += 1
+        counts["repeats"] += r in seen
+        seen.add(r)
+        return gT(r)
+
+    def specials(region, e):
+        seen.clear()
+        return gT.special_rects(region, e)
+
+    return RectFunction(gT.name, ev, bracket_independent=gT.bracket_independent,
+                        special_rects=specials), counts
+
+
+def _asym():
+    charge = fixture("origin_indicator").fn
+    return RectFunction("asym", lambda r: float(r.x.length) * charge(r.y))
+
+
+PLANE_FUNCTIONS = {"two_squares": two_squares_function,
+                   "bottom_strips": bottom_strips_function,
+                   "area": area_function, "asym": _asym}
+
+
+class TestPlanarEvaluationCounts:
+    @pytest.mark.parametrize("mode", ("restricted", "extended"))
+    @pytest.mark.parametrize("name", sorted(PLANE_FUNCTIONS))
+    def test_no_rectangle_evaluated_twice_per_level(self, name, mode):
+        gT, counts = rect_level_counting(PLANE_FUNCTIONS[name]())
+        region = (closed_rect(ZERO, ONE, -ONE, ONE) if name == "asym"
+                  else closed_rect(ZERO, ONE, ZERO, ONE))
+        cfg = planar_config(e_schedule=(Dyadic(1, 2), Dyadic(1, 3)))
+        first = estimate_norm_limits_2d(gT, region, mode, cfg)
+        calls = counts["calls"]
+        assert calls > 0
+        assert counts["repeats"] == 0
+        # a second identical call evaluates as much again: no state
+        # survives between calls
+        second = estimate_norm_limits_2d(gT, region, mode, cfg)
+        assert counts["calls"] == 2 * calls
+        assert counts["repeats"] == 0
+        assert limit_report_json(first) == limit_report_json(second)
+
+    def test_planar_holds_no_module_state(self):
+        mutable = [name for name, value in vars(planar).items()
+                   if not name.startswith("__")
+                   and isinstance(value, (dict, list, set))]
+        assert mutable == []
