@@ -94,18 +94,23 @@ def _parse_region(text: Optional[str], default: Region) -> Region:
     return Region(spans)
 
 
-def _parse_permanent(text: Optional[str]):
+def _parse_permanent(text: Optional[str], region: Region):
+    """Permanent points "p:token" in the region; a bare "p" stays
+    mandatory with free brackets."""
     if not text:
         return []
     out = []
     for item in text.split(","):
-        point, _, token = item.partition(":")
-        p = Dyadic.parse(point.strip())
-        token = token.strip()
-        if token in PointConvention.TOKENS:
-            out.append((p, PointConvention.TOKENS[token]))
-        else:
-            out.append((p, None))
+        point, colon, token = (part.strip() for part in item.partition(":"))
+        p = Dyadic.parse(point)
+        if colon and token not in PointConvention.TOKENS:
+            raise ValueError(f"unknown convention {token!r} at {point}; "
+                             f"known tokens: "
+                             f"{' '.join(PointConvention.TOKENS)}")
+        if not region.contains_point(p):
+            raise ValueError(f"permanent point {point} is outside the "
+                             f"region {region}")
+        out.append((p, PointConvention.TOKENS[token] if colon else None))
     return out
 
 
@@ -213,7 +218,7 @@ def _dispatch(args) -> int:
         report = estimate_norm_limits(fx.fn, region, cfg)
         return _emit(report, args.format)
     if args.verb == "klimit":
-        perms = _parse_permanent(args.permanent) or list(fx.permanent)
+        perms = _parse_permanent(args.permanent, region) or list(fx.permanent)
         report = estimate_k_limits(fx.fn, region, perms, cfg)
         return _emit(report, args.format)
     if args.verb == "sigmalimit":

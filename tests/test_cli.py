@@ -216,3 +216,33 @@ class TestCli:
         assert code == 2
         assert out == ""
         assert message in err.getvalue()
+
+    @pytest.mark.parametrize("permanent, message", [
+        ("0:)x", "unknown convention ')x' at 0; known tokens: )( )[ ]( ]["),
+        ("1/2:", "unknown convention '' at 1/2"),
+        ("5:)[", "permanent point 5 is outside the region [0,1]"),
+        ("1/2:][,3/2", "permanent point 3/2 is outside the region"),
+    ])
+    def test_bad_permanent_point_exits_2(self, permanent, message):
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli(["klimit", "--fixture", "k_convention_jump",
+                                 "--permanent", permanent, "--e-min", "1/2^4"])
+        assert code == 2
+        assert out == ""
+        assert message in err.getvalue()
+
+    def test_bare_permanent_point_keeps_free_brackets(self):
+        from burkill.catalog import fixture
+        from burkill.core import Dyadic
+        from burkill.integrator import SearchConfig, estimate_k_limits
+        from burkill.reporting import limit_report_table
+
+        fx = fixture("k_convention_jump")
+        cfg = SearchConfig(e_schedule=(Dyadic(1, 3), Dyadic(1, 4)))
+        want = limit_report_table(estimate_k_limits(
+            fx.fn, fx.region, [(Dyadic(1, 1), None)], cfg))
+        code, out = run_cli(["klimit", "--fixture", "k_convention_jump",
+                             "--permanent", "1/2", "--e-min", "1/2^4"])
+        assert code == 0
+        assert out == want
