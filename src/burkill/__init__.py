@@ -36,7 +36,6 @@ from .integrator import (
     LimitReport,
     SearchConfig,
     additivity_defect,
-    cauchy_existence_check,
     estimate_k_limits,
     estimate_norm_limits,
     estimate_sigma_limit,

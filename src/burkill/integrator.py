@@ -411,19 +411,19 @@ def _fill(points, region: Region, e: Dyadic, max_points: int) -> Candidate:
     return Candidate(None, keys, runs, ex)
 
 
-def _level_candidates(
+def candidate_point_sets(
     g: IntervalFunction,
     region: Region,
     e: Dyadic,
     cfg: SearchConfig,
     extra: Sequence[Dyadic] = (),
-) -> tuple[list[Candidate], int]:
-    """The candidate family at norm bound e, and its keys' exponent.
+) -> list[Candidate]:
+    """The candidate family at norm bound e, all gaps strictly below e.
 
     The family: the grid, the offset grid, the grid with the special
     points, the special points alone and the latter with every gap's
     midpoint (the jitter), each with the extra points and filled below e,
-    without repeats.
+    without repeats.  Every candidate keys its points at one exponent.
     """
     spacing = _grid_spacing(e, cfg.grid_density)
     ex = max(spacing.exp, max(p.exp for p in region.endpoints()))
@@ -463,18 +463,7 @@ def _level_candidates(
     for keys, runs in filled:
         if all(keys != c.keys for c in unique):
             unique.append(Candidate(None, keys, runs, ex))
-    return unique, ex
-
-
-def candidate_point_sets(
-    g: IntervalFunction,
-    region: Region,
-    e: Dyadic,
-    cfg: SearchConfig,
-    extra: Sequence[Dyadic] = (),
-) -> list[Candidate]:
-    """The candidate family at norm bound e, all gaps strictly below e."""
-    return _level_candidates(g, region, e, cfg, extra)[0]
+    return unique
 
 
 # ---------------------------------------------------------------------------
@@ -507,8 +496,9 @@ def _search_levels(
     for e in cfg.e_schedule:
         level_locks = [lf(e) if lf else {} for lf, _ in traces]
         mandatory = mandatory_for_level(e) if mandatory_for_level else []
-        cands, ex = _level_candidates(
+        cands = candidate_point_sets(
             g, region, e, cfg, list(extra_points) + list(mandatory))
+        ex = cands[0].ex
         ilocks = [{_key(p, ex): lock for p, lock in locks.items()
                    if p.exp <= ex} for locks in level_locks]
         memo: dict = {}
@@ -712,22 +702,6 @@ def oscillation(report: LimitReport) -> float:
     if up == low and (up == INF or up == -INF):
         raise IndeterminateForm("oscillation of two like-signed infinities")
     return up - low
-
-
-def cauchy_existence_check(
-    g: IntervalFunction,
-    region: Region,
-    cfg: Optional[SearchConfig] = None,
-) -> tuple[bool, list[tuple[Dyadic, float]]]:
-    """Largest pairwise sum gap over sampled division pairs per level.
-
-    The existence verdict agrees with estimate_norm_limits convergence by
-    construction, since the same candidate divisions witness the gap.
-    """
-    report = estimate_norm_limits(g, region, cfg)
-    gaps = [(lv.e, lv.upper - lv.lower) for lv in report.levels]
-    exists = report.verdict.kind == "converged"
-    return exists, gaps
 
 
 # ---------------------------------------------------------------------------

@@ -69,8 +69,7 @@ def variation(
     cfg = cfg or SearchConfig()
     abs_report, base_report = abs_norm_reports(g, region, cfg)
     levels = [(lv.e, lv.upper) for lv in abs_report.levels]
-    raw = [lv.upper if lv.raw_upper is None else lv.raw_upper
-           for lv in abs_report.levels]
+    raw = [lv.raw_upper for lv in abs_report.levels]
     infinite = raw[-1] == INF or _growth_diverging(raw)
     a_bound = max(abs(base_report.upper), abs(base_report.lower))
     j_table = []

@@ -18,7 +18,6 @@ from burkill.integrator import (
     abs_norm_reports,
     additivity_defect,
     brute_force_extremal,
-    cauchy_existence_check,
     defect_report_at,
     estimate_k_limits,
     estimate_norm_limits,
@@ -79,7 +78,6 @@ EMPTY_REGION_ESTIMATES = {
                                                c),
     "abs_norm": abs_norm_reports,
     "sigma": estimate_sigma_limit,
-    "cauchy": cauchy_existence_check,
     "variation": variation,
 }
 
@@ -383,7 +381,7 @@ class TestSigmaLimit:
         assert sig.verdict.value == kp.verdict.value == 0.0
 
 
-class TestOscillationAndCauchy:
+class TestOscillation:
     def test_converged_oscillation_zero(self):
         rep = estimate_norm_limits(length_fn(), UNIT, cfg_levels())
         assert oscillation(rep) == 0.0
@@ -398,20 +396,6 @@ class TestOscillationAndCauchy:
         rep = estimate_norm_limits(fx.fn, Region.interval(ZERO, D(1)),
                                    cfg_levels())
         assert oscillation(rep) == 1.0  # brute-force lower lands on zeros
-
-    def test_cauchy_length(self):
-        exists, gaps = cauchy_existence_check(length_fn(), UNIT, cfg_levels())
-        assert exists and all(g == 0.0 for _, g in gaps)
-
-    def test_cauchy_origin(self):
-        exists, gaps = cauchy_existence_check(
-            fixture("origin_indicator").fn, SYM, cfg_levels())
-        assert not exists and all(g >= 1.0 for _, g in gaps)
-
-    def test_cauchy_continuous_stieltjes(self):
-        exists, gaps = cauchy_existence_check(
-            stieltjes(poly("x", [0, 1])), UNIT, cfg_levels())
-        assert exists and gaps[-1][1] <= 1e-9
 
 
 class TestDefectBound:
