@@ -381,7 +381,7 @@ class TestSigmaLimit:
         assert sig.verdict.value == kp.verdict.value == 0.0
 
 
-class TestOscillation:
+class TestOscillationAndCauchy:
     def test_converged_oscillation_zero(self):
         rep = estimate_norm_limits(length_fn(), UNIT, cfg_levels())
         assert oscillation(rep) == 0.0
