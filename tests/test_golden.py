@@ -14,7 +14,7 @@ import pytest
 
 from burkill.around_set import around_chain_check
 from burkill.catalog import fixture, fixture_names, poly, stieltjes
-from burkill.core import Dyadic, ZERO, dmid
+from burkill.core import Dyadic, Interval, Region, ZERO, dmid
 from burkill.density import MeasurableSet, density_integral
 from burkill.integrator import (
     SearchConfig,
@@ -38,7 +38,7 @@ from burkill.reporting import (
     density_report_json,
     limit_report_json,
 )
-from burkill.variation import variation
+from burkill.variation import j_singularity, variation, variation_split
 
 CFG = SearchConfig(e_schedule=tuple(Dyadic(1, k) for k in range(3, 9)))
 ONE = Dyadic(1)
@@ -92,6 +92,39 @@ def _variation():
                       limit_bytes(rep.base_report)])
 
 
+def _j(name):
+    fx = fixture(name)
+    return json.dumps([(y.serialize(),
+                        repr(j_singularity(fx.fn, fx.region, y, CFG)))
+                       for y in _interior_scan_points(fx)])
+
+
+def _interior_scan_points(fx):
+    return [y for y in fx.scan_points
+            if any(lo < y < hi for lo, hi in fx.region.components)]
+
+
+def _j_clipped():
+    """Windows clipped at both ends of [0, 1/2^4] at the first two levels,
+    around a point finer than every other point of the window."""
+    region = Region.interval(ZERO, Dyadic(1, 4))
+    return json.dumps([(name, repr(j_singularity(fixture(name).fn, region,
+                                                 Dyadic(1, 12), CFG)))
+                       for name in fixture_names()])
+
+
+def _split(g, lo, hi):
+    mid = dmid(lo, hi)
+    return "\n".join(variation_split(g, Interval(a, b, True, True),
+                                     CFG).to_json()
+                     for a, b in ((lo, hi), (lo, mid)))
+
+
+def _fixture_split(name):
+    fx = fixture(name)
+    return _split(fx.fn, *fx.region.components[0])
+
+
 def _density():
     fx = fixture("density_left_limit")
     E = MeasurableSet(list(fx.companion_sets["oscillating_blocks"]))
@@ -135,7 +168,14 @@ for _name in fixture_names():
     CASES[f"norm:{_name}"] = (_norm, _name)
     CASES[f"k_chain:{_name}"] = (_k_chain, _name)
     CASES[f"sigma:{_name}"] = (_sigma, _name)
+    if _interior_scan_points(fixture(_name)):
+        CASES[f"j_singularity:{_name}"] = (_j, _name)
+    if fixture(_name).fn.bracket_independent:
+        CASES[f"variation_split:{_name}"] = (_fixture_split, _name)
 CASES.update({
+    "j_singularity:clipped_window": (_j_clipped,),
+    "variation_split:stieltjes_cubic": (
+        _split, stieltjes(poly("x^3-x", [0, -1, 0, 1])), -ONE, ONE),
     "singularity_scan:m_power_singularity": (_scan,),
     "variation:origin_indicator": (_variation,),
     "density_integral:density_left_limit": (_density,),
@@ -166,6 +206,20 @@ GOLDEN = {
         "4104f939ce5abccd1122a0165e73706f32c3e4411d6f8edc31860639f96485ca",
     "fubini_chain:product+asym":
         "6fc7704712c513c8cc496e0a6bfea579462fdf4d793838649b548a8865d61686",
+    "j_singularity:clipped_window":
+        "faa907506a900c6556caba24434e564584f07b77eaa4077e8b3db92241ca8bb6",
+    "j_singularity:density_left_limit":
+        "f3ae6c33019b803a2ec1a5ee7088206f44aa22bbf3c6f6ca10ae00f182dcc6c5",
+    "j_singularity:dyadic_blocks":
+        "98e32bc8df79cb1f279c3fa943f524acdb382702793ad4eb5897351ff56dc00e",
+    "j_singularity:k_convention_jump":
+        "9db954bc292ef2470a9d6e517d510f8eceb794bdc24b10bcefe75ab841458700",
+    "j_singularity:m_power_singularity":
+        "f3ae6c33019b803a2ec1a5ee7088206f44aa22bbf3c6f6ca10ae00f182dcc6c5",
+    "j_singularity:origin_indicator":
+        "fa0f40dd4d72332bc7d3c05aef9e7cda759d4c2d9f0845f61689e589375b72d2",
+    "j_singularity:saks_A_counterexample":
+        "8c58408368d06fece2b3d19c97600170b0ab7ac2d22c338f6915fbee62c03598",
     "k_chain:density_left_limit":
         "9c8595af46e3530892a64e728e1be4634fe008538beb7be706614edf3bbf9121",
     "k_chain:dyadic_blocks":
@@ -222,6 +276,18 @@ GOLDEN = {
         "9754496e5fefca5087295e18cfb3f858be159688188d95135b1e56490f268080",
     "variation:origin_indicator":
         "e8d861a627eb3c47ff121383637e87c41d0b988926690595cde0f619f1a7d4b7",
+    "variation_split:density_left_limit":
+        "87e8b7d1d5b132d7b415578fc5f9d50759f66c88864732a868fc1dd1811ef5e6",
+    "variation_split:dyadic_blocks":
+        "6467a485266f2d69f9f9b273e87068dbc42876554eca9c5f6cd69c189d149406",
+    "variation_split:m_power_singularity":
+        "8e3d572971e94f97bd8c3cb7a1e53aabe1bc7b6da55fc2951d3535bb482afef1",
+    "variation_split:osc_left_limit":
+        "7a86d19351d1b37d1383d9ba6002d7e2d733d0ac03ccb7db37bd5a7733609a57",
+    "variation_split:saks_A_counterexample":
+        "701c2793e58e1f0662335f3070f97472e8ebddf8e93e0346bd292c9bdcbbb92f",
+    "variation_split:stieltjes_cubic":
+        "43f2198cf15d17ce54a1b12f80eb52a53a74223da675a3535bbdc12101933f73",
 }
 
 
