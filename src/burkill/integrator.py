@@ -401,14 +401,20 @@ def _fill_keys(keys: list[int], comps: list[tuple[int, int]], ek: int,
     return out, runs
 
 
-def _fill(points, region: Region, e: Dyadic, max_points: int) -> Candidate:
-    """Insert midpoints until every in-component gap is below e."""
-    pts = list(points) + region.endpoints()
-    ex = max(e.exp, max(p.exp for p in pts))
+def _fill(point_sets, region: Region, e: Dyadic,
+          max_points: int) -> list[Candidate]:
+    """Insert midpoints into each point set until every in-component gap is
+    below e; the candidates key their points at one exponent."""
+    ends = region.endpoints()
+    ex = max(e.exp, *(p.exp for pts in (ends, *point_sets) for p in pts))
     ex += _fill_depth(region, e, ex)
-    keys, runs = _fill_keys(sorted({_key(p, ex) for p in pts}),
-                            _comp_keys(region, ex), _key(e, ex), max_points)
-    return Candidate(None, keys, runs, ex)
+    comps, ek = _comp_keys(region, ex), _key(e, ex)
+    out = []
+    for pts in point_sets:
+        keys, runs = _fill_keys(sorted({_key(p, ex) for p in [*pts, *ends]}),
+                                comps, ek, max_points)
+        out.append(Candidate(None, keys, runs, ex))
+    return out
 
 
 def candidate_point_sets(
@@ -470,34 +476,25 @@ def candidate_point_sets(
 # Norm-limits
 # ---------------------------------------------------------------------------
 
-def _search_levels(
-    g: IntervalFunction,
-    region: Region,
-    cfg: Optional[SearchConfig],
-    traces: Sequence[tuple],
-    extra_points: Sequence[Dyadic] = (),
-    mandatory_for_level=None,
-) -> list[LimitReport]:
-    """Norm-limit reports of several traces over shared candidates.
+def _search_levels(g: IntervalFunction, cfg: SearchConfig,
+                   traces: Sequence[tuple], level) -> list[list[LevelEstimate]]:
+    """Untightened level estimates of several traces over shared candidates.
 
-    A trace is (locks_for_level or None, absolute): its junction locks per
-    level, and whether it scores |g| instead of g.  At each level the
-    candidates are built once and scored once per trace, all against one
-    memo of g's values that is dropped when the level ends.  A candidate
-    replaces a trace's best only on a strict improvement, and only the
-    winners get witness divisions.  Each trace is suffix-tightened and
-    judged against cfg.tol_float.
+    level(e) is the selection rule: it gives the region and the candidates
+    at norm bound e, all keyed at one exponent.  A trace is
+    (locks_for_level or None, absolute): its junction locks per level, and
+    whether it scores |g| instead of g; convention_mode "fixed" puts the
+    default convention at every point instead.  At each level every
+    candidate is scored once per trace, all against one memo of g's values
+    that is dropped when the level ends.  A candidate replaces a trace's
+    best only on a strict improvement, and only the winners get witness
+    divisions.
     """
-    cfg = cfg or SearchConfig()
-    if region.is_empty:
-        raise ValueError("region is empty")
     out: list[list[LevelEstimate]] = [[] for _ in traces]
     fixed = cfg.convention_mode == "fixed"
     for e in cfg.e_schedule:
         level_locks = [lf(e) if lf else {} for lf, _ in traces]
-        mandatory = mandatory_for_level(e) if mandatory_for_level else []
-        cands = candidate_point_sets(
-            g, region, e, cfg, list(extra_points) + list(mandatory))
+        region, cands = level(e)
         ex = cands[0].ex
         ilocks = [{_key(p, ex): lock for p, lock in locks.items()
                    if p.exp <= ex} for locks in level_locks]
@@ -519,17 +516,39 @@ def _search_levels(
             levels.append(LevelEstimate(
                 e, up, low,
                 None if wu is None else _witness(region, *wu),
-                None if wl is None else _witness(region, *wl),
-                raw_upper=up, raw_lower=low))
-    for levels in out:
-        _tighten(levels)
-    return [LimitReport(levels, _verdict(levels, cfg.tol_float))
-            for levels in out]
+                None if wl is None else _witness(region, *wl)))
+    return out
 
 
-def _tighten(levels: list[LevelEstimate]) -> None:
-    """Suffix-tighten a trace in place, witnesses along: a division
-    admissible at a fine bound is admissible at every coarser one."""
+def _norm_search(
+    g: IntervalFunction,
+    region: Region,
+    cfg: Optional[SearchConfig],
+    traces: Sequence[tuple],
+    extra_points: Sequence[Dyadic] = (),
+    mandatory_for_level=None,
+) -> list[LimitReport]:
+    """Norm-limit reports of several traces over the candidate family of
+    each level, with the extra points and the level's mandatory points."""
+    cfg = cfg or SearchConfig()
+    if region.is_empty:
+        raise ValueError("region is empty")
+
+    def level(e: Dyadic):
+        mandatory = mandatory_for_level(e) if mandatory_for_level else []
+        return region, candidate_point_sets(g, region, e, cfg,
+                                            [*extra_points, *mandatory])
+
+    return [_tightened_report(levels, cfg.tol_float)
+            for levels in _search_levels(g, cfg, traces, level)]
+
+
+def _tightened_report(levels: list[LevelEstimate], tol: float) -> LimitReport:
+    """Record each level's raw values, suffix-tighten the trace in place,
+    witnesses along (a division admissible at a fine bound is admissible
+    at every coarser one), and judge it against tol."""
+    for lv in levels:
+        lv.raw_upper, lv.raw_lower = lv.upper, lv.lower
     for i in range(len(levels) - 2, -1, -1):
         fine, coarse = levels[i + 1], levels[i]
         if fine.upper > coarse.upper:
@@ -538,6 +557,7 @@ def _tighten(levels: list[LevelEstimate]) -> None:
         if fine.lower < coarse.lower:
             coarse.lower = fine.lower
             coarse.witness_lower = fine.witness_lower
+    return LimitReport(levels, _verdict(levels, tol))
 
 
 def _growth_diverging(values: list[float]) -> bool:
@@ -556,11 +576,11 @@ def _verdict(levels: list[LevelEstimate], tol: float) -> Verdict:
     ups = [lv.upper for lv in levels]
     lows = [lv.lower for lv in levels]
     up, low = ups[-1], lows[-1]
-    if up == INF or up > DIVERGENCE_THRESHOLD:
-        if low == -INF or low < -DIVERGENCE_THRESHOLD:
+    if up > DIVERGENCE_THRESHOLD:
+        if low < -DIVERGENCE_THRESHOLD:
             return Verdict("oscillating", upper=INF, lower=-INF)
         return Verdict("diverging", value=INF)
-    if low == -INF or low < -DIVERGENCE_THRESHOLD:
+    if low < -DIVERGENCE_THRESHOLD:
         return Verdict("diverging", value=-INF)
     stabilized = (len(levels) >= 2
                   and abs(ups[-1] - ups[-2]) <= tol
@@ -582,7 +602,7 @@ def estimate_norm_limits(
     sum over the candidate family; the verdict compares the finest-level
     envelope against the tolerance.
     """
-    return _search_levels(g, region, cfg, [(None, False)], extra_points)[0]
+    return _norm_search(g, region, cfg, [(None, False)], extra_points)[0]
 
 
 def _permanent_schedule(g: IntervalFunction, region: Region,
@@ -624,8 +644,8 @@ def estimate_k_limits(
     if not permanent:
         return estimate_norm_limits(g, region, cfg)
     locks_for, mandatory_for = _permanent_schedule(g, region, permanent)
-    return _search_levels(g, region, cfg, [(locks_for, False)],
-                          mandatory_for_level=mandatory_for)[0]
+    return _norm_search(g, region, cfg, [(locks_for, False)],
+                        mandatory_for_level=mandatory_for)[0]
 
 
 def k_chain_reports(
@@ -643,22 +663,10 @@ def k_chain_reports(
     free ones.
     """
     locks_for, mandatory_for = _permanent_schedule(g, region, permanent)
-    k_rep, n_rep = _search_levels(g, region, cfg,
-                                  [(locks_for, False), (None, False)],
-                                  mandatory_for_level=mandatory_for)
+    k_rep, n_rep = _norm_search(g, region, cfg,
+                                [(locks_for, False), (None, False)],
+                                mandatory_for_level=mandatory_for)
     return n_rep, k_rep
-
-
-def abs_norm_reports(
-    g: IntervalFunction,
-    region: Region,
-    cfg: Optional[SearchConfig] = None,
-) -> tuple[LimitReport, LimitReport]:
-    """Norm-limit reports of |g| and of g, as estimate_norm_limits gives
-    them, over shared candidates: |g| is read off g's values."""
-    abs_rep, rep = _search_levels(g, region, cfg,
-                                  [(None, True), (None, False)])
-    return abs_rep, rep
 
 
 def estimate_sigma_limit(
@@ -676,21 +684,19 @@ def estimate_sigma_limit(
     if region.is_empty:
         raise ValueError("region is empty")
     points: set[Dyadic] = set(region.endpoints())
-    levels: list[LevelEstimate] = []
-    for e in cfg.e_schedule:
+
+    def level(e: Dyadic):
         spacing = _grid_spacing(e, cfg.grid_density)
         ex = max(spacing.exp, *(p.exp for p in region.endpoints()))
         points.update(Dyadic(k, ex) for k in _grid_keys(
             _comp_keys(region, ex), 0, _key(spacing, ex)))
         if cfg.use_special_points:
             points.update(g.special_points(region, e))
-        stage = _fill(points, region, e, cfg.max_points)
+        stage, = _fill([points], region, e, cfg.max_points)
         points.update(stage.points)
-        ups, lows, up_k, low_k = _score(g, stage, {}, {})
-        up = xsum(ups)
-        low = up if lows is ups else xsum(lows)
-        levels.append(LevelEstimate(e, up, low, _witness(region, stage, up_k),
-                                    _witness(region, stage, low_k)))
+        return region, [stage]
+
+    levels, = _search_levels(g, cfg, [(None, False)], level)
     return LimitReport(levels, _verdict(levels, cfg.tol_float))
 
 
@@ -858,6 +864,8 @@ def singularity_scan(
 
 def defect_report_at(g: IntervalFunction, region: Region, y: Dyadic,
                      cfg: Optional[SearchConfig] = None) -> DefectReport:
-    """Defect trace at one chosen point (y must be interior)."""
+    """Defect trace at one chosen point, interior to the region."""
+    if not any(lo < y < hi for lo, hi in region.components):
+        raise ValueError(f"{y} is not interior to {region}")
     cfg = cfg or SearchConfig()
     return _defect_at(g, y, cfg, _triple_pool(g, region, cfg), {})

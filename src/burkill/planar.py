@@ -32,8 +32,7 @@ from .integrator import (
     _VARIANTS,
     _grid_spacing,
     _key,
-    _tighten,
-    _verdict,
+    _tightened_report,
     candidate_point_sets,
     estimate_norm_limits,
 )
@@ -272,8 +271,7 @@ def estimate_norm_limits_2d(
         levels.append(LevelEstimate(
             e, max(xsum(up for up, _ in vs) for vs in vals),
             min(xsum(low for _, low in vs) for vs in vals)))
-    _tighten(levels)
-    return LimitReport(levels, _verdict(levels, cfg.tol_float))
+    return _tightened_report(levels, cfg.tol_float)
 
 
 # ---------------------------------------------------------------------------

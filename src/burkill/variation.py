@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .catalog import INF, IntervalFunction, abs_fn, xsum
+from .catalog import INF, IntervalFunction
 from .core import Dyadic, Interval, Region, dmax, dmin
 from .errors import BracketDependent
 from .integrator import (
@@ -26,9 +26,10 @@ from .integrator import (
     _fill,
     _growth_diverging,
     _neighbours,
+    _norm_search,
     _score,
+    _search_levels,
     _triple_pool,
-    abs_norm_reports,
     scan_candidates,
 )
 
@@ -67,10 +68,11 @@ def variation(
 ) -> VariationReport:
     """Estimate Var(g; region) as the upper norm-limit of |g|."""
     cfg = cfg or SearchConfig()
-    abs_report, base_report = abs_norm_reports(g, region, cfg)
+    # |g| is scored off g's values, over the candidates of g's own search
+    abs_report, base_report = _norm_search(g, region, cfg,
+                                           [(None, True), (None, False)])
     levels = [(lv.e, lv.upper) for lv in abs_report.levels]
-    raw = [lv.raw_upper for lv in abs_report.levels]
-    infinite = raw[-1] == INF or _growth_diverging(raw)
+    infinite = _growth_diverging([lv.raw_upper for lv in abs_report.levels])
     a_bound = max(abs(base_report.upper), abs(base_report.lower))
     j_table = []
     if scan_j:
@@ -87,14 +89,10 @@ def variation(
     )
 
 
-def _window(region: Region, y: Dyadic, e: Dyadic) -> Optional[Region]:
+def _window(region: Region, y: Dyadic, e: Dyadic) -> Region:
     a, b = y - e, y + e
-    spans = []
-    for lo, hi in region.components:
-        w_lo, w_hi = dmax(lo, a), dmin(hi, b)
-        if w_lo < w_hi:
-            spans.append((w_lo, w_hi))
-    return Region(spans) if spans else None
+    spans = [(dmax(lo, a), dmin(hi, b)) for lo, hi in region.components]
+    return Region([(lo, hi) for lo, hi in spans if lo < hi])
 
 
 def j_singularity(
@@ -111,30 +109,23 @@ def j_singularity(
     cfg = cfg or SearchConfig()
     if not any(lo < y < hi for lo, hi in region.components):
         raise ValueError(f"{y} is not interior to {region}")
-    ag = abs_fn(g)
     # carry y and the defect scan's nearest anchor points, so any split the
     # defect estimate sees is available here (c <= 2j stays checkable)
     below, above = _neighbours(_triple_pool(g, region, cfg), y)
     anchors = below + above
-    trace = []
-    for e in cfg.e_schedule:
+
+    def level(e: Dyadic):
         window = _window(region, y, e)
-        if window is None:
-            trace.append(0.0)
-            continue
         fine = e.half().half()
         near = [p for p in anchors if window.contains_point(p)]
-        base = window.endpoints() + near + ag.special_points(window, fine)
-        # one candidate splits at y, one straddles it; the two fills can
-        # key their points at different exponents, so each gets its own memo
-        with_y = _fill(base + [y], window, fine, cfg.max_points)
-        without_y = _fill([p for p in base if p != y], window, fine,
-                          cfg.max_points)
-        trace.append(max(xsum(_score(ag, c, {}, {})[0])
-                         for c in (with_y, without_y)))
-    if trace[-1] == INF or _growth_diverging(trace):
-        return INF
-    return trace[-1]
+        base = window.endpoints() + near + g.special_points(window, fine)
+        # one candidate splits at y, one straddles it
+        return window, _fill([base + [y], [p for p in base if p != y]],
+                             window, fine, cfg.max_points)
+
+    levels, = _search_levels(g, cfg, [(None, True)], level)
+    trace = [lv.upper for lv in levels]
+    return INF if _growth_diverging(trace) else trace[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -378,12 +369,10 @@ def variation_split(
     cfg = cfg or SearchConfig()
     sub = Region.interval(J.lo, J.hi)
     e = cfg.finest()
-    cand = _fill(sub.endpoints() + g.special_points(sub, e), sub, e,
-                 cfg.max_points)
+    cand, = _fill([g.special_points(sub, e)], sub, e, cfg.max_points)
     p_up = 0.0
     n_low = 0.0
-    for a, b in cand.spans:
-        v = g(Interval(a, b, True, True))
+    for v in _score(g, cand, {}, {})[0]:
         if v > 0:
             p_up += v
         elif v < 0:

@@ -14,8 +14,7 @@ from burkill.catalog import (
 from burkill.core import Dyadic, Interval, Region, ZERO, division_from_points
 from burkill.integrator import (
     SearchConfig,
-    _search_levels,
-    abs_norm_reports,
+    _norm_search,
     additivity_defect,
     brute_force_extremal,
     defect_report_at,
@@ -76,7 +75,6 @@ EMPTY_REGION_ESTIMATES = {
     "k": lambda g, r, c: estimate_k_limits(g, r, [(ZERO, (False, True))], c),
     "k_chain": lambda g, r, c: k_chain_reports(g, r, [(ZERO, (False, True))],
                                                c),
-    "abs_norm": abs_norm_reports,
     "sigma": estimate_sigma_limit,
     "variation": variation,
 }
@@ -347,7 +345,7 @@ class TestKLimits:
         mandatory = list(full)
 
         def levels(locks):
-            return _search_levels(
+            return _norm_search(
                 fx.fn, fx.region, cfg, [(lambda e: locks, False)],
                 mandatory_for_level=lambda e: mandatory)[0].levels
 
@@ -372,6 +370,12 @@ class TestSigmaLimit:
                                    cfg_levels())
         assert rep.verdict.kind == "oscillating"
         assert (rep.upper, rep.lower) == (2.0, 0.0)
+
+    def test_fixed_convention_recovers_additive_value(self):
+        g = fixture("origin_indicator").fn
+        rep = estimate_sigma_limit(g, SYM, cfg_levels(convention_mode="fixed"))
+        assert rep.verdict.kind == "converged"
+        assert rep.verdict.value == g(Interval(D(-1), D(1), True, False))
 
     def test_agrees_with_all_conventions_k_limit(self):
         fx = fixture("m_power_singularity")
@@ -411,3 +415,9 @@ class TestDefectBound:
         rep = estimate_norm_limits(fx.fn, fx.region, cfg)
         c = defect_report_at(fx.fn, fx.region, D(1), cfg).c
         assert c <= oscillation(rep) + 2e-6
+
+    @pytest.mark.parametrize("y", [D(5), ZERO, D(2)])
+    def test_point_outside_the_interior_rejected(self, y):
+        fx = fixture("saks_A_counterexample")
+        with pytest.raises(ValueError, match="not interior"):
+            defect_report_at(fx.fn, fx.region, y, cfg_levels(3, 5))

@@ -53,9 +53,7 @@ from burkill.integrator import (
     estimate_norm_limits,
     estimate_sigma_limit,
     LevelEstimate,
-    LimitReport,
-    _tighten,
-    _verdict,
+    _tightened_report,
     k_chain_reports,
 )
 from burkill.planar import (
@@ -633,12 +631,20 @@ class TestCandidateReference:
         full, _ = ref_fill(points, region, e, 1 << 30)
         # every budget up to the one the fill needs, so each boundary shows
         for cap in range(len(full) + 2):
-            cand = _family(lambda: _fill(points, region, e, cap))
+            cand = _family(lambda: _fill([points], region, e, cap)[0])
             ref = _family(lambda: ref_fill(points, region, e, cap))
             if ref == "BudgetExceeded":
                 assert cand == ref
             else:
                 assert (cand.points, cand.spans) == ref
+
+    def test_fill_keys_every_set_at_one_exponent(self):
+        region = Region.interval(ZERO, Dyadic(1, 4))
+        e, finest = Dyadic(1, 5), Dyadic(1, 12)
+        with_fine, alone = _fill([[finest], []], region, e, 1 << 10)
+        assert with_fine.ex == alone.ex
+        assert finest in with_fine.points
+        assert alone.points == _fill([[]], region, e, 1 << 10)[0].points
 
     @settings(max_examples=200, deadline=None)
     @given(regions(), st.lists(POINTS, max_size=8),
@@ -956,6 +962,20 @@ class TestEvaluationCounts:
         SEARCHES[search](fx.fn, fx, cfg)
         assert called == []
 
+    @pytest.mark.parametrize("name", [
+        n for n in fixture_names()
+        if any(lo < y < hi for y in fixture(n).scan_points
+               for lo, hi in fixture(n).region.components)])
+    def test_j_evaluates_no_span_twice_per_level(self, name):
+        # the fills with y and without y share one memo per window
+        fx = fixture(name)
+        g, counts = level_counting(fx.fn)
+        for y in fx.scan_points:
+            if any(lo < y < hi for lo, hi in fx.region.components):
+                variation_mod.j_singularity(g, fx.region, y, LEVELS)
+        assert counts["calls"] > 0
+        assert counts["repeats"] == 0
+
     def test_criterion_8_scores_the_staircase_pool_once(self, monkeypatch):
         g, calls = counting(cantor_staircase_function()[0])
         monkeypatch.setattr(verify, "cantor_staircase_function",
@@ -1059,8 +1079,7 @@ def ref_estimate_norm_limits_2d(gT, region, mode, cfg):
         low = min(xsum(ref_best_value(gT, r, "min")[0] for r in c.rects)
                   for c in cands)
         levels.append(LevelEstimate(e, up, low))
-    _tighten(levels)
-    return LimitReport(levels, _verdict(levels, cfg.tol_float))
+    return _tightened_report(levels, cfg.tol_float)
 
 
 def rect_table(values, specials, bkfree):

@@ -80,6 +80,16 @@ class TestJSingularity:
         fx = fixture("dyadic_blocks")
         assert j_singularity(fx.fn, fx.region, ZERO, cfg()) == INF
 
+    def test_fixed_convention_bounded_by_variation(self):
+        # under ")[" at every junction the charge at 0 counts once
+        g = fixture("origin_indicator").fn
+        fixed = SearchConfig(e_schedule=cfg().e_schedule,
+                             convention_mode="fixed")
+        sym = Region.interval(D(-1), D(1))
+        total = variation(g, sym, fixed, scan_j=False).total
+        assert total == 1.0
+        assert j_singularity(g, sym, ZERO, fixed) <= total
+
     def test_requires_interior(self):
         with pytest.raises(ValueError):
             j_singularity(length_fn(), UNIT, ZERO, cfg())
