@@ -477,7 +477,8 @@ def candidate_point_sets(
 # ---------------------------------------------------------------------------
 
 def _search_levels(g: IntervalFunction, cfg: SearchConfig,
-                   traces: Sequence[tuple], level) -> list[list[LevelEstimate]]:
+                   traces: Sequence[tuple],
+                   level) -> list[list[LevelEstimate]]:
     """Untightened level estimates of several traces over shared candidates.
 
     level(e) is the selection rule: it gives the region and the candidates
