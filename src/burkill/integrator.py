@@ -67,9 +67,9 @@ class SearchConfig:
         if self.max_points <= 0:
             raise ValueError(f"max_points, the point budget of a candidate, "
                              f"must be positive, not {self.max_points!r}")
-        if not self.tol_float >= 0:
+        if not 0 <= self.tol_float < INF:
             raise ValueError(f"tol_float, the convergence tolerance, must be "
-                             f"a non-negative number, not {self.tol_float!r}")
+                             f"a finite number >= 0, not {self.tol_float!r}")
         if self.convention_mode not in CONVENTION_MODES:
             raise ValueError(f"convention_mode must be one of "
                              f"{CONVENTION_MODES}, not {self.convention_mode!r}")

@@ -124,6 +124,19 @@ class TestCli:
         assert out == ""
         assert "tol_float" in err.getvalue()
 
+    @pytest.mark.parametrize("argv", [["--tol", "1e400"],
+                                      ["--tol", "inf", "--format", "json"]])
+    def test_infinite_tolerance_exits_2(self, argv):
+        """An infinite tolerance would call any bracket converged and
+        write a non-JSON "tol": Infinity."""
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli(["integrate", "--fixture", "origin_indicator",
+                                 "--e-min", "1/2^5", *argv])
+        assert code == 2
+        assert out == ""
+        assert "tol_float" in err.getvalue() and "inf" in err.getvalue()
+
     @pytest.mark.parametrize("e_min", ["0", "-1/2^3"])
     def test_non_positive_e_min_exits_2(self, e_min):
         # in a child process, so that a regression hangs no test run

@@ -61,6 +61,11 @@ class TestSearchConfig:
         with pytest.raises(ValueError, match="tol_float"):
             SearchConfig(tol_float=tol)
 
+    @pytest.mark.parametrize("tol", [float("inf"), float("1e400")])
+    def test_infinite_tolerance_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol_float.* finite"):
+            SearchConfig(tol_float=tol)
+
     @pytest.mark.parametrize("cap", [0, -5])
     def test_non_positive_max_points_rejected(self, cap):
         with pytest.raises(ValueError, match="max_points"):
