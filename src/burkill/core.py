@@ -403,26 +403,13 @@ class Division:
     __slots__ = ("region", "intervals", "points")
 
     def __init__(self, region: Region, intervals: Sequence[Interval],
-                 points: Sequence[Dyadic], validate: bool = False):
+                 points: Sequence[Dyadic]):
         object.__setattr__(self, "region", region)
         object.__setattr__(self, "intervals", tuple(intervals))
         object.__setattr__(self, "points", tuple(points))
-        if validate:
-            self._check()
 
     def __setattr__(self, name, value):
         raise AttributeError("Division is immutable")
-
-    def _check(self):
-        total = ZERO
-        prev_hi = None
-        for iv in self.intervals:
-            if prev_hi is not None and iv.lo < prev_hi:
-                raise ValueError("intervals overlap")
-            prev_hi = iv.hi
-            total = total + iv.length
-        if total != self.region.measure:
-            raise ValueError("interval closures do not cover the region")
 
     @property
     def norm(self) -> Dyadic:

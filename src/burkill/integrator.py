@@ -104,12 +104,21 @@ class LevelEstimate:
     e: Dyadic
     upper: float
     lower: float
-    witness_upper: Optional[Division] = None
-    witness_lower: Optional[Division] = None
+    # the winners, as handles that build their divisions when first read
+    handle_upper: Optional[Witness] = None
+    handle_lower: Optional[Witness] = None
     # per-level values before suffix tightening; growth across levels is the
     # divergence signal, since the true d(e) could only tighten downward
     raw_upper: Optional[float] = None
     raw_lower: Optional[float] = None
+
+    @property
+    def witness_upper(self) -> Optional[Division]:
+        return self.handle_upper and self.handle_upper.division
+
+    @property
+    def witness_lower(self) -> Optional[Division]:
+        return self.handle_lower and self.handle_lower.division
 
 
 @dataclass
@@ -265,18 +274,27 @@ def _score(g: IntervalFunction, cand: Candidate, memo: dict, locks: dict,
     return ups, lows, up_k, low_k
 
 
-def _witness(region: Region, cand: Candidate,
-             choice: Optional[list[int]]) -> Division:
-    """The division of a candidate's spans with the chosen variants."""
-    pts = cand.points
-    raw = Interval.raw
-    chosen = iter(choice) if choice is not None else None
-    intervals = []
-    for start, stop in cand.runs:
-        for i in range(start, stop - 1):
-            lc, rc = _VARIANTS[next(chosen) if chosen else 0]
-            intervals.append(raw(pts[i], pts[i + 1], lc, rc))
-    return Division(region, intervals, tuple(pts))
+class Witness:
+    """The division of a candidate's spans with the chosen variants (None:
+    the open variant on every span), built the first time it is read."""
+
+    __slots__ = ("region", "cand", "choice", "_division")
+
+    def __init__(self, region: Region, cand: Candidate,
+                 choice: Optional[list[int]]):
+        self.region, self.cand, self.choice = region, cand, choice
+        self._division: Optional[Division] = None
+
+    @property
+    def division(self) -> Division:
+        if self._division is None:
+            pts, raw = self.cand.points, Interval.raw
+            kinds = iter(self.choice or [0] * len(pts))
+            self._division = Division(self.region, [
+                raw(pts[i], pts[i + 1], *_VARIANTS[next(kinds)])
+                for start, stop in self.cand.runs
+                for i in range(start, stop - 1)], tuple(pts))
+        return self._division
 
 
 def extremal_sum(
@@ -304,8 +322,8 @@ def extremal_sum(
                if p in locks} if locks else {})
     ups, lows, up_k, low_k = _score(g, cand, {}, ilocks)
     if sense == "max":
-        return xsum(ups), _witness(region, cand, up_k)
-    return xsum(lows), _witness(region, cand, low_k)
+        return xsum(ups), Witness(region, cand, up_k).division
+    return xsum(lows), Witness(region, cand, low_k).division
 
 
 def brute_force_extremal(
@@ -488,8 +506,8 @@ def _search_levels(g: IntervalFunction, cfg: SearchConfig,
     default convention at every point instead.  At each level every
     candidate is scored once per trace, all against one memo of g's values
     that is dropped when the level ends.  A candidate replaces a trace's
-    best only on a strict improvement, and only the winners get witness
-    divisions.
+    best only on a strict improvement; the winners' divisions are built
+    only when they are read.
     """
     out: list[list[LevelEstimate]] = [[] for _ in traces]
     fixed = cfg.convention_mode == "fixed"
@@ -510,14 +528,11 @@ def _search_levels(g: IntervalFunction, cfg: SearchConfig,
                 up = xsum(ups)
                 low = up if lows is ups else xsum(lows)
                 if up > b[0]:
-                    b[0], b[2] = up, (cand, up_k)
+                    b[0], b[2] = up, Witness(region, cand, up_k)
                 if low < b[1]:
-                    b[1], b[3] = low, (cand, low_k)
-        for levels, (up, low, wu, wl) in zip(out, best):
-            levels.append(LevelEstimate(
-                e, up, low,
-                None if wu is None else _witness(region, *wu),
-                None if wl is None else _witness(region, *wl)))
+                    b[1], b[3] = low, Witness(region, cand, low_k)
+        for levels, b in zip(out, best):
+            levels.append(LevelEstimate(e, *b))
     return out
 
 
@@ -546,18 +561,18 @@ def _norm_search(
 
 def _tightened_report(levels: list[LevelEstimate], tol: float) -> LimitReport:
     """Record each level's raw values, suffix-tighten the trace in place,
-    witnesses along (a division admissible at a fine bound is admissible
-    at every coarser one), and judge it against tol."""
+    witness handles along (a division admissible at a fine bound is
+    admissible at every coarser one), and judge it against tol."""
     for lv in levels:
         lv.raw_upper, lv.raw_lower = lv.upper, lv.lower
     for i in range(len(levels) - 2, -1, -1):
         fine, coarse = levels[i + 1], levels[i]
         if fine.upper > coarse.upper:
             coarse.upper = fine.upper
-            coarse.witness_upper = fine.witness_upper
+            coarse.handle_upper = fine.handle_upper
         if fine.lower < coarse.lower:
             coarse.lower = fine.lower
-            coarse.witness_lower = fine.witness_lower
+            coarse.handle_lower = fine.handle_lower
     return LimitReport(levels, _verdict(levels, tol))
 
 
@@ -725,11 +740,6 @@ def _variant_values(g: IntervalFunction, lo: Dyadic, hi: Dyadic,
     return memo[key]
 
 
-def _spread(left: list[float], right: list[float]) -> float:
-    sums = [a + b for a in left for b in right]
-    return max(sums) - min(sums)
-
-
 def _split_scores(whole: list[float], left: list[float],
                   right: list[float]) -> tuple[float, float]:
     """The split defect over the 64 bracket choices, and the two-sided
@@ -741,7 +751,8 @@ def _split_scores(whole: list[float], left: list[float],
                 val = abs(w - a - b)
                 if val > c:
                     c = val
-    return c, max(c, _spread(left, right))
+    sums = [a + b for a in left for b in right]
+    return c, max(c, max(sums) - min(sums))
 
 
 def _triple_values(g: IntervalFunction, x: Dyadic, y: Dyadic, z: Dyadic,

@@ -42,11 +42,11 @@ from burkill.integrator import (
     Candidate,
     DefectReport,
     SearchConfig,
+    Witness,
     _defect_at,
     _fill,
     _neighbours,
     _score,
-    _witness,
     additivity_defect,
     candidate_point_sets,
     defect_report_at,
@@ -516,8 +516,8 @@ class TestFusedPassReference:
                 continue
             for sense, vals, choice in (("max", ups, up_k),
                                         ("min", lows, low_k)):
-                got = _outcome(lambda: (xsum(vals),
-                                        _witness(region, cand, choice)))
+                got = _outcome(lambda: (xsum(vals), Witness(
+                    region, cand, choice).division))
                 ref = _outcome(lambda: ref_extremal_spans(
                     ref_g, pts, spans, region, sense, locks))
                 assert got == ref
