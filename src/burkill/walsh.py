@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -99,7 +100,16 @@ def _bareiss_det(mat: list[list[int]]) -> int:
             for j in range(k + 1, n):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    return sign * a[n - 1][n - 1] if n else 1
+
+
+def _rational_det(mat: list[list[Fraction]]) -> Fraction:
+    """Exact determinant of a rational matrix: det M = det(L*M) / L**n,
+    L the lcm of the entries' denominators, by Bareiss elimination."""
+    scale = lcm(*(v.denominator for row in mat for v in row))
+    return Fraction(_bareiss_det([[v.numerator * (scale // v.denominator)
+                                   for v in row] for row in mat]),
+                    scale ** len(mat))
 
 
 def exact_determinant(table: SignTable) -> int:
@@ -361,7 +371,7 @@ def determinant_identity_check(gs: Sequence, ms: Sequence, M) -> float:
     if exact:
         mat = [[M * M * ms[i] * (1 if i == j else 0) - gs[i] * gs[j]
                 for j in range(n)] for i in range(n)]
-        det = _fraction_det(mat)
+        det = _rational_det(mat)
         prod = Fraction(1)
         for m in ms:
             prod *= m
@@ -380,29 +390,3 @@ def determinant_identity_check(gs: Sequence, ms: Sequence, M) -> float:
         float(M) ** 2 - sum(float(g) ** 2 / float(m)
                             for g, m in zip(gs, ms)))
     return abs(det - closed) / max(1.0, abs(closed))
-
-
-def _fraction_det(mat: list[list[Fraction]]) -> Fraction:
-    a = [row[:] for row in mat]
-    n = len(a)
-    det = Fraction(1)
-    for k in range(n):
-        pivot = None
-        for i in range(k, n):
-            if a[i][k] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != k:
-            a[k], a[pivot] = a[pivot], a[k]
-            det = -det
-        det *= a[k][k]
-        inv = 1 / a[k][k]
-        for i in range(k + 1, n):
-            factor = a[i][k] * inv
-            if factor == 0:
-                continue
-            for j in range(k, n):
-                a[i][j] -= factor * a[k][j]
-    return det

@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from burkill.core import Dyadic, Interval
 from burkill.density import MeasurableSet
 from burkill.errors import StageTooLarge, ZeroMeasureSet
 from burkill.walsh import (
     StepFunction,
+    _rational_det,
     basis_function,
     cell,
     continuity_bound,
@@ -224,3 +226,63 @@ class TestDeterminantIdentity:
             gs = [rng.uniform(-1, 1) for _ in range(n)]
             ms = [rng.uniform(0.1, 1) for _ in range(n)]
             assert determinant_identity_check(gs, ms, 2.0) <= 1e-10
+
+
+def ref_fraction_det(mat):
+    """Gaussian elimination in Fractions, the determinant's former code."""
+    a = [row[:] for row in mat]
+    n = len(a)
+    det = Fraction(1)
+    for k in range(n):
+        pivot = None
+        for i in range(k, n):
+            if a[i][k] != 0:
+                pivot = i
+                break
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            det = -det
+        det *= a[k][k]
+        inv = 1 / a[k][k]
+        for i in range(k + 1, n):
+            factor = a[i][k] * inv
+            if factor == 0:
+                continue
+            for j in range(k, n):
+                a[i][j] -= factor * a[k][j]
+    return det
+
+
+FRACTIONS = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 60))
+
+
+@st.composite
+def rational_matrices(draw):
+    """Square matrices of n <= 6 with small rational entries; some are made
+    singular by repeating a scaled row."""
+    n = draw(st.integers(0, 6))
+    mat = [draw(st.lists(FRACTIONS, min_size=n, max_size=n))
+           for _ in range(n)]
+    if n >= 2 and draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        c = draw(FRACTIONS)
+        mat[j] = [c * v for v in mat[i]] if i != j else [F(0)] * n
+    return mat
+
+
+class TestRationalDeterminant:
+    @settings(max_examples=300, deadline=None)
+    @given(rational_matrices())
+    def test_cleared_bareiss_equals_fraction_elimination(self, mat):
+        assert _rational_det(mat) == ref_fraction_det(mat)
+
+    def test_singular_identity_case(self):
+        # M^2 m_i d_ij - g_i g_j is singular when M^2 = sum g_i^2 / m_i,
+        # and so is the closed form
+        gs, ms = [F(1), F(1)], [F(1, 2), F(1, 2)]
+        assert determinant_identity_check(gs, ms, F(2)) == 0.0
+        mat = [[4 * ms[i] * (i == j) - gs[i] * gs[j] for j in range(2)]
+               for i in range(2)]
+        assert _rational_det(mat) == ref_fraction_det(mat) == 0
