@@ -72,10 +72,11 @@ class PointFunction:
 class IntervalFunction:
     """Pure evaluation contract g(Interval) -> extended real.
 
-    span, when given, is g on integer endpoints: span(a, b, ex, left_closed,
+    span is g on integer endpoints: span(a, b, ex, left_closed,
     right_closed) evaluates g over a/2^ex .. b/2^ex, a < b, for any ex >= 0
-    that holds both ends.  Searches call it directly, with no Interval
-    built; a function given only span is called through it.
+    that holds both ends.  Searches evaluate g only through it.  A function
+    given only span is called through it, and one given only func answers
+    span through an adapter that builds the Interval from the keys.
 
     special_points(region, resolution) returns dyadic hint points for
     divisions of norm below `resolution`; singular_schedule enumerates
@@ -98,8 +99,11 @@ class IntervalFunction:
         ] = None,
     ):
         self.name = name
+        if func is None and span is None:
+            raise ValueError(f"{name} needs func or span")
         self._func = func or self._from_span
-        self.span = span
+        self.span = span or self._to_span
+        self._ends = (None,) * 5         # the adapter's last keys and ends
         self.additive = additive
         self.bracket_independent = bracket_independent
         self.continuous = continuous
@@ -114,6 +118,16 @@ class IntervalFunction:
         ex = max(lo.exp, hi.exp)
         return self.span(lo.num << (ex - lo.exp), hi.num << (ex - hi.exp), ex,
                          iv.left_closed, iv.right_closed)
+
+    def _to_span(self, a: int, b: int, ex: int, lc: bool, rc: bool) -> float:
+        # searches score a candidate's spans in order, so a span mostly
+        # repeats the last one or starts at its end: reuse those Dyadics
+        last_a, last_b, last_ex, lo, hi = self._ends
+        if b != last_b or a != last_a or ex != last_ex:
+            lo = hi if a == last_b and ex == last_ex else Dyadic(a, ex)
+            hi = Dyadic(b, ex)
+            self._ends = (a, b, ex, lo, hi)
+        return self._func(Interval.raw(lo, hi, lc, rc))
 
     def special_points(self, region: Region, resolution: Dyadic) -> list[Dyadic]:
         if self._special is None:
@@ -145,7 +159,7 @@ def abs_fn(g: IntervalFunction) -> IntervalFunction:
     return IntervalFunction(
         f"|{g.name}|",
         lambda iv: abs(g(iv)),
-        span=span and (lambda a, b, ex, lc, rc: abs(span(a, b, ex, lc, rc))),
+        span=lambda a, b, ex, lc, rc: abs(span(a, b, ex, lc, rc)),
         bracket_independent=g.bracket_independent,
         continuous=g.continuous,
         special_points=g._special,

@@ -27,7 +27,6 @@ from .core import (
     division_from_points,
     dmid,
     floor_log2,
-    sort_points,
 )
 from .errors import BudgetExceeded, IndeterminateForm
 
@@ -177,36 +176,22 @@ def _span_variants(locks: dict, cand: "Candidate", i: int) -> tuple[int, ...]:
 
 
 class Candidate:
-    """A candidate point set: the sorted points, their integer keys at the
-    exponent ex, and the (start, stop) index range of the points inside each
-    region component.  Consecutive points of a range bound one interval.
-    Given keys and ex alone, the points are built on first use."""
+    """A candidate point set: sorted integer keys at the exponent ex (key k
+    stands for the point k/2^ex), and the (start, stop) index range of the
+    keys inside each region component.  Consecutive keys of a range bound
+    one interval."""
 
-    __slots__ = ("_points", "keys", "ex", "runs")
+    __slots__ = ("keys", "ex", "runs")
 
-    def __init__(self, points: Optional[list[Dyadic]],
-                 keys: Optional[list[int]] = None,
-                 runs: Optional[list[tuple[int, int]]] = None,
-                 ex: Optional[int] = None):
-        self._points = points
-        if keys is None:
-            ex = max((p.exp for p in points), default=0)
-            keys = [_key(p, ex) for p in points]
-        self.keys = keys
-        self.ex = ex
-        self.runs = [(0, len(keys))] if runs is None else runs
+    def __init__(self, keys: list[int], ex: int,
+                 runs: list[tuple[int, int]]):
+        self.keys, self.ex, self.runs = keys, ex, runs
 
     @property
     def points(self) -> list[Dyadic]:
-        if self._points is None:
-            self._points = [Dyadic(k, self.ex) for k in self.keys]
-        return self._points
-
-    @property
-    def spans(self) -> list[tuple[Dyadic, Dyadic]]:
-        pts = self.points
-        return [(pts[i], pts[i + 1])
-                for start, stop in self.runs for i in range(start, stop - 1)]
+        """The points as Dyadics, built anew on each read."""
+        ex = self.ex
+        return [Dyadic(k, ex) for k in self.keys]
 
 
 def _score(g: IntervalFunction, cand: Candidate, memo: dict, locks: dict,
@@ -215,7 +200,7 @@ def _score(g: IntervalFunction, cand: Candidate, memo: dict, locks: dict,
 
     memo maps a span's integer endpoints to g's value when g is bracket
     independent, else to its four variant values, filled as they are
-    needed; g.span, when g has it, evaluates straight from the keys.  Per
+    needed by g.span straight from the keys.  Per
     span, each sense takes the first allowed variant unless a later one is
     strictly better.  absolute scores |g| off the same values.
     Returns the values and the variant indices chosen in the max and the
@@ -223,8 +208,6 @@ def _score(g: IntervalFunction, cand: Candidate, memo: dict, locks: dict,
     and None stands for the open variant on every span.
     """
     keys, ex, span = cand.keys, cand.ex, g.span
-    pts = None if span else cand.points
-    raw = Interval.raw
     if g.bracket_independent:
         vals: list[float] = []
         choice: Optional[list[int]] = [] if locks else None
@@ -237,9 +220,7 @@ def _score(g: IntervalFunction, cand: Candidate, memo: dict, locks: dict,
                 key = (keys[i], keys[i + 1])
                 v = memo.get(key)
                 if v is None:
-                    v = memo[key] = (
-                        span(*key, ex, *_VARIANTS[k]) if span
-                        else g(raw(pts[i], pts[i + 1], *_VARIANTS[k])))
+                    v = memo[key] = span(*key, ex, *_VARIANTS[k])
                 vals.append(abs(v) if absolute else v)
         return vals, vals, choice, choice
     ups: list[float] = []
@@ -257,9 +238,7 @@ def _score(g: IntervalFunction, cand: Candidate, memo: dict, locks: dict,
             for k in allowed:
                 v = row[k]
                 if v is None:
-                    v = row[k] = (
-                        span(*key, ex, *_VARIANTS[k]) if span
-                        else g(raw(pts[i], pts[i + 1], *_VARIANTS[k])))
+                    v = row[k] = span(*key, ex, *_VARIANTS[k])
                 vs.append(abs(v) if absolute else v)
             hi = lo = 0
             for j in range(1, len(vs)):
@@ -317,9 +296,11 @@ def extremal_sum(
     for run in _component_runs(region, points):
         runs.append((start, start + len(run)))
         start += len(run)
-    cand = Candidate(list(points), runs=runs)
-    ilocks = ({k: locks[p] for p, k in zip(cand.points, cand.keys)
-               if p in locks} if locks else {})
+    ex = max((p.exp for p in points), default=0)
+    keys = [_key(p, ex) for p in points]
+    cand = Candidate(keys, ex, runs)
+    ilocks = ({k: locks[p] for p, k in zip(points, keys) if p in locks}
+              if locks else {})
     ups, lows, up_k, low_k = _score(g, cand, {}, ilocks)
     if sense == "max":
         return xsum(ups), Witness(region, cand, up_k).division
@@ -431,7 +412,7 @@ def _fill(point_sets, region: Region, e: Dyadic,
     for pts in point_sets:
         keys, runs = _fill_keys(sorted({_key(p, ex) for p in [*pts, *ends]}),
                                 comps, ek, max_points)
-        out.append(Candidate(None, keys, runs, ex))
+        out.append(Candidate(keys, ex, runs))
     return out
 
 
@@ -486,7 +467,7 @@ def candidate_point_sets(
     unique: list[Candidate] = []
     for keys, runs in filled:
         if all(keys != c.keys for c in unique):
-            unique.append(Candidate(None, keys, runs, ex))
+            unique.append(Candidate(keys, ex, runs))
     return unique
 
 
@@ -730,16 +711,6 @@ def oscillation(report: LimitReport) -> float:
 # Additivity defects and the singularity scan
 # ---------------------------------------------------------------------------
 
-def _variant_values(g: IntervalFunction, lo: Dyadic, hi: Dyadic,
-                    memo: dict) -> list[float]:
-    """g over the four bracket variants of lo..hi, in canonical order; the
-    memo maps each span already seen to its values."""
-    key = (lo.num, lo.exp, hi.num, hi.exp)
-    if key not in memo:
-        memo[key] = [g(v) for v in Interval(lo, hi).variants()]
-    return memo[key]
-
-
 def _split_scores(whole: list[float], left: list[float],
                   right: list[float]) -> tuple[float, float]:
     """The split defect over the 64 bracket choices, and the two-sided
@@ -755,10 +726,16 @@ def _split_scores(whole: list[float], left: list[float],
     return c, max(c, max(sums) - min(sums))
 
 
-def _triple_values(g: IntervalFunction, x: Dyadic, y: Dyadic, z: Dyadic,
-                   memo: dict):
-    return (_variant_values(g, x, z, memo), _variant_values(g, x, y, memo),
-            _variant_values(g, y, z, memo))
+def _triple_values(g: IntervalFunction, x: int, y: int, z: int, ex: int,
+                   memo: dict) -> list[list[float]]:
+    """g over the four bracket variants of x..z, x..y and y..z, keys at ex,
+    in canonical order; memo maps each key pair already seen to them."""
+    out = []
+    for key in ((x, z), (x, y), (y, z)):
+        if key not in memo:
+            memo[key] = [g.span(*key, ex, lc, rc) for lc, rc in _VARIANTS]
+        out.append(memo[key])
+    return out
 
 
 def additivity_defect(g: IntervalFunction, x: Dyadic, y: Dyadic,
@@ -766,7 +743,9 @@ def additivity_defect(g: IntervalFunction, x: Dyadic, y: Dyadic,
     """Maximum of |g(x..z) - g(x..y) - g(y..z)| over the 64 bracket choices."""
     if not (x < y < z):
         raise ValueError("need x < y < z")
-    return _split_scores(*_triple_values(g, x, y, z, {}))[0]
+    ex = max(x.exp, y.exp, z.exp)
+    return _split_scores(*_triple_values(
+        g, _key(x, ex), _key(y, ex), _key(z, ex), ex, {}))[0]
 
 
 def _probe_grid(region: Region) -> list[Dyadic]:
@@ -800,19 +779,23 @@ def scan_candidates(g: IntervalFunction, region: Region,
 
 
 def _defect_at(g: IntervalFunction, y: Dyadic, cfg: SearchConfig,
-               pool: list[Dyadic], memo: dict):
-    below, above = _neighbours(pool, y)
-    above = [p for p in above if p > y][:4]
-    # distances to y and norm bounds as integers at one exponent
-    ex = max(p.exp for p in (y, *below, *above, *cfg.e_schedule))
-    yk = y.num << (ex - y.exp)
-    gap_below = [yk - (p.num << (ex - p.exp)) for p in below]
-    gap_above = [(p.num << (ex - p.exp)) - yk for p in above]
+               pool: tuple, memo: dict) -> DefectReport:
+    """The defect trace at y over triples x < y < z of the keyed pool from
+    _triple_pool.  x and z must lie in y's component: the outer span of a
+    triple that crosses a gap is not in the region."""
+    keys, ex, comps = pool
+    yk = _key(y, ex)
+    lo, hi = next((lo, hi) for lo, hi in comps if lo < yk < hi)
+    below, above = _neighbours(keys, yk)
+    below = [k for k in below if k >= lo]
+    above = [k for k in above if yk < k <= hi][:4]
+    gap_below = [yk - k for k in below]
+    gap_above = [k - yk for k in above]
     scores: dict = {}                    # (i, j) -> (split defect, two-sided)
     trace = []
     sigma_trace = []
     for e in cfg.e_schedule:
-        ek = e.num << (ex - e.exp)
+        ek = _key(e, ex)
         js = [j for j, d in enumerate(gap_above) if d < ek]
         c_best = 0.0
         s_best = 0.0
@@ -822,8 +805,8 @@ def _defect_at(g: IntervalFunction, y: Dyadic, cfg: SearchConfig,
             for j in js:
                 cs = scores.get((i, j))
                 if cs is None:
-                    cs = scores[i, j] = _split_scores(
-                        *_triple_values(g, below[i], y, above[j], memo))
+                    cs = scores[i, j] = _split_scores(*_triple_values(
+                        g, below[i], yk, above[j], ex, memo))
                 c_best = max(c_best, cs[0])
                 s_best = max(s_best, cs[1])
         trace.append((e, c_best))
@@ -836,22 +819,22 @@ def _defect_at(g: IntervalFunction, y: Dyadic, cfg: SearchConfig,
     return DefectReport(y, trace, trace[-1][1], sigma_trace[-1][1])
 
 
-def _triple_pool(g: IntervalFunction, region: Region,
-                 cfg: SearchConfig) -> list[Dyadic]:
-    pool = set(g.special_points(region, cfg.finest())[:1024])
-    pool.update(region.endpoints())
-    pool.update(_probe_grid(region))
-    return sort_points(pool)
+def _triple_pool(g: IntervalFunction, region: Region, cfg: SearchConfig,
+                 ys: Sequence[Dyadic]) -> tuple:
+    """The defect scan's pool of special, end and probe points as sorted
+    distinct keys at one exponent, which also holds the points ys and
+    every norm bound, with that exponent and the components' keys."""
+    pts = [*g.special_points(region, cfg.finest())[:1024],
+           *region.endpoints(), *_probe_grid(region)]
+    ex = max(p.exp for p in (*pts, *ys, *cfg.e_schedule))
+    return sorted({_key(p, ex) for p in pts}), ex, _comp_keys(region, ex)
 
 
-def _neighbours(pool: list[Dyadic],
-                y: Dyadic) -> tuple[list[Dyadic], list[Dyadic]]:
-    """The up to four points of a sorted pool below y, and the up to five
-    from y upward."""
-    emax = max(y.exp, max(p.exp for p in pool))
-    keys = [p.num << (emax - p.exp) for p in pool]
-    idx = bisect_left(keys, y.num << (emax - y.exp))
-    return pool[max(0, idx - 4):idx], pool[idx:idx + 5]
+def _neighbours(keys: list[int], yk: int) -> tuple[list[int], list[int]]:
+    """The up to four keys of a sorted pool below yk, and the up to five
+    from yk upward."""
+    idx = bisect_left(keys, yk)
+    return keys[max(0, idx - 4):idx], keys[idx:idx + 5]
 
 
 def singularity_scan(
@@ -868,8 +851,8 @@ def singularity_scan(
     if g.additive and g.bracket_independent:
         return []
     scan = scan_candidates(g, region, cfg)
-    pool = _triple_pool(g, region, cfg)
-    memo: dict = {}                      # span -> its four variant values
+    pool = _triple_pool(g, region, cfg, scan)
+    memo: dict = {}                      # key pair -> its variant values
     reports = [_defect_at(g, y, cfg, pool, memo) for y in scan]
     return [r for r in reports if r.c > cfg.tol_float]
 
@@ -880,4 +863,4 @@ def defect_report_at(g: IntervalFunction, region: Region, y: Dyadic,
     if not any(lo < y < hi for lo, hi in region.components):
         raise ValueError(f"{y} is not interior to {region}")
     cfg = cfg or SearchConfig()
-    return _defect_at(g, y, cfg, _triple_pool(g, region, cfg), {})
+    return _defect_at(g, y, cfg, _triple_pool(g, region, cfg, [y]), {})

@@ -347,7 +347,8 @@ def fubini_chain(
         sums = []                      # per candidate: the four span sums
         for c in candidate_point_sets(plain, rx, e, cfg):
             cols: list[list[float]] = [[], [], [], []]
-            for a, b in c.spans:
+            pts = c.points                 # rx has one component
+            for a, b in zip(pts, pts[1:]):
                 reps = [inner(Interval.raw(a, b, lc, rc))
                         for lc, rc in variants]
                 cols[0].append(min(r.levels[i].lower for r in reps))

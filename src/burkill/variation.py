@@ -25,6 +25,7 @@ from .integrator import (
     SearchConfig,
     _fill,
     _growth_diverging,
+    _key,
     _neighbours,
     _norm_search,
     _score,
@@ -111,8 +112,9 @@ def j_singularity(
         raise ValueError(f"{y} is not interior to {region}")
     # carry y and the defect scan's nearest anchor points, so any split the
     # defect estimate sees is available here (c <= 2j stays checkable)
-    below, above = _neighbours(_triple_pool(g, region, cfg), y)
-    anchors = below + above
+    keys, ex, _ = _triple_pool(g, region, cfg, [y])
+    below, above = _neighbours(keys, _key(y, ex))
+    anchors = [Dyadic(k, ex) for k in below + above]
 
     def level(e: Dyadic):
         window = _window(region, y, e)
@@ -185,16 +187,13 @@ class _ScoredPool:
                 self.best[sense][0].append(vals[k])
                 self.best[sense][1].append(variants[k])
 
-    def _key(self, d: Dyadic) -> int:
-        return d.num << (self.E - d.exp)
-
     def cap(self, n: int) -> None:
         """Keep the n intervals of highest max-sense value density, ties
         to the leftmost."""
         vals = self.best["max"][0]
         keep = sorted(range(len(self.pool)),
                       key=lambda i: (-abs(vals[i]) / self.lengths[i],
-                                     self._key(self.pool[i].lo)))[:n]
+                                     _key(self.pool[i].lo, self.E)))[:n]
 
         def pick(col):
             return [col[i] for i in keep]
@@ -211,8 +210,8 @@ class _ScoredPool:
                                         variants):
             if (sense == "max" and val <= 0) or (sense == "min" and val >= 0):
                 continue
-            out.append((-(abs(val) / length), self._key(iv.lo),
-                        self._key(iv.hi), val, biv))
+            out.append((-(abs(val) / length), _key(iv.lo, self.E),
+                        _key(iv.hi, self.E), val, biv))
         out.sort(key=lambda t: (t[0], t[1], t[2]))
         return out
 

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from burkill.catalog import (
+    IntervalFunction,
     cantor_staircase_function,
     fixture,
     fixture_names,
@@ -52,6 +53,11 @@ class TestHelpers:
     def test_pow2(self):
         assert pow2(3) == D(1, 3)
         assert float(pow2(0)) == 1.0
+
+
+    def test_function_needs_func_or_span(self):
+        with pytest.raises(ValueError, match="needs func or span"):
+            IntervalFunction("empty")
 
 
 class TestStieltjes:

@@ -5,6 +5,7 @@ import pytest
 from burkill.catalog import (
     add_fn,
     fixture,
+    fixture_names,
     length_fn,
     poly,
     pow2,
@@ -164,6 +165,16 @@ class TestExtremalSum:
         assert (iv.left_closed, iv.right_closed) == (False, False)
 
 
+WITNESS_SEARCHES = {
+    "norm": lambda fx: [estimate_norm_limits(fx.fn, fx.region,
+                                             cfg_levels(3, 9))],
+    "k_chain": lambda fx: k_chain_reports(fx.fn, fx.region,
+                                          list(fx.permanent), cfg_levels(3, 9)),
+    "sigma": lambda fx: [estimate_sigma_limit(fx.fn, fx.region,
+                                              cfg_levels(3, 9))],
+}
+
+
 class TestNormLimits:
     def test_length_converges(self):
         rep = estimate_norm_limits(length_fn(), UNIT, cfg_levels())
@@ -211,11 +222,22 @@ class TestNormLimits:
                                 cfg_levels(3, 13))
         assert abs(rep.lower - 1.0) <= 1e-6
 
-    def test_witness_has_reported_sum(self):
-        fx = fixture("saks_A_counterexample")
-        rep = estimate_norm_limits(fx.fn, fx.region, cfg_levels())
-        lv = rep.levels[-1]
-        assert riemann_sum(fx.fn, lv.witness_upper) == lv.upper
+    @pytest.mark.parametrize("side", ("upper", "lower"))
+    @pytest.mark.parametrize("search", sorted(WITNESS_SEARCHES))
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_witness_has_reported_sum(self, name, search, side):
+        # the search scores on g.span; each witness, re-summed on its
+        # Intervals, gives the value the level reports
+        fx = fixture(name)
+        checked = 0
+        for rep in WITNESS_SEARCHES[search](fx):
+            for lv in rep.levels:
+                witness = getattr(lv, f"witness_{side}")
+                if witness is not None:
+                    assert repr(riemann_sum(fx.fn, witness)) == \
+                        repr(getattr(lv, side)), lv.e
+                    checked += 1
+        assert checked
 
     def test_scaling_rule(self):
         fx = fixture("origin_indicator")
@@ -293,6 +315,21 @@ class TestDefects:
         rep = defect_report_at(fx.fn, fx.region, ZERO, cfg_levels())
         vals = [v for _, v in rep.trace]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
+
+    # the gap between the components holds the origin, so the region
+    # holds none of m_power_singularity's charged spans [-2^-i, 2^-i]
+    GAPPED = Region([(-D(1), -pow2(12)), (pow2(12), D(1))])
+
+    def test_scan_triples_stay_in_one_component(self):
+        fx = fixture("m_power_singularity")
+        assert singularity_scan(fx.fn, self.GAPPED, cfg_levels(3, 9)) == []
+
+    def test_defect_report_triples_stay_in_one_component(self):
+        fx = fixture("m_power_singularity")
+        left = Region([(-D(1), -pow2(12))])
+        for region in (self.GAPPED, left):
+            rep = defect_report_at(fx.fn, region, -pow2(11), cfg_levels(3, 9))
+            assert rep.c == rep.sigma == 0.0
 
     def test_blocks_defect_free_at_origin(self):
         fx = fixture("dyadic_blocks")

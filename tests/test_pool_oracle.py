@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from burkill.catalog import IntervalFunction, fixture, fixture_names
-from burkill.core import Dyadic, Interval, Region, sort_points
+from burkill.core import Dyadic, Interval, Region
 from burkill.integrator import (
     SearchConfig,
     candidate_point_sets,
@@ -39,16 +39,15 @@ def _span_values(g, a, b):
 def pool_dp(g, region, e, cfg) -> tuple[float, float]:
     """The optimal upper and lower Riemann sums over divisions of norm
     below e with points in the level's candidate pool."""
-    pool = set()
-    for cand in candidate_point_sets(g, region, e, cfg):
-        pool.update(cand.points)
-    pool = sort_points(pool)
+    cands = candidate_point_sets(g, region, e, cfg)
+    ex = cands[0].ex                     # one exponent holds the level
+    pool = sorted({k for cand in cands for k in cand.keys})
+    ek = e.num << (ex - e.exp)
     up_total = low_total = 0.0
     for lo, hi in region.components:
-        pts = [p for p in pool if lo <= p <= hi]
-        ex = max(p.exp for p in pts + [e])
-        keys = [p.num << (ex - p.exp) for p in pts]
-        ek = e.num << (ex - e.exp)
+        keys = [k for k in pool
+                if lo.num << (ex - lo.exp) <= k <= hi.num << (ex - hi.exp)]
+        pts = [Dyadic(k, ex) for k in keys]
         up = [0.0] + [None] * (len(pts) - 1)
         low = [0.0] + [None] * (len(pts) - 1)
         for j in range(1, len(pts)):

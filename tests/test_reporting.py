@@ -106,7 +106,7 @@ def witnesses(draw):
     n_spans = len(keys) - len(runs)
     choice = draw(st.one_of(st.none(), st.lists(
         st.integers(0, 3), min_size=n_spans, max_size=n_spans)))
-    return Witness(region, Candidate(None, keys, runs, ex), choice)
+    return Witness(region, Candidate(keys, ex, runs), choice)
 
 
 @st.composite

@@ -43,9 +43,10 @@ from burkill.integrator import (
     DefectReport,
     SearchConfig,
     Witness,
+    _comp_keys,
     _defect_at,
     _fill,
-    _neighbours,
+    _key,
     _score,
     additivity_defect,
     candidate_point_sets,
@@ -111,14 +112,17 @@ def ref_point_defect(g, x, y, z):
     return max(ref_additivity_defect(g, x, y, z), ref_pair_spread(g, x, y, z))
 
 
-def ref_defect_at(g, y, cfg, pool):
-    """Every level rescans its window and rescores every triple."""
-    near_below, near_above = _neighbours(pool, y)
+def ref_defect_at(g, y, cfg, pool, region):
+    """Every level rescans its window and rescores every triple, of the up
+    to four pool points on each side of y in y's component."""
+    lo, hi = next((lo, hi) for lo, hi in region.components if lo < y < hi)
+    near_below = [p for p in pool if lo <= p < y][-4:]
+    near_above = [p for p in pool if y < p <= hi][:4]
     trace = []
     sigma_trace = []
     for e in cfg.e_schedule:
         below = [p for p in near_below if y - p < e]
-        above = [p for p in near_above if p > y and p - y < e][:4]
+        above = [p for p in near_above if p - y < e]
         c_best = 0.0
         s_best = 0.0
         for x in below:
@@ -267,28 +271,37 @@ POINTS = st.builds(Dyadic, st.integers(-48, 48), st.integers(0, 4))
 
 @st.composite
 def defect_cases(draw):
+    """A pool whose ends bound one or two region components, and points
+    interior to them: pool points or any points."""
     pool = sort_points(draw(st.lists(POINTS, min_size=2, max_size=12,
                                      unique=True)))
-    lo, hi = pool[0], pool[-1]
-    interior = [p for p in pool if lo < p < hi]
+    n = len(pool)
+    split = draw(st.integers(0, n - 3)) if n >= 4 else 0
+    region = Region([(pool[0], pool[split]), (pool[split + 1], pool[-1])]
+                    if split else [(pool[0], pool[-1])])
+    interior = [p for p in pool if pool[0] < p < pool[-1]]
     ys = draw(st.lists(st.one_of(st.sampled_from(interior), POINTS)
                        if interior else POINTS, min_size=1, max_size=4))
+    ys = [y for y in ys if any(lo < y < hi for lo, hi in region.components)]
     ks = sorted(draw(st.sets(st.integers(-3, 6), min_size=1, max_size=5)))
     cfg = SearchConfig(e_schedule=tuple(Dyadic(1, k) if k >= 0
                                         else Dyadic(1 << -k) for k in ks))
     values = draw(st.lists(TABLE_VALUES, min_size=1, max_size=16))
-    return pool, ys, cfg, table_function(values)
+    return pool, region, ys, cfg, table_function(values)
 
 
 class TestDefectScanReference:
     @settings(max_examples=200, deadline=None)
     @given(defect_cases())
     def test_memo_scan_equals_per_triple_recomputation(self, case):
-        pool, ys, cfg, g = case
+        pool, region, ys, cfg, g = case
+        # the pool keyed as _triple_pool keys it
+        ex = max(p.exp for p in (*pool, *ys, *cfg.e_schedule))
+        keyed = ([_key(p, ex) for p in pool], ex, _comp_keys(region, ex))
         memo: dict = {}                      # shared across points, as a scan
         for y in ys:
-            got = _defect_at(g, y, cfg, pool, memo)
-            assert repr(got) == repr(ref_defect_at(g, y, cfg, pool))
+            got = _defect_at(g, y, cfg, keyed, memo)
+            assert repr(got) == repr(ref_defect_at(g, y, cfg, pool, region))
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(POINTS, min_size=3, max_size=3, unique=True),
@@ -500,11 +513,11 @@ class TestFusedPassReference:
         ref_g = abs_fn(g) if absolute else g
         memo: dict = {}                   # shared, as within one level
         for pts, runs in cands:
-            cand = Candidate(pts, [p.num << (4 - p.exp) for p in pts], runs)
+            cand = Candidate([p.num << (4 - p.exp) for p in pts], 4, runs)
             spans = [(a, b) for a, b in zip(pts, pts[1:])
                      if any(lo <= a and b <= hi
                             for lo, hi in region.components)]
-            assert cand.spans == spans
+            assert from_keys(cand) == (pts, spans)
             ilocks = {k: locks[p] for p, k in zip(pts, cand.keys)
                       if p in locks}
             try:
@@ -605,6 +618,14 @@ def ref_candidate_point_sets(g, region, e, cfg, extra=()):
     return unique
 
 
+def from_keys(cand):
+    """A candidate's points and spans, built from its keys, as the
+    references list them."""
+    pts = [Dyadic(k, cand.ex) for k in cand.keys]
+    return pts, [(pts[i], pts[i + 1])
+                 for start, stop in cand.runs for i in range(start, stop - 1)]
+
+
 def _family(fn):
     try:
         return fn()
@@ -636,7 +657,7 @@ class TestCandidateReference:
             if ref == "BudgetExceeded":
                 assert cand == ref
             else:
-                assert (cand.points, cand.spans) == ref
+                assert from_keys(cand) == ref
 
     def test_fill_keys_every_set_at_one_exponent(self):
         region = Region.interval(ZERO, Dyadic(1, 4))
@@ -656,7 +677,7 @@ class TestCandidateReference:
                              special_points=lambda r, res: specials)
         cfg = SearchConfig(e_schedule=(e,), grid_density=density,
                            max_points=cap, use_special_points=use_specials)
-        got = _family(lambda: [(c.points, c.spans) for c in
+        got = _family(lambda: [from_keys(c) for c in
                                candidate_point_sets(g, region, e, cfg, extra)])
         assert got == _family(lambda: ref_candidate_point_sets(
             g, region, e, cfg, extra))
@@ -668,7 +689,7 @@ class TestCandidateReference:
         cfg = SearchConfig()
         for k in range(3, 10):
             e = Dyadic(1, k)
-            got = [(c.points, c.spans) for c in
+            got = [from_keys(c) for c in
                    candidate_point_sets(fx.fn, fx.region, e, cfg, extra)]
             assert got == ref_candidate_point_sets(fx.fn, fx.region, e, cfg,
                                                    extra)
@@ -891,7 +912,10 @@ class TestSpanEvaluatorReference:
         iv = Interval(Dyadic(1, 1), Dyadic(3, 2))     # the zigzag falls 1
         assert fn(iv) == -1.0
         assert abs_fn(fn).span(2, 3, 2, True, True) == abs_fn(fn)(iv) == 1.0
-        assert abs_fn(counting(fn)[0]).span is None
+        # a function given only func answers span through the adapter
+        counted, calls = counting(fn)
+        assert abs_fn(counted).span(2, 3, 2, True, True) == 1.0
+        assert calls == [1]
 
 
 # ---------------------------------------------------------------------------
