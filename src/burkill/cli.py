@@ -61,6 +61,15 @@ def _load_config_file(path: Optional[str]) -> dict:
     return out
 
 
+def _number(kind, key: str, text: str):
+    """text as an int or a float; a bad value fails naming its key."""
+    try:
+        return kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"{key} must be {what}, not {text!r}") from None
+
+
 def _config_from(args, file_cfg: dict) -> SearchConfig:
     e_min = args.e_min if args.e_min else file_cfg.get("e_min", "1/2^12")
     finest = Dyadic.parse(e_min)
@@ -75,12 +84,14 @@ def _config_from(args, file_cfg: dict) -> SearchConfig:
         exps.append(k)
         k += 1
     exps.append(k)
-    tol = float(args.tol if args.tol else file_cfg.get("tol", "1e-6"))
+    tol = _number(float, "tol", args.tol or file_cfg.get("tol", "1e-6"))
     return SearchConfig(
         e_schedule=tuple(Dyadic(1, j) for j in exps),
-        grid_density=int(file_cfg.get("grid_density", "2")),
+        grid_density=_number(int, "grid_density",
+                             file_cfg.get("grid_density", "2")),
         tol_float=tol,
-        max_points=int(file_cfg.get("max_points", "200000")),
+        max_points=_number(int, "max_points",
+                           file_cfg.get("max_points", "200000")),
     )
 
 
@@ -190,7 +201,8 @@ def _dispatch(args) -> int:
     if args.verb == "verify":
         criteria = None
         if args.criteria:
-            criteria = [int(x) for x in args.criteria.split(",")]
+            criteria = [_number(int, "--criteria", x)
+                        for x in args.criteria.split(",")]
         results = run_all(criteria)
         for r in results:
             sys.stdout.write(r.line() + "\n")

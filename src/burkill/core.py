@@ -468,13 +468,12 @@ def division_from_points(
     region: Region,
     points: Sequence[Dyadic],
     conventions: Iterable[PointConvention] = (),
-    boundary_closed: bool = True,
 ) -> Division:
     """Divide a region at the given points.
 
     Brackets at interior points come from the supplied conventions (the
-    default is ")[" where none is given); boundary points of each component
-    take boundary_closed on their outward side.
+    default is ")[" where none is given); each component is closed at its
+    ends unless a convention is given there.
     """
     conv = {c.point: (c.left_closed, c.right_closed) for c in conventions}
     runs = _component_runs(region, points)
@@ -482,14 +481,9 @@ def division_from_points(
     for run in runs:
         for i in range(len(run) - 1):
             a, b = run[i], run[i + 1]
-            if i == 0:
-                lc = conv[a][1] if a in conv else boundary_closed
-            else:
-                lc = conv.get(a, DEFAULT_CONVENTION)[1]
-            if i == len(run) - 2:
-                rc = conv[b][0] if b in conv else boundary_closed
-            else:
-                rc = conv.get(b, DEFAULT_CONVENTION)[0]
+            lc = conv.get(a, DEFAULT_CONVENTION if i else (True, True))[1]
+            rc = conv.get(b, DEFAULT_CONVENTION if i < len(run) - 2
+                          else (True, True))[0]
             intervals.append(Interval(a, b, lc, rc))
     return Division(region, intervals, points)
 

@@ -176,10 +176,10 @@ def _span_variants(locks: dict, cand: "Candidate", i: int) -> tuple[int, ...]:
 
 
 class Candidate:
-    """A candidate point set: sorted integer keys at the exponent ex (key k
-    stands for the point k/2^ex), and the (start, stop) index range of the
-    keys inside each region component.  Consecutive keys of a range bound
-    one interval."""
+    """A candidate point set: integer keys at the exponent ex (key k stands
+    for the point k/2^ex), and the (start, stop) index ranges of its runs.
+    Consecutive keys of a run bound one interval.  A division's keys are
+    sorted, with one run per region component."""
 
     __slots__ = ("keys", "ex", "runs")
 
@@ -358,10 +358,14 @@ def _grid_spacing(e: Dyadic, density: int) -> Dyadic:
     return spacing
 
 
-def _grid_keys(comps: list[tuple[int, int]], start: int,
-               step: int) -> list[int]:
-    """Keys lo + start + j*step below hi, component by component."""
-    return [k for lo, hi in comps for k in range(lo + start, hi, step)]
+def _grid_keys(comps: list[tuple[int, int]], start: int, step: int,
+               cap: int) -> list[int]:
+    """Keys lo + start + j*step below hi, component by component; with each
+    component's right end they must fit the point budget cap."""
+    grid = [range(lo + start, hi, step) for lo, hi in comps]
+    if sum(map(len, grid)) + len(comps) > cap:
+        raise BudgetExceeded(f"grid needs more than {cap} points")
+    return [k for keys in grid for k in keys]
 
 
 def _fill_keys(keys: list[int], comps: list[tuple[int, int]], ek: int,
@@ -432,11 +436,6 @@ def candidate_point_sets(
     """
     spacing = _grid_spacing(e, cfg.grid_density)
     ex = max(spacing.exp, max(p.exp for p in region.endpoints()))
-    sp = _key(spacing, ex)
-    # the grid's points plus each component's right end
-    n_grid = sum(len(range(lo, hi, sp)) for lo, hi in _comp_keys(region, ex))
-    if n_grid + len(region.components) > cfg.max_points:
-        raise BudgetExceeded(f"grid needs more than {cfg.max_points} points")
     specials = (g.special_points(region, e) if cfg.use_special_points else [])
     extras = [p for p in extra if region.contains_point(p)]
     # the offset grid avoids interior alignment points (e.g. the origin);
@@ -454,8 +453,9 @@ def candidate_point_sets(
         return _fill_keys(sorted(set(keys).union(fixed)), comps, ek,
                           cfg.max_points)
 
-    grid = _grid_keys(comps, 0, sp)
-    filled = [prep(grid), prep(_grid_keys(comps, sp >> 1, sp))]
+    grid = _grid_keys(comps, 0, sp, cfg.max_points)
+    filled = [prep(grid), prep(_grid_keys(comps, sp >> 1, sp,
+                                          cfg.max_points))]
     if specials:
         spec = [_key(p, ex) for p in specials]
         filled.append(prep(grid + spec))
@@ -686,7 +686,7 @@ def estimate_sigma_limit(
         spacing = _grid_spacing(e, cfg.grid_density)
         ex = max(spacing.exp, *(p.exp for p in region.endpoints()))
         points.update(Dyadic(k, ex) for k in _grid_keys(
-            _comp_keys(region, ex), 0, _key(spacing, ex)))
+            _comp_keys(region, ex), 0, _key(spacing, ex), cfg.max_points))
         if cfg.use_special_points:
             points.update(g.special_points(region, e))
         stage, = _fill([points], region, e, cfg.max_points)

@@ -12,7 +12,7 @@ lower bounds on the true suprema.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -21,8 +21,11 @@ from .catalog import INF, IntervalFunction
 from .core import Dyadic, Interval, Region, dmax, dmin
 from .errors import BracketDependent
 from .integrator import (
+    _VARIANTS,
+    Candidate,
     LimitReport,
     SearchConfig,
+    _comp_keys,
     _fill,
     _growth_diverging,
     _key,
@@ -31,6 +34,7 @@ from .integrator import (
     _score,
     _search_levels,
     _triple_pool,
+    _triple_values,
     scan_candidates,
 )
 
@@ -138,85 +142,71 @@ POOL_CAP = 1 << 13
 
 
 def _pack_candidates(g: IntervalFunction, region: Region,
-                     cfg: SearchConfig) -> list[Interval]:
-    """Candidate pack intervals: special-point gaps plus dyadic cells."""
-    pool: list[Interval] = []
+                     cfg: SearchConfig) -> Candidate:
+    """Candidate pack intervals keyed at one exponent: per component, the
+    run of its special points and the run of its cells at each depth."""
     specials = g.special_points(region, cfg.finest())
-    for lo, hi in region.components:
-        run = [p for p in specials if lo <= p <= hi]
-        for a, b in zip(run, run[1:]):
-            if a < b:
-                pool.append(Interval(a, b, True, True))
-        for depth in (4, 6, 8, 10, 12):
-            h = (hi - lo) * Dyadic(1, depth)
-            p = lo
-            while p < hi:
-                q = dmin(p + h, hi)
-                pool.append(Interval(p, q, True, True))
-                p = q
-    return pool
+    E = max([p.exp for p in specials]
+            + [p.exp + 12 for p in region.endpoints()], default=0)
+    skeys = [_key(p, E) for p in specials]
+    keys: list[int] = []
+    runs = []
+    for lo, hi in _comp_keys(region, E):
+        chains = [skeys[bisect_left(skeys, lo):bisect_right(skeys, hi)]]
+        chains += [range(lo, hi + 1, (hi - lo) >> depth)
+                   for depth in (4, 6, 8, 10, 12)]
+        for chain in chains:
+            runs.append((len(keys), len(keys) + len(chain)))
+            keys.extend(chain)
+    return Candidate(keys, E, runs)
 
 
 class _ScoredPool:
-    """A pack pool with each interval's variants evaluated once: the float
-    lengths and, for "max" and for "min", the optimal values with the
-    variants attaining them (ties keep the first variant).  Spans compare
-    as integers at the pool's largest exponent E."""
+    """A pack pool scored once by the integrator's scorer: the spans as
+    integer key pairs at the exponent E and, for "max" and for "min", the
+    optimal values with the indices of the variants attaining them (None
+    when g is bracket independent)."""
 
-    __slots__ = ("pool", "lengths", "best", "E")
+    __slots__ = ("spans", "best", "E")
 
-    def __init__(self, g: IntervalFunction, pool: Sequence[Interval]):
-        self.pool = list(pool)
-        self.E = max((max(iv.lo.exp, iv.hi.exp) for iv in pool), default=0)
-        self.lengths = [float(iv.length) for iv in pool]
-        if g.bracket_independent:
-            vals = [g(iv) for iv in pool]
-            self.best = {"max": (vals, self.pool), "min": (vals, self.pool)}
-            return
-        self.best = {"max": ([], []), "min": ([], [])}
-        for iv in pool:
-            variants = iv.variants()
-            vals = [g(v) for v in variants]
-            i_max = i_min = 0
-            for k in range(1, 4):
-                if vals[k] > vals[i_max]:
-                    i_max = k
-                if vals[k] < vals[i_min]:
-                    i_min = k
-            for sense, k in (("max", i_max), ("min", i_min)):
-                self.best[sense][0].append(vals[k])
-                self.best[sense][1].append(variants[k])
+    def __init__(self, g: IntervalFunction, cand: Candidate):
+        keys, self.E = cand.keys, cand.ex
+        self.spans = [(keys[i], keys[i + 1]) for start, stop in cand.runs
+                      for i in range(start, stop - 1)]
+        ups, lows, up_k, low_k = _score(g, cand, {}, {})
+        self.best = {"max": (ups, up_k), "min": (lows, low_k)}
 
     def cap(self, n: int) -> None:
-        """Keep the n intervals of highest max-sense value density, ties
-        to the leftmost."""
-        vals = self.best["max"][0]
-        keep = sorted(range(len(self.pool)),
-                      key=lambda i: (-abs(vals[i]) / self.lengths[i],
-                                     _key(self.pool[i].lo, self.E)))[:n]
+        """Keep the n spans of highest max-sense value density, ties to the
+        leftmost."""
+        vals, spans, scale = self.best["max"][0], self.spans, 1 << self.E
+        keep = sorted(range(len(spans)), key=lambda i: (
+            -abs(vals[i]) / ((spans[i][1] - spans[i][0]) / scale),
+            spans[i][0]))[:n]
 
         def pick(col):
-            return [col[i] for i in keep]
+            return col and [col[i] for i in keep]      # None stays None
 
-        self.pool, self.lengths = pick(self.pool), pick(self.lengths)
-        self.best = {s: (pick(v), pick(b)) for s, (v, b) in self.best.items()}
+        self.spans = pick(self.spans)
+        self.best = {s: (pick(v), pick(k)) for s, (v, k) in self.best.items()}
 
     def ranked(self, sense: str) -> list[tuple]:
-        """Intervals whose optimum has the sense's sign, by decreasing value
-        density, then by span: (-density, lo, hi, value, variant)."""
-        vals, variants = self.best[sense]
+        """Spans whose optimum has the sense's sign, by decreasing value
+        density, then by span: (-density, lo, hi, value, index)."""
+        # int/int division rounds the length once, as float() of a Dyadic
+        scale = 1 << self.E
         out = []
-        for iv, length, val, biv in zip(self.pool, self.lengths, vals,
-                                        variants):
+        for i, ((lo, hi), val) in enumerate(zip(self.spans,
+                                                self.best[sense][0])):
             if (sense == "max" and val <= 0) or (sense == "min" and val >= 0):
                 continue
-            out.append((-(abs(val) / length), _key(iv.lo, self.E),
-                        _key(iv.hi, self.E), val, biv))
+            out.append((-(abs(val) / ((hi - lo) / scale)), lo, hi, val, i))
         out.sort(key=lambda t: (t[0], t[1], t[2]))
         return out
 
-    def pack(self, mu, sense: str) -> tuple[float, list[Interval]]:
-        """The greedy pack of measure at most mu, as pack_search."""
+    def pack(self, mu, sense: str) -> tuple[float, list[int]]:
+        """The greedy pack of measure at most mu, as pack_search, with the
+        indices of the spans it takes."""
         return _greedy(self.E, self.ranked(sense), mu)
 
 
@@ -224,21 +214,22 @@ def scored_pack_pool(g: IntervalFunction, region: Region,
                      cfg: SearchConfig) -> _ScoredPool:
     """The pack pool, scored and capped at POOL_CAP intervals."""
     scored = _ScoredPool(g, _pack_candidates(g, region, cfg))
-    if len(scored.pool) > POOL_CAP:
+    if len(scored.spans) > POOL_CAP:
         scored.cap(POOL_CAP)
     return scored
 
 
-def _greedy(E: int, ranked: list[tuple], mu) -> tuple[float, list[Interval]]:
-    """Take ranked intervals in order while they fit the measure budget mu
-    and overlap nothing taken; spans and measures are integers at E."""
+def _greedy(E: int, ranked: list[tuple], mu) -> tuple[float, list[int]]:
+    """Take ranked spans in order while they fit the measure budget mu and
+    overlap nothing taken; spans and measures are integers at E.  Returns
+    the value and the indices of the spans taken."""
     mu = Fraction(mu)
     budget = (mu.numerator << E) // mu.denominator      # floor(mu * 2^E)
     taken_spans: list[tuple[int, int]] = []
     total_measure = 0
     total_value = 0.0
-    chosen: list[Interval] = []
-    for _, lo, hi, val, biv in ranked:
+    chosen: list[int] = []
+    for _, lo, hi, val, i in ranked:
         m = hi - lo
         if total_measure + m > budget:
             continue
@@ -250,7 +241,7 @@ def _greedy(E: int, ranked: list[tuple], mu) -> tuple[float, list[Interval]]:
         insort(taken_spans, (lo, hi))
         total_measure += m
         total_value += val
-        chosen.append(biv)
+        chosen.append(i)
     return total_value, chosen
 
 
@@ -263,9 +254,17 @@ def pack_search(
     """Greedy non-overlapping pack of total measure <= mu optimizing sum g.
 
     Intervals are ranked by value density; the result is a lower bound on
-    the true supremum of |sum g| over packs of that measure.
+    the true supremum of |sum g| over packs of that measure.  A
+    bracket-independent g gets its pack members back as given.
     """
-    return _ScoredPool(g, pool).pack(mu, sense)
+    E = max((p.exp for iv in pool for p in (iv.lo, iv.hi)), default=0)
+    keys = [_key(p, E) for iv in pool for p in (iv.lo, iv.hi)]
+    scored = _ScoredPool(g, Candidate(keys, E, [(i, i + 2) for i in
+                                                 range(0, len(keys), 2)]))
+    value, chosen = scored.pack(mu, sense)
+    k = scored.best[sense][1]
+    return value, [pool[i].with_brackets(*_VARIANTS[k[i]]) if k else pool[i]
+                   for i in chosen]
 
 
 def is_absolutely_continuous(
@@ -331,16 +330,15 @@ def monotone_on_subdivision(
     always_ge = always_le = True
     for _ in range(samples):
         lo, hi = region.components[rng.randrange(len(region.components))]
-        span = hi - lo
-        raw = sorted(rng.sample(range(1, (1 << 12) - 1), 3))
-        x = lo + span * Dyadic(raw[0], 12)
-        y = lo + span * Dyadic(raw[1], 12)
-        z = lo + span * Dyadic(raw[2], 12)
-        for whole in Interval(x, z).variants():
-            g3 = g(whole)
-            for left in Interval(x, y).variants():
-                for right in Interval(y, z).variants():
-                    s = g(left) + g(right)
+        ex = max(lo.exp, hi.exp) + 12
+        lok, hik = _key(lo, ex), _key(hi, ex)
+        x, y, z = (lok + ((hik - lok) >> 12) * r
+                   for r in sorted(rng.sample(range(1, (1 << 12) - 1), 3)))
+        whole, left, right = _triple_values(g, x, y, z, ex, {})
+        for g3 in whole:
+            for a in left:
+                for b in right:
+                    s = a + b
                     if s < g3 - eps:
                         always_ge = False
                     if s > g3 + eps:

@@ -259,3 +259,41 @@ class TestCli:
                              "--permanent", "1/2", "--e-min", "1/2^4"])
         assert code == 0
         assert out == want
+
+    @pytest.mark.parametrize("text, message", [
+        ("grid_density = 1.5\n", "grid_density must be an integer, not '1.5'"),
+        ("max_points = lots\n", "max_points must be an integer, not 'lots'"),
+        ("tol = small\n", "tol must be a number, not 'small'"),
+    ])
+    def test_config_value_of_wrong_type_exits_2(self, tmp_path, text,
+                                                message):
+        cfg = tmp_path / "lab.cfg"
+        cfg.write_text(text)
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli(["--config", str(cfg), "integrate",
+                                 "--fixture", "origin_indicator"])
+        assert code == 2
+        assert out == ""
+        assert message in err.getvalue()
+
+    def test_non_numeric_criterion_exits_2(self):
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli(["verify", "--criteria", "1,x"])
+        assert code == 2
+        assert out == ""
+        assert "--criteria must be an integer, not 'x'" in err.getvalue()
+
+    @pytest.mark.parametrize("verb", ["integrate", "klimit", "sigmalimit",
+                                      "variation"])
+    def test_grid_over_max_points_exits_2(self, tmp_path, verb):
+        cfg = tmp_path / "lab.cfg"
+        cfg.write_text("max_points = 20\n")
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli(["--config", str(cfg), verb, "--fixture",
+                                 "origin_indicator", "--e-min", "1/2^6"])
+        assert code == 2
+        assert out == ""
+        assert "grid needs more than 20 points" in err.getvalue()

@@ -1,5 +1,5 @@
-"""One evaluation path: every division and defect search evaluates g only
-through g.span on integer keys.
+"""One evaluation path: every division, defect and pack search and the
+subdivision probe evaluate g only through g.span on integer keys.
 
 Each fixture is span-native.  Its copy here is given only func (the
 fixture itself), so the searches reach the fixture through the span
@@ -9,6 +9,7 @@ the span-native searches must call no IntervalFunction on an Interval.
 """
 
 import importlib
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -56,6 +57,16 @@ def _limit(rep):
             for lv in rep.levels], str(rep.verdict)
 
 
+def _cells(fx):
+    """Each component's cells at depth 4, with brackets that vary."""
+    out = []
+    for lo, hi in fx.region.components:
+        h = (hi - lo) * Dyadic(1, 4)
+        out += [Interval(lo + h * Dyadic(j), lo + h * Dyadic(j + 1),
+                         j % 2 == 0, j % 3 == 0) for j in range(16)]
+    return out
+
+
 def _variation(g, fx):
     rep = variation_mod.variation(g, fx.region, LEVELS, scan_j=False)
     return (repr((rep.levels, rep.verdict, rep.total, rep.a_bound)),
@@ -76,6 +87,18 @@ SEARCHES = {
     "defect_report_at": lambda g, fx: [
         repr(defect_report_at(g, fx.region, y, LEVELS))
         for y in _interior(fx)],
+    "absolutely_continuous": lambda g, fx: repr(
+        variation_mod.is_absolutely_continuous(g, fx.region, LEVELS)),
+    "semicontinuous": lambda g, fx: [
+        variation_mod.is_absolutely_semicontinuous(g, fx.region, side, LEVELS)
+        for side in ("upper", "lower")],
+    "monotone_on_subdivision": lambda g, fx: [
+        variation_mod.monotone_on_subdivision(g, fx.region, 40, seed)
+        for seed in range(3)],
+    "pack_search": lambda g, fx: [
+        repr(variation_mod.pack_search(g, _cells(fx), Fraction(1, 1 << k),
+                                       sense))
+        for k in (1, 3, 5) for sense in ("max", "min")],
 }
 AT_SCAN_POINTS = ("j_singularity", "defect_report_at")
 CASES = [(name, search) for name in fixture_names() for search in SEARCHES

@@ -265,6 +265,15 @@ class TestNormLimits:
         with pytest.raises(BudgetExceeded):
             estimate_norm_limits(length_fn(), UNIT, cfg)
 
+    def test_sigma_grid_over_budget(self):
+        # sigma's grid already has every gap below e, so no fill checks it
+        from burkill.errors import BudgetExceeded
+        cfg = SearchConfig(e_schedule=(D(1, 3), D(1, 6)), max_points=20)
+        fx = fixture("origin_indicator")
+        with pytest.raises(BudgetExceeded,
+                           match="grid needs more than 20 points"):
+            estimate_sigma_limit(fx.fn, fx.region, cfg)
+
     def test_additive_over_regions(self):
         g = stieltjes(poly("x^2", [0, 0, 1]))
         r_union = estimate_norm_limits(

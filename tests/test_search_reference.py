@@ -1,10 +1,12 @@
-"""The memoized defect scan, the integer pack greedy, the integer
-staircase, the fused max/min pass, the integer candidate construction,
-the fixtures' integer span evaluators and the planar integer cells against
-the straightforward code they replaced, kept here as references; results
-must agree to the last bit (repr equality)."""
+"""The memoized defect scan, the integer pack greedy, the keyed pack pools
+and subdivision probe, the integer staircase, the fused max/min pass, the
+integer candidate construction, the fixtures' integer span evaluators and
+the planar integer cells against the straightforward code they replaced,
+kept here as references; results must agree to the last bit (repr
+equality)."""
 
 import importlib
+import random
 from bisect import bisect_left, insort
 from fractions import Fraction
 from math import ldexp
@@ -23,7 +25,9 @@ from burkill.catalog import (
     cantor_staircase_function,
     fixture,
     fixture_names,
+    poly,
     pow2,
+    stieltjes,
     xsum,
 )
 from burkill.core import (
@@ -33,6 +37,7 @@ from burkill.core import (
     Region,
     ZERO,
     dmid,
+    dmin,
     floor_log2,
     is_pow2,
     sort_points,
@@ -72,8 +77,10 @@ from burkill.planar import (
 )
 from burkill.reporting import limit_report_json
 from burkill.variation import (
+    _ScoredPool,
     _pack_candidates,
     is_absolutely_continuous,
+    monotone_on_subdivision,
     pack_search,
     scored_pack_pool,
 )
@@ -180,8 +187,133 @@ def ref_pack_search(g, pool, mu, sense="max"):
     return total_value, chosen
 
 
+def ref_pack_candidates(g, region, cfg):
+    """Special-point gaps plus dyadic cells, built in Dyadic arithmetic."""
+    pool = []
+    specials = g.special_points(region, cfg.finest())
+    for lo, hi in region.components:
+        run = [p for p in specials if lo <= p <= hi]
+        for a, b in zip(run, run[1:]):
+            if a < b:
+                pool.append(Interval(a, b, True, True))
+        for depth in (4, 6, 8, 10, 12):
+            h = (hi - lo) * Dyadic(1, depth)
+            p = lo
+            while p < hi:
+                q = dmin(p + h, hi)
+                pool.append(Interval(p, q, True, True))
+                p = q
+    return pool
+
+
+class RefScoredPool:
+    """The pack pool scored by its own variant loop on Intervals, with a
+    float length column and the integer greedy over Intervals."""
+
+    def __init__(self, g, pool):
+        self.pool = list(pool)
+        self.E = max((max(iv.lo.exp, iv.hi.exp) for iv in pool), default=0)
+        self.lengths = [float(iv.length) for iv in pool]
+        if g.bracket_independent:
+            vals = [g(iv) for iv in pool]
+            self.best = {"max": (vals, self.pool), "min": (vals, self.pool)}
+            return
+        self.best = {"max": ([], []), "min": ([], [])}
+        for iv in pool:
+            variants = iv.variants()
+            vals = [g(v) for v in variants]
+            i_max = i_min = 0
+            for k in range(1, 4):
+                if vals[k] > vals[i_max]:
+                    i_max = k
+                if vals[k] < vals[i_min]:
+                    i_min = k
+            for sense, k in (("max", i_max), ("min", i_min)):
+                self.best[sense][0].append(vals[k])
+                self.best[sense][1].append(variants[k])
+
+    def cap(self, n):
+        vals = self.best["max"][0]
+        keep = sorted(range(len(self.pool)),
+                      key=lambda i: (-abs(vals[i]) / self.lengths[i],
+                                     _key(self.pool[i].lo, self.E)))[:n]
+
+        def pick(col):
+            return [col[i] for i in keep]
+
+        self.pool, self.lengths = pick(self.pool), pick(self.lengths)
+        self.best = {s: (pick(v), pick(b)) for s, (v, b) in self.best.items()}
+
+    def ranked(self, sense):
+        vals, variants = self.best[sense]
+        out = []
+        for iv, length, val, biv in zip(self.pool, self.lengths, vals,
+                                        variants):
+            if (sense == "max" and val <= 0) or (sense == "min" and val >= 0):
+                continue
+            out.append((-(abs(val) / length), _key(iv.lo, self.E),
+                        _key(iv.hi, self.E), val, biv))
+        out.sort(key=lambda t: (t[0], t[1], t[2]))
+        return out
+
+    def pack(self, mu, sense):
+        return ref_greedy(self.E, self.ranked(sense), mu)
+
+
+def ref_greedy(E, ranked, mu):
+    """The greedy on integer spans at E, returning the taken Intervals."""
+    mu = Fraction(mu)
+    budget = (mu.numerator << E) // mu.denominator
+    taken_spans = []
+    total_measure = 0
+    total_value = 0.0
+    chosen = []
+    for _, lo, hi, val, biv in ranked:
+        m = hi - lo
+        if total_measure + m > budget:
+            continue
+        pos = bisect_left(taken_spans, (lo, hi))
+        if pos > 0 and taken_spans[pos - 1][1] > lo:
+            continue
+        if pos < len(taken_spans) and taken_spans[pos][0] < hi:
+            continue
+        insort(taken_spans, (lo, hi))
+        total_measure += m
+        total_value += val
+        chosen.append(biv)
+    return total_value, chosen
+
+
+def ref_monotone_on_subdivision(g, region, samples=200, seed=7):
+    """The subdivision probe on the Intervals of Dyadic triples."""
+    rng = random.Random(seed)
+    eps = 1e-12
+    always_ge = always_le = True
+    for _ in range(samples):
+        lo, hi = region.components[rng.randrange(len(region.components))]
+        span = hi - lo
+        raw = sorted(rng.sample(range(1, (1 << 12) - 1), 3))
+        x = lo + span * Dyadic(raw[0], 12)
+        y = lo + span * Dyadic(raw[1], 12)
+        z = lo + span * Dyadic(raw[2], 12)
+        for whole in Interval(x, z).variants():
+            g3 = g(whole)
+            for left in Interval(x, y).variants():
+                for right in Interval(y, z).variants():
+                    s = g(left) + g(right)
+                    if s < g3 - eps:
+                        always_ge = False
+                    if s > g3 + eps:
+                        always_le = False
+        if not (always_ge or always_le):
+            return "neither"
+    if always_ge and always_le:
+        return "both"
+    return "increases" if always_ge else "decreases"
+
+
 def ref_pack_pool(g, region, cfg, pool_cap):
-    pool = _pack_candidates(g, region, cfg)
+    pool = ref_pack_candidates(g, region, cfg)
     if len(pool) > pool_cap:
         pool = sorted(pool, key=lambda iv: (
             -abs(ref_best_value(g, iv, "max")[0]) / float(iv.length),
@@ -251,8 +383,9 @@ TABLE_VALUES = st.one_of(
     st.sampled_from((0.0, 1.0, -1.0, INF, -INF)))
 
 
-def table_function(values, bkfree=False):
-    """A deterministic g: each (span, brackets) picks one of the values."""
+def table_function(values, bkfree=False, specials=()):
+    """A deterministic g: each (span, brackets) picks one of the values;
+    it publishes the given special points."""
     n = len(values)
 
     def ev(iv):
@@ -263,7 +396,8 @@ def table_function(values, bkfree=False):
             k += 2 * iv.left_closed + iv.right_closed
         return values[k % n]
 
-    return IntervalFunction("table", ev, bracket_independent=bkfree)
+    return IntervalFunction("table", ev, bracket_independent=bkfree,
+                            special_points=lambda region, e: list(specials))
 
 
 POINTS = st.builds(Dyadic, st.integers(-48, 48), st.integers(0, 4))
@@ -344,6 +478,45 @@ def pack_cases(draw):
     return g, pool
 
 
+@st.composite
+def pool_regions(draw):
+    """A region of one or two components and special points in and around
+    it, for a table function with or without brackets."""
+    pts = sort_points(draw(st.lists(POINTS, min_size=2, max_size=4,
+                                    unique=True)))
+    region = Region([(pts[0], pts[1])] + ([(pts[2], pts[3])]
+                                          if len(pts) == 4 else []))
+    specials = draw(st.lists(POINTS, max_size=12))
+    values = draw(st.lists(TABLE_VALUES, min_size=1, max_size=16))
+    return table_function(values, draw(st.booleans()), specials), region
+
+
+def dyadic_spans(scored):
+    return [(Dyadic(lo, scored.E), Dyadic(hi, scored.E))
+            for lo, hi in scored.spans]
+
+
+def assert_pool_equals_reference(scored, ref, ks=range(14)):
+    """Spans in pool order, each sense's values and variants, and the pack
+    at each budget 2^-k with the intervals it takes, by repr."""
+    assert dyadic_spans(scored) == [iv.span() for iv in ref.pool]
+    for sense in ("max", "min"):
+        assert repr(scored.best[sense][0]) == repr(ref.best[sense][0])
+        # each span with its optimal variant, closed for a bracket-free g
+        k = scored.best[sense][1]
+        best = [Interval(lo, hi, *(VARIANTS[k[i]] if k else (True, True)))
+                for i, (lo, hi) in enumerate(dyadic_spans(scored))]
+        assert repr(best) == repr(ref.best[sense][1])
+        for j in ks:
+            mu = Fraction(1, 1 << j)
+            value, chosen = scored.pack(mu, sense)
+            assert repr((value, [best[i] for i in chosen])) == \
+                repr(ref.pack(mu, sense))
+
+
+PACK_LEVELS = SearchConfig(e_schedule=(Dyadic(1, 3), Dyadic(1, 4)))
+
+
 class TestPackReference:
     @settings(max_examples=300, deadline=None)
     @given(pack_cases(), BUDGETS, st.sampled_from(("max", "min")))
@@ -353,17 +526,44 @@ class TestPackReference:
         ref_value, ref_chosen = ref_pack_search(g, pool, mu, sense)
         assert repr(value) == repr(ref_value)
         assert chosen == ref_chosen
+        # a bracket-independent g gets the caller's own intervals back
+        assert repr((value, chosen)) == \
+            repr(RefScoredPool(g, pool).pack(mu, sense))
+
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_keyed_pool_equals_reference(self, name):
+        fx = fixture(name)
+        scored = _ScoredPool(fx.fn, _pack_candidates(fx.fn, fx.region,
+                                                     PACK_LEVELS))
+        ref = RefScoredPool(fx.fn, ref_pack_candidates(fx.fn, fx.region,
+                                                       PACK_LEVELS))
+        assert_pool_equals_reference(scored, ref)
+        for n in (len(ref.pool) - 1, 40):
+            scored.cap(n)
+            ref.cap(n)
+            assert_pool_equals_reference(scored, ref)
+
+    @settings(max_examples=25, deadline=None)
+    @given(pool_regions(), st.integers(1, 60))
+    def test_keyed_table_pool_equals_reference(self, case, n):
+        g, region = case
+        scored = _ScoredPool(g, _pack_candidates(g, region, PACK_LEVELS))
+        ref = RefScoredPool(g, ref_pack_candidates(g, region, PACK_LEVELS))
+        assert_pool_equals_reference(scored, ref, (0, 4, 8, 12))
+        scored.cap(n)
+        ref.cap(n)
+        assert_pool_equals_reference(scored, ref)
 
     def test_capped_pool_and_budgets_equal_reference(self, monkeypatch):
         # a small cap, so that the cap ranking decides the pool
         monkeypatch.setattr(variation_mod, "POOL_CAP", 40)
-        cfg = SearchConfig(e_schedule=(Dyadic(1, 3), Dyadic(1, 4)))
+        cfg = PACK_LEVELS
         for name in ("origin_indicator", "k_convention_jump",
                      "saks_A_counterexample"):
             fx = fixture(name)
-            assert scored_pack_pool(fx.fn, fx.region, cfg).pool == \
-                ref_pack_pool(fx.fn, fx.region, cfg, 40)
             pool = ref_pack_pool(fx.fn, fx.region, cfg, 40)
+            assert dyadic_spans(scored_pack_pool(fx.fn, fx.region, cfg)) == \
+                [iv.span() for iv in pool]
             trace = []
             for k in range(5, 13):
                 mu = Fraction(1, 1 << k)
@@ -379,6 +579,28 @@ class TestPackReference:
                                             for k in range(3, 11)))
         is_absolutely_continuous(g, Region.interval(ZERO, Dyadic(1)), cfg)
         assert calls[0] == 13_647
+
+
+class TestMonotoneReference:
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_fixture_verdicts_equal_reference(self, name):
+        fx = fixture(name)
+        for seed in range(4):
+            assert monotone_on_subdivision(fx.fn, fx.region, 30, seed) == \
+                ref_monotone_on_subdivision(fx.fn, fx.region, 30, seed)
+
+    @settings(max_examples=200, deadline=None)
+    @given(pool_regions(), st.integers(0, 1000))
+    def test_table_verdicts_equal_reference(self, case, seed):
+        g, region = case
+        assert monotone_on_subdivision(g, region, 20, seed) == \
+            ref_monotone_on_subdivision(g, region, 20, seed)
+
+    def test_probe_evaluates_twelve_spans_per_sample(self):
+        g, calls = counting(stieltjes(poly("x^3", [0, 0, 0, 1])))
+        unit = Region.interval(ZERO, Dyadic(1))
+        assert monotone_on_subdivision(g, unit, samples=50) == "both"
+        assert calls[0] == 12 * 50
 
 
 # ---------------------------------------------------------------------------

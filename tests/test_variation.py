@@ -124,7 +124,9 @@ class TestAbsoluteContinuity:
 
     def test_staircase_pack_carries_mass(self):
         stair, _ = cantor_staircase_function()
-        pool = scored_pack_pool(stair, UNIT, cfg()).pool
+        scored = scored_pack_pool(stair, UNIT, cfg())
+        pool = [Interval(D(lo, scored.E), D(hi, scored.E))
+                for lo, hi in scored.spans]
         mu = Fraction(2, 3) ** 12 + Fraction(1, 1 << 14)
         carried, pack = pack_search(stair, pool, mu, "max")
         assert carried >= 0.99
