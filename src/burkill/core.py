@@ -327,9 +327,6 @@ class Region:
             out.append(hi)
         return out
 
-    def clip_points(self, points: Iterable[Dyadic]) -> list[Dyadic]:
-        return [p for p in points if self.contains_point(p)]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Region) and self.components == other.components
 
@@ -494,11 +491,11 @@ def refine(division: Division, extra_points: Iterable[Dyadic]) -> Division:
     New interior points take the default ")[" junction; the norm never
     increases and refining with no new points returns an equal division.
     """
-    extras = sort_points(set(division.region.clip_points(extra_points))
-                         - set(division.points))
+    extra_points = list(extra_points)
     for p in extra_points:
         if not division.region.contains_point(p):
             raise PointOutsideRegion(f"{p} outside {division.region}")
+    extras = sort_points(set(extra_points) - set(division.points))
     if not extras:
         return division
     intervals: list[Interval] = []

@@ -101,8 +101,7 @@ def with_set_edges(g: IntervalFunction, E: MeasurableSet):
     edges = E.endpoints()
 
     def specials(region: Region, resolution: Dyadic) -> list[Dyadic]:
-        return g.special_points(region, resolution) + [
-            p for p in edges if region.contains_point(p)]
+        return g.special_points(region, resolution) + edges
 
     return specials
 

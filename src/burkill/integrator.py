@@ -12,8 +12,9 @@ fine bound is also admissible at every coarser bound.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Optional, Sequence
 
 from .catalog import INF, IntervalFunction, xsum
@@ -340,12 +341,13 @@ def _comp_keys(region: Region, ex: int) -> list[tuple[int, int]]:
     return [(_key(lo, ex), _key(hi, ex)) for lo, hi in region.components]
 
 
-def _fill_depth(region: Region, e: Dyadic, ex: int) -> int:
-    """The most halvings a fill below e makes in one gap of the region;
-    ex must hold e and the region's endpoints."""
+def _level_exponent(region: Region, e: Dyadic, exps: Sequence[int]) -> int:
+    """An exponent that holds e, the region's ends, the exponents exps and
+    every midpoint a fill below e inserts in one of the region's gaps."""
+    ex = max(e.exp, *exps, *(p.exp for p in region.endpoints()))
     ek = _key(e, ex)
-    return max(((hi - lo) // ek).bit_length()
-               for lo, hi in _comp_keys(region, ex))
+    return ex + max(((hi - lo) // ek).bit_length()
+                    for lo, hi in _comp_keys(region, ex))
 
 
 def _grid_spacing(e: Dyadic, density: int) -> Dyadic:
@@ -381,42 +383,34 @@ def _fill_keys(keys: list[int], comps: list[tuple[int, int]], ek: int,
     """
     out: list[int] = []
     runs: list[tuple[int, int]] = []
-    idx, n = 0, len(keys)
     for lo, hi in comps:
-        while idx < n and keys[idx] < lo:
-            idx += 1
+        i, j = bisect_left(keys, lo), bisect_right(keys, hi)
         start = len(out)
-        prev = None
-        while idx < n and keys[idx] <= hi:
-            p = keys[idx]
-            if prev is not None:
-                d = ((p - prev) // ek).bit_length()
-                if d:
-                    if len(out) + (1 << d) - 2 > cap:
-                        raise BudgetExceeded(
-                            f"fill needs more than {cap} points")
-                    step = (p - prev) >> d
-                    out.extend(range(prev + step, p, step))
-            out.append(p)
-            prev = p
-            idx += 1
+        for a, b in zip(islice(keys, i, j), islice(keys, i + 1, j)):
+            out.append(a)
+            d = ((b - a) // ek).bit_length()
+            if d:
+                if len(out) + (1 << d) - 2 > cap:
+                    raise BudgetExceeded(f"fill needs more than {cap} points")
+                step = (b - a) >> d
+                out.extend(range(a + step, b, step))
+        out += keys[max(i, j - 1):j]
         runs.append((start, len(out)))
     return out, runs
 
 
-def _fill(point_sets, region: Region, e: Dyadic,
-          max_points: int) -> list[Candidate]:
-    """Insert midpoints into each point set until every in-component gap is
-    below e; the candidates key their points at one exponent."""
-    ends = region.endpoints()
-    ex = max(e.exp, *(p.exp for pts in (ends, *point_sets) for p in pts))
-    ex += _fill_depth(region, e, ex)
+def _fill(key_sets, region: Region, e: Dyadic, ex: int, cap: int,
+          fixed: Sequence[int] = ()) -> list[Candidate]:
+    """The candidates of key sets at the exponent ex (_level_exponent):
+    each set with the fixed keys and the region's ends, clipped to the
+    components and filled below e, without repeats."""
     comps, ek = _comp_keys(region, ex), _key(e, ex)
-    out = []
-    for pts in point_sets:
-        keys, runs = _fill_keys(sorted({_key(p, ex) for p in [*pts, *ends]}),
-                                comps, ek, max_points)
-        out.append(Candidate(keys, ex, runs))
+    fixed = [*fixed, *(k for comp in comps for k in comp)]
+    out: list[Candidate] = []
+    for keys in key_sets:
+        keys, runs = _fill_keys(sorted(set(keys).union(fixed)), comps, ek, cap)
+        if all(keys != c.keys for c in out):
+            out.append(Candidate(keys, ex, runs))
     return out
 
 
@@ -435,40 +429,23 @@ def candidate_point_sets(
     without repeats.  Every candidate keys its points at one exponent.
     """
     spacing = _grid_spacing(e, cfg.grid_density)
-    ex = max(spacing.exp, max(p.exp for p in region.endpoints()))
     specials = (g.special_points(region, e) if cfg.use_special_points else [])
-    extras = [p for p in extra if region.contains_point(p)]
     # the offset grid avoids interior alignment points (e.g. the origin);
-    # one exponent holds its half step, the special and extra
-    # points, every fill midpoint and every jitter midpoint
-    ex = max(ex + 1, e.exp, *(p.exp for p in specials),
-             *(p.exp for p in extras))
-    ex += _fill_depth(region, e, ex) + 1
-    comps = _comp_keys(region, ex)
-    sp = _key(spacing, ex)
-    ek = _key(e, ex)
-    fixed = [k for comp in comps for k in comp] + [_key(p, ex) for p in extras]
-
-    def prep(keys: list[int]):
-        return _fill_keys(sorted(set(keys).union(fixed)), comps, ek,
-                          cfg.max_points)
-
+    # one exponent holds its half step, the special and extra points,
+    # every fill midpoint and, one halving further, every jitter midpoint
+    ex = _level_exponent(region, e, [spacing.exp + 1, *(
+        p.exp for p in (*specials, *extra))]) + 1
+    comps, sp = _comp_keys(region, ex), _key(spacing, ex)
+    fixed = [_key(p, ex) for p in extra]
     grid = _grid_keys(comps, 0, sp, cfg.max_points)
-    filled = [prep(grid), prep(_grid_keys(comps, sp >> 1, sp,
-                                          cfg.max_points))]
+    sets = [grid, _grid_keys(comps, sp >> 1, sp, cfg.max_points)]
     if specials:
         spec = [_key(p, ex) for p in specials]
-        filled.append(prep(grid + spec))
-        keys, runs = prep(spec)
-        filled.append((keys, runs))
-        filled.append(prep(keys + [(keys[i] + keys[i + 1]) >> 1
-                                   for start, stop in runs
-                                   for i in range(start, stop - 1)]))
-    unique: list[Candidate] = []
-    for keys, runs in filled:
-        if all(keys != c.keys for c in unique):
-            unique.append(Candidate(keys, ex, runs))
-    return unique
+        keys = _fill([spec], region, e, ex, cfg.max_points, fixed)[0].keys
+        # the filler drops the midpoints that fall in the region's gaps
+        sets += [grid + spec, keys,
+                 keys + [(a + b) >> 1 for a, b in zip(keys, keys[1:])]]
+    return _fill(sets, region, e, ex, cfg.max_points, fixed)
 
 
 # ---------------------------------------------------------------------------
@@ -680,17 +657,24 @@ def estimate_sigma_limit(
     cfg = cfg or SearchConfig()
     if region.is_empty:
         raise ValueError("region is empty")
-    points: set[Dyadic] = set(region.endpoints())
+    chain, cex = [], 0           # the last stage's keys at their exponent
 
     def level(e: Dyadic):
+        nonlocal chain, cex
         spacing = _grid_spacing(e, cfg.grid_density)
-        ex = max(spacing.exp, *(p.exp for p in region.endpoints()))
-        points.update(Dyadic(k, ex) for k in _grid_keys(
-            _comp_keys(region, ex), 0, _key(spacing, ex), cfg.max_points))
-        if cfg.use_special_points:
-            points.update(g.special_points(region, e))
-        stage, = _fill([points], region, e, cfg.max_points)
-        points.update(stage.points)
+        specials = (g.special_points(region, e) if cfg.use_special_points
+                    else [])
+        ex = _level_exponent(region, e, [cex, spacing.exp,
+                                         *(p.exp for p in specials)])
+        keys = _grid_keys(_comp_keys(region, ex), 0, _key(spacing, ex),
+                          cfg.max_points)
+        keys += [k << (ex - cex) for k in chain]
+        keys += [_key(p, ex) for p in specials]
+        stage, = _fill([keys], region, e, ex, cfg.max_points)
+        # the smallest exponent that holds the chain, so that the fill depth
+        # is not added again at every level
+        shift = min(ex, *((k & -k).bit_length() - 1 for k in stage.keys if k))
+        chain, cex = [k >> shift for k in stage.keys], ex - shift
         return region, [stage]
 
     levels, = _search_levels(g, cfg, [(None, False)], level)

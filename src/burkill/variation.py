@@ -29,6 +29,7 @@ from .integrator import (
     _fill,
     _growth_diverging,
     _key,
+    _level_exponent,
     _neighbours,
     _norm_search,
     _score,
@@ -116,18 +117,20 @@ def j_singularity(
         raise ValueError(f"{y} is not interior to {region}")
     # carry y and the defect scan's nearest anchor points, so any split the
     # defect estimate sees is available here (c <= 2j stays checkable)
-    keys, ex, _ = _triple_pool(g, region, cfg, [y])
-    below, above = _neighbours(keys, _key(y, ex))
-    anchors = [Dyadic(k, ex) for k in below + above]
+    keys, aex, _ = _triple_pool(g, region, cfg, [y])
+    below, above = _neighbours(keys, _key(y, aex))
 
     def level(e: Dyadic):
         window = _window(region, y, e)
         fine = e.half().half()
-        near = [p for p in anchors if window.contains_point(p)]
-        base = window.endpoints() + near + g.special_points(window, fine)
+        specials = g.special_points(window, fine)
+        ex = _level_exponent(window, fine, [aex, *(p.exp for p in specials)])
+        base = [k << (ex - aex) for k in below + above]
+        base += [_key(p, ex) for p in specials]
+        yk = _key(y, ex)
         # one candidate splits at y, one straddles it
-        return window, _fill([base + [y], [p for p in base if p != y]],
-                             window, fine, cfg.max_points)
+        return window, _fill([base + [yk], [k for k in base if k != yk]],
+                             window, fine, ex, cfg.max_points)
 
     levels, = _search_levels(g, cfg, [(None, True)], level)
     trace = [lv.upper for lv in levels]
@@ -161,6 +164,13 @@ def _pack_candidates(g: IntervalFunction, region: Region,
     return Candidate(keys, E, runs)
 
 
+def _density(val: float, lo: int, hi: int, scale: int) -> float:
+    """|val| per unit length of the keys lo..hi over scale; a length that
+    rounds to 0.0 gives +inf, or 0.0 when val is 0."""
+    length = (hi - lo) / scale          # rounded once, as float() of a Dyadic
+    return abs(val) / length if length else (INF if val else 0.0)
+
+
 class _ScoredPool:
     """A pack pool scored once by the integrator's scorer: the spans as
     integer key pairs at the exponent E and, for "max" and for "min", the
@@ -181,8 +191,7 @@ class _ScoredPool:
         leftmost."""
         vals, spans, scale = self.best["max"][0], self.spans, 1 << self.E
         keep = sorted(range(len(spans)), key=lambda i: (
-            -abs(vals[i]) / ((spans[i][1] - spans[i][0]) / scale),
-            spans[i][0]))[:n]
+            -_density(vals[i], *spans[i], scale), spans[i][0]))[:n]
 
         def pick(col):
             return col and [col[i] for i in keep]      # None stays None
@@ -193,14 +202,13 @@ class _ScoredPool:
     def ranked(self, sense: str) -> list[tuple]:
         """Spans whose optimum has the sense's sign, by decreasing value
         density, then by span: (-density, lo, hi, value, index)."""
-        # int/int division rounds the length once, as float() of a Dyadic
         scale = 1 << self.E
         out = []
         for i, ((lo, hi), val) in enumerate(zip(self.spans,
                                                 self.best[sense][0])):
             if (sense == "max" and val <= 0) or (sense == "min" and val >= 0):
                 continue
-            out.append((-(abs(val) / ((hi - lo) / scale)), lo, hi, val, i))
+            out.append((-_density(val, lo, hi, scale), lo, hi, val, i))
         out.sort(key=lambda t: (t[0], t[1], t[2]))
         return out
 
@@ -366,7 +374,10 @@ def variation_split(
     cfg = cfg or SearchConfig()
     sub = Region.interval(J.lo, J.hi)
     e = cfg.finest()
-    cand, = _fill([g.special_points(sub, e)], sub, e, cfg.max_points)
+    specials = g.special_points(sub, e)
+    ex = _level_exponent(sub, e, [p.exp for p in specials])
+    cand, = _fill([[_key(p, ex) for p in specials]], sub, e, ex,
+                  cfg.max_points)
     p_up = 0.0
     n_low = 0.0
     for v in _score(g, cand, {}, {})[0]:

@@ -225,6 +225,13 @@ class TestDivision:
             d = refine(d, mids)
             assert d.norm == D(1, k)
 
+    def test_refine_takes_points_from_an_iterator(self):
+        region = Region.interval(D(0), D(1))
+        d = division_from_points(region, [D(0), D(1)])
+        assert refine(d, iter([D(1, 1)])).norm == D(1, 1)
+        with pytest.raises(PointOutsideRegion):
+            refine(d, iter([D(1, 1), D(2)]))
+
     def test_refine_idempotent_on_same_points(self):
         region = Region.interval(D(0), D(1))
         d = division_from_points(region, [D(0), D(1, 2), D(1)])

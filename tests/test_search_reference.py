@@ -16,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 import pytest
 
 from burkill import planar, verify
+from burkill.around_set import around_limits
 from burkill.catalog import (
     IntervalFunction,
     _harmonic_zigzag,
@@ -36,12 +37,14 @@ from burkill.core import (
     Interval,
     Region,
     ZERO,
+    dmax,
     dmid,
     dmin,
     floor_log2,
     is_pow2,
     sort_points,
 )
+from burkill.density import MeasurableSet, density_integral
 from burkill.errors import BudgetExceeded, IndeterminateForm
 from burkill.integrator import (
     Candidate,
@@ -52,10 +55,13 @@ from burkill.integrator import (
     _defect_at,
     _fill,
     _key,
+    _level_exponent,
+    _probe_grid,
     _score,
     additivity_defect,
     candidate_point_sets,
     defect_report_at,
+    estimate_k_limits,
     estimate_norm_limits,
     estimate_sigma_limit,
     LevelEstimate,
@@ -75,11 +81,12 @@ from burkill.planar import (
     seeded_guillotine,
     two_squares_function,
 )
-from burkill.reporting import limit_report_json
+from burkill.reporting import density_report_json, limit_report_json
 from burkill.variation import (
     _ScoredPool,
     _pack_candidates,
     is_absolutely_continuous,
+    is_absolutely_semicontinuous,
     monotone_on_subdivision,
     pack_search,
     scored_pack_pool,
@@ -88,6 +95,7 @@ from burkill.variation import (
 INF = float("inf")
 # the package exports the function variation() under the module's name
 variation_mod = importlib.import_module("burkill.variation")
+integrator_mod = importlib.import_module("burkill.integrator")
 
 # ---------------------------------------------------------------------------
 # reference loops
@@ -206,6 +214,14 @@ def ref_pack_candidates(g, region, cfg):
     return pool
 
 
+def ref_density(val, length):
+    """|val| / length; a float length of 0.0 gives +inf, or 0.0 when val
+    is 0."""
+    if length == 0.0:
+        return INF if val else 0.0
+    return abs(val) / length
+
+
 class RefScoredPool:
     """The pack pool scored by its own variant loop on Intervals, with a
     float length column and the integer greedy over Intervals."""
@@ -235,7 +251,7 @@ class RefScoredPool:
     def cap(self, n):
         vals = self.best["max"][0]
         keep = sorted(range(len(self.pool)),
-                      key=lambda i: (-abs(vals[i]) / self.lengths[i],
+                      key=lambda i: (-ref_density(vals[i], self.lengths[i]),
                                      _key(self.pool[i].lo, self.E)))[:n]
 
         def pick(col):
@@ -251,7 +267,7 @@ class RefScoredPool:
                                         variants):
             if (sense == "max" and val <= 0) or (sense == "min" and val >= 0):
                 continue
-            out.append((-(abs(val) / length), _key(iv.lo, self.E),
+            out.append((-ref_density(val, length), _key(iv.lo, self.E),
                         _key(iv.hi, self.E), val, biv))
         out.sort(key=lambda t: (t[0], t[1], t[2]))
         return out
@@ -573,6 +589,21 @@ class TestPackReference:
             got = is_absolutely_continuous(fx.fn, fx.region, cfg)
             assert repr(got[1]) == repr(trace)
 
+    def test_default_schedule_on_dyadic_blocks(self):
+        # the special points at the finest bound 2^-14 put the pool at the
+        # exponent 16,384, where most spans' float lengths round to 0.0
+        fx = fixture("dyadic_blocks")
+        cfg = SearchConfig()
+        scored = scored_pack_pool(fx.fn, fx.region, cfg)
+        ref = RefScoredPool(fx.fn, ref_pack_candidates(fx.fn, fx.region, cfg))
+        assert 0.0 in ref.lengths
+        ref.cap(variation_mod.POOL_CAP)
+        assert_pool_equals_reference(scored, ref)
+        # the blocks stack without bound near 0, and no value is negative
+        assert not is_absolutely_continuous(fx.fn, fx.region, cfg)[0]
+        assert not is_absolutely_semicontinuous(fx.fn, fx.region, "upper")
+        assert is_absolutely_semicontinuous(fx.fn, fx.region, "lower")
+
     def test_staircase_probe_evaluates_each_interval_once(self):
         g, calls = counting(cantor_staircase_function()[0])
         cfg = SearchConfig(e_schedule=tuple(Dyadic(1, k)
@@ -867,6 +898,91 @@ def regions(draw):
 NORM_BOUNDS = st.builds(Dyadic, st.integers(1, 7), st.integers(0, 2))
 
 
+def fill(point_sets, region, e, cap):
+    """_fill on Dyadic point sets, keyed at the exponent of the level."""
+    ex = _level_exponent(region, e, [p.exp for pts in point_sets
+                                     for p in pts])
+    return _fill([[_key(p, ex) for p in pts] for pts in point_sets], region,
+                 e, ex, cap)
+
+
+def ref_sigma_stages(g, region, cfg):
+    """The sigma chain as a set of Dyadics: each stage fills the last one
+    with the level's grid and special points."""
+    points = set(region.endpoints())
+    stages = []
+    for e in cfg.e_schedule:
+        grid = ref_grid(region, ZERO, ref_grid_spacing(e, cfg.grid_density))
+        if len(grid) + len(region.components) > cfg.max_points:
+            raise BudgetExceeded(f"grid needs more than {cfg.max_points}")
+        points.update(grid)
+        if cfg.use_special_points:
+            points.update(g.special_points(region, e))
+        stage = ref_fill(points, region, e, cfg.max_points)
+        points.update(stage[0])
+        stages.append([stage])
+    return stages
+
+
+def ref_j_windows(g, region, y, cfg):
+    """j's candidates per level: the window's ends, the defect pool's four
+    points below y and five from y up that lie in the window, and the
+    window's special points at a quarter of e, filled with y and without
+    y; the second is left out when it repeats the first."""
+    pool = sort_points(set(g.special_points(region, cfg.finest())[:1024]
+                           + region.endpoints() + _probe_grid(region)))
+    anchors = [p for p in pool if p < y][-4:] + [p for p in pool
+                                                 if not p < y][:5]
+    levels = []
+    for e in cfg.e_schedule:
+        spans = [(dmax(lo, y - e), dmin(hi, y + e))
+                 for lo, hi in region.components]
+        window = Region([(lo, hi) for lo, hi in spans if lo < hi])
+        fine = e.half().half()
+        base = (window.endpoints()
+                + [p for p in anchors if window.contains_point(p)]
+                + g.special_points(window, fine))
+        split = ref_fill(base + [y], window, fine, cfg.max_points)
+        straddle = ref_fill([p for p in base if p != y], window, fine,
+                            cfg.max_points)
+        levels.append([split] + ([straddle] if straddle != split else []))
+    return levels
+
+
+def searched_levels(module, search):
+    """The candidates of every level, from the level rule that search()
+    hands to module's _search_levels, as the references list them, with
+    their exponents."""
+    seen = []
+    real = module._search_levels
+
+    def spy(g, cfg, traces, level):
+        def recorded(e):
+            region, cands = level(e)
+            seen.append(([from_keys(c) for c in cands],
+                         [c.ex for c in cands]))
+            return region, cands
+        return real(g, cfg, traces, recorded)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "_search_levels", spy)
+        search()
+    return seen
+
+
+def fill_depth(region, e):
+    """The most halvings a fill below e makes in one gap of the region."""
+    return max(int((hi - lo).as_fraction() / e.as_fraction()).bit_length()
+               for lo, hi in region.components)
+
+
+SCHEDULES = st.lists(NORM_BOUNDS, min_size=1, max_size=4, unique=True).map(
+    lambda es: tuple(sorted(es, reverse=True)))
+CAPS = st.sampled_from((8, 40, 120, 200_000))
+# the golden digests stop at 2^-8
+DEEP = SearchConfig(e_schedule=tuple(Dyadic(1, k) for k in range(3, 11)))
+
+
 class TestCandidateReference:
     @settings(max_examples=200, deadline=None)
     @given(regions(), st.lists(POINTS, max_size=10), NORM_BOUNDS)
@@ -874,7 +990,7 @@ class TestCandidateReference:
         full, _ = ref_fill(points, region, e, 1 << 30)
         # every budget up to the one the fill needs, so each boundary shows
         for cap in range(len(full) + 2):
-            cand = _family(lambda: _fill([points], region, e, cap)[0])
+            cand = _family(lambda: fill([points], region, e, cap)[0])
             ref = _family(lambda: ref_fill(points, region, e, cap))
             if ref == "BudgetExceeded":
                 assert cand == ref
@@ -884,10 +1000,63 @@ class TestCandidateReference:
     def test_fill_keys_every_set_at_one_exponent(self):
         region = Region.interval(ZERO, Dyadic(1, 4))
         e, finest = Dyadic(1, 5), Dyadic(1, 12)
-        with_fine, alone = _fill([[finest], []], region, e, 1 << 10)
+        with_fine, alone = fill([[finest], []], region, e, 1 << 10)
         assert with_fine.ex == alone.ex
         assert finest in with_fine.points
-        assert alone.points == _fill([[]], region, e, 1 << 10)[0].points
+        assert alone.points == fill([[]], region, e, 1 << 10)[0].points
+        # a set that fills to an earlier candidate is dropped
+        assert len(fill([[], [Dyadic(1, 5)]], region, e, 1 << 10)) == 1
+
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_sigma_stages_equal_dyadic_chain(self, name):
+        fx = fixture(name)
+        got = searched_levels(integrator_mod, lambda: estimate_sigma_limit(
+            fx.fn, fx.region, DEEP))
+        assert [cands for cands, _ in got] == ref_sigma_stages(
+            fx.fn, fx.region, DEEP)
+        # the chain is carried at the smallest exponent that holds it, so
+        # no level's exponent exceeds its own points' by more than a fill
+        for e, (((pts, _),), (ex,)) in zip(DEEP.e_schedule, got):
+            assert ex <= max(p.exp for p in pts) + fill_depth(fx.region, e)
+
+    @settings(max_examples=150, deadline=None)
+    @given(regions(), st.lists(POINTS, max_size=8), SCHEDULES,
+           st.integers(1, 3), CAPS, st.booleans())
+    def test_sigma_stages_on_drawn_regions(self, region, specials, schedule,
+                                           density, cap, use_specials):
+        g = IntervalFunction("points", lambda iv: 0.0,
+                             special_points=lambda r, res: specials)
+        cfg = SearchConfig(e_schedule=schedule, grid_density=density,
+                           max_points=cap, use_special_points=use_specials)
+        got = _family(lambda: [cands for cands, _ in searched_levels(
+            integrator_mod, lambda: estimate_sigma_limit(g, region, cfg))])
+        assert got == _family(lambda: ref_sigma_stages(g, region, cfg))
+
+    @pytest.mark.parametrize("name", [
+        n for n in fixture_names()
+        if any(lo < y < hi for y in fixture(n).scan_points
+               for lo, hi in fixture(n).region.components)])
+    def test_j_windows_equal_reference(self, name):
+        fx = fixture(name)
+        for y in fx.scan_points:
+            if any(lo < y < hi for lo, hi in fx.region.components):
+                got = searched_levels(variation_mod, lambda: (
+                    variation_mod.j_singularity(fx.fn, fx.region, y, DEEP)))
+                assert [cands for cands, _ in got] == ref_j_windows(
+                    fx.fn, fx.region, y, DEEP)
+
+    @settings(max_examples=100, deadline=None)
+    @given(regions(), st.lists(POINTS, max_size=8), st.data(), SCHEDULES)
+    def test_j_windows_on_drawn_regions(self, region, specials, data,
+                                        schedule):
+        lo, hi = data.draw(st.sampled_from(region.components))
+        y = lo + (hi - lo) * Dyadic(data.draw(st.integers(1, 15)), 4)
+        g = IntervalFunction("points", lambda iv: 0.0,
+                             special_points=lambda r, res: specials)
+        cfg = SearchConfig(e_schedule=schedule)
+        got = searched_levels(variation_mod, lambda: (
+            variation_mod.j_singularity(g, region, y, cfg)))
+        assert [cands for cands, _ in got] == ref_j_windows(g, region, y, cfg)
 
     @settings(max_examples=200, deadline=None)
     @given(regions(), st.lists(POINTS, max_size=8),
@@ -915,6 +1084,72 @@ class TestCandidateReference:
                    candidate_point_sets(fx.fn, fx.region, e, cfg, extra)]
             assert got == ref_candidate_point_sets(fx.fn, fx.region, e, cfg,
                                                    extra)
+
+
+# ---------------------------------------------------------------------------
+# points and set edges outside the region: the filler drops them
+# ---------------------------------------------------------------------------
+
+def report_bytes(rep):
+    """A limit report's JSON with what it omits: the lower witnesses and
+    the raw values."""
+    return "\n".join([limit_report_json(rep)] + [repr((
+        None if lv.witness_lower is None else lv.witness_lower.to_json(),
+        lv.raw_upper, lv.raw_lower)) for lv in rep.levels])
+
+
+def gapped(region):
+    """The region's first component without its middle half."""
+    lo, hi = region.components[0]
+    quarter = (hi - lo) * Dyadic(1, 2)
+    return Region([(lo, lo + quarter), (hi - quarter, hi)])
+
+
+def stray_points(region):
+    """Points beyond both ends of the region and in each of its gaps, at
+    exponents finer than any of its own points."""
+    out = [region.components[0][0] - Dyadic(1),
+           region.components[-1][1] + Dyadic(3, 45)]
+    for (_, a), (b, _) in zip(region.components, region.components[1:]):
+        out += [dmid(a, b), dmid(a, b) + Dyadic(1, 40)]
+    return out
+
+
+SHORT = SearchConfig(e_schedule=tuple(Dyadic(1, k) for k in range(3, 7)))
+CUBIC = stieltjes(poly("x^3-x", [0, -1, 0, 1]))
+SPLIT = Region([(ZERO, Dyadic(1, 1)), (Dyadic(3, 1), Dyadic(2))])
+
+
+class TestStrayPoints:
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_extra_and_permanent_points_change_no_byte(self, name):
+        fx = fixture(name)
+        for region in (fx.region, gapped(fx.region)):
+            stray = stray_points(region)
+            assert report_bytes(estimate_norm_limits(
+                fx.fn, region, SHORT, stray)) == report_bytes(
+                estimate_norm_limits(fx.fn, region, SHORT))
+            perms = _perms(fx)
+            assert report_bytes(estimate_k_limits(
+                fx.fn, region, perms + [(p, None) for p in stray],
+                SHORT)) == report_bytes(estimate_k_limits(
+                    fx.fn, region, perms, SHORT))
+
+    @pytest.mark.parametrize("g", [CUBIC, fixture("origin_indicator").fn],
+                             ids=["cubic", "origin_indicator"])
+    def test_set_edges_outside_the_region_change_no_byte(self, g):
+        inside = [(Dyadic(1, 3), Dyadic(3, 3))]
+        # beyond the left end, in the gap (1/2, 3/2) and beyond the right end
+        E = MeasurableSet.from_spans(inside)
+        E_stray = MeasurableSet.from_spans(inside + [
+            (Dyadic(-1), Dyadic(-1, 1)),
+            (Dyadic(3, 2) + Dyadic(1, 40), Dyadic(1)),
+            (Dyadic(3), Dyadic(3) + Dyadic(1, 45))])
+        dens = [density_integral(g, s, SPLIT, SHORT) for s in (E_stray, E)]
+        assert len({density_report_json(d) + report_bytes(d.report)
+                    for d in dens}) == 1
+        assert len({report_bytes(around_limits(g, s, SPLIT, SHORT))
+                    for s in (E_stray, E)}) == 1
 
 
 # ---------------------------------------------------------------------------
