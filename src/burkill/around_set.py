@@ -12,26 +12,50 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from .catalog import IntervalFunction
-from .core import Dyadic, Interval, Region
-from .density import MeasurableSet, with_set_edges
+from .core import Dyadic, Region
+from .density import MeasurableSet, _EdgeKeys, with_set_edges
 from .integrator import LimitReport, SearchConfig, estimate_norm_limits
+
+
+def _meets(E: MeasurableSet):
+    """meets(a, b, ex, lc, rc): E.meets on the span a/2^ex .. b/2^ex with
+    those brackets; a shared single endpoint counts only when both sides
+    include it."""
+    edges = _EdgeKeys(E)
+
+    def meets(a: int, b: int, ex: int, lc: bool, rc: bool) -> bool:
+        s, comps = edges[ex]
+        a, b = a << s, b << s
+        for lo, hi, clc, crc in comps:
+            if b < lo:
+                break                   # components are sorted
+            if (lo < b and a < hi) or (hi == a and crc and lc) or (
+                    lo == b and clc and rc):
+                return True
+        return False
+
+    return meets
 
 
 def around_part(g: IntervalFunction, E: MeasurableSet) -> IntervalFunction:
     """g on intervals whose set intersection with E is non-empty, else 0."""
-    def ev(iv: Interval) -> float:
-        return g(iv) if E.meets(iv) else 0.0
+    meets, gspan = _meets(E), g.span
 
-    return IntervalFunction(f"{g.name}_E", ev,
+    def span(a: int, b: int, ex: int, lc: bool, rc: bool) -> float:
+        return gspan(a, b, ex, lc, rc) if meets(a, b, ex, lc, rc) else 0.0
+
+    return IntervalFunction(f"{g.name}_E", span=span,
                             special_points=with_set_edges(g, E))
 
 
 def complement_part(g: IntervalFunction, E: MeasurableSet) -> IntervalFunction:
     """g minus its around-E part: g on intervals missing E entirely."""
-    def ev(iv: Interval) -> float:
-        return 0.0 if E.meets(iv) else g(iv)
+    meets, gspan = _meets(E), g.span
 
-    return IntervalFunction(f"{g.name}^E", ev,
+    def span(a: int, b: int, ex: int, lc: bool, rc: bool) -> float:
+        return 0.0 if meets(a, b, ex, lc, rc) else gspan(a, b, ex, lc, rc)
+
+    return IntervalFunction(f"{g.name}^E", span=span,
                             special_points=with_set_edges(g, E))
 
 
@@ -81,23 +105,27 @@ def around_chain_check(
     outer = estimate_norm_limits(gE, region, cfg)
 
     cache: dict[tuple, tuple[float, float]] = {}
+    meets = _meets(E)
 
-    def inner(span: tuple[Dyadic, Dyadic]) -> tuple[float, float]:
-        key = (span[0].num, span[0].exp, span[1].num, span[1].exp)
+    def inner(a: int, b: int, ex: int) -> tuple[float, float]:
+        lo, hi = Dyadic(a, ex), Dyadic(b, ex)
+        key = (lo.num, lo.exp, hi.num, hi.exp)
         if key not in cache:
-            rep = estimate_norm_limits(gE, Region.interval(*span), cfg)
+            rep = estimate_norm_limits(gE, Region.interval(lo, hi), cfg)
             cache[key] = (rep.upper, rep.lower)
         return cache[key]
 
-    def up_ev(iv: Interval) -> float:
-        return inner(iv.span())[0] if E.meets(iv) else 0.0
+    def up_span(a: int, b: int, ex: int, lc: bool, rc: bool) -> float:
+        return inner(a, b, ex)[0] if meets(a, b, ex, lc, rc) else 0.0
 
-    def low_ev(iv: Interval) -> float:
-        return inner(iv.span())[1] if E.meets(iv) else 0.0
+    def low_span(a: int, b: int, ex: int, lc: bool, rc: bool) -> float:
+        return inner(a, b, ex)[1] if meets(a, b, ex, lc, rc) else 0.0
 
     specials = with_set_edges(g, E)
-    h_up = IntervalFunction("iterated_upper", up_ev, special_points=specials)
-    h_low = IntervalFunction("iterated_lower", low_ev, special_points=specials)
+    h_up = IntervalFunction("iterated_upper", span=up_span,
+                            special_points=specials)
+    h_low = IntervalFunction("iterated_lower", span=low_span,
+                             special_points=specials)
     it_up = estimate_norm_limits(h_up, region, cfg).upper
     it_low = estimate_norm_limits(h_low, region, cfg).lower
     return ChainReport(

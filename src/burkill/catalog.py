@@ -54,16 +54,26 @@ def pow2(k: int) -> Dyadic:
     return Dyadic(1, k) if k >= 0 else Dyadic(1 << -k, 0)
 
 
+def key_float(a: int, ex: int) -> float:
+    """a/2^ex as float(Dyadic(a, ex)) rounds it."""
+    return ldexp(a, -ex) if abs(a) < 1 << 62 else float(Dyadic(a, ex))
+
+
 class PointFunction:
-    """A pure real function of a dyadic point, with an optional derivative."""
+    """A pure real function of a dyadic point, with an optional derivative.
+
+    keyed(a, ex) is f at a/2^ex; by default f(Dyadic(a, ex)).
+    """
 
     def __init__(self, name: str, func: Callable[[Dyadic], float],
                  derivative: Optional[Callable[[float], float]] = None,
-                 continuous: bool = True):
+                 continuous: bool = True,
+                 keyed: Optional[Callable[[int, int], float]] = None):
         self.name = name
         self._func = func
         self.derivative = derivative
         self.continuous = continuous
+        self.keyed = keyed or (lambda a, ex: func(Dyadic(a, ex)))
 
     def __call__(self, x: Dyadic) -> float:
         return self._func(x)
@@ -145,9 +155,20 @@ class IntervalFunction:
 
 def stieltjes(f: PointFunction) -> IntervalFunction:
     """The endpoint difference f(hi) - f(lo); additive, bracket-free."""
+    keyed = f.keyed
+    last = [None, None, None]            # the last right end: b, ex, f there
+
+    def span(a: int, b: int, ex: int, lc: bool, rc: bool) -> float:
+        # candidates are scored in order, so a span mostly starts at the
+        # last one's right end
+        fa = last[2] if a == last[0] and ex == last[1] else keyed(a, ex)
+        fb = keyed(b, ex)
+        last[:] = b, ex, fb
+        return fb - fa
+
     return IntervalFunction(
         f"S({f.name})",
-        lambda iv: f(iv.hi) - f(iv.lo),
+        span=span,
         additive=True,
         bracket_independent=True,
         continuous=f.continuous,
@@ -224,8 +245,8 @@ def poly(name: str, coeffs: Sequence[float]) -> PointFunction:
     cs = tuple(float(c) for c in coeffs)
     dcs = tuple(k * cs[k] for k in range(1, len(cs)))
 
-    def ev(x: Dyadic) -> float:
-        t = float(x)
+    def keyed(a: int, ex: int) -> float:
+        t = key_float(a, ex)
         acc = 0.0
         for c in reversed(cs):
             acc = acc * t + c
@@ -237,7 +258,8 @@ def poly(name: str, coeffs: Sequence[float]) -> PointFunction:
             acc = acc * t + c
         return acc
 
-    return PointFunction(name, ev, derivative=deriv)
+    return PointFunction(name, lambda x: keyed(x.num, x.exp),
+                         derivative=deriv, keyed=keyed)
 
 
 def step(at: Dyadic, include_at: bool = True, jump: float = 1.0) -> PointFunction:

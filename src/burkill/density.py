@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 from .catalog import IntervalFunction
 from .core import Dyadic, Interval, Region, ZERO, dmax, dmin
 from .errors import NoConvergence
-from .integrator import LimitReport, SearchConfig, estimate_norm_limits
+from .integrator import LimitReport, SearchConfig, _key, estimate_norm_limits
 
 
 class MeasurableSet:
@@ -106,27 +106,51 @@ def with_set_edges(g: IntervalFunction, E: MeasurableSet):
     return specials
 
 
+class _EdgeKeys(dict):
+    """ex -> (s, comps) for spans keyed at ex: E's components (lo, hi,
+    left_closed, right_closed) as integer keys at the finer of ex and E's
+    own exponent, and the left shift s that takes the span's keys there.
+    E's edges are keyed once at their own exponent, then at each finer
+    span exponent the first time it is asked for."""
+
+    def __init__(self, E: MeasurableSet):
+        super().__init__()
+        self.ex = ex = max((p.exp for p in E.endpoints()), default=0)
+        self.comps = [(_key(iv.lo, ex), _key(iv.hi, ex), iv.left_closed,
+                       iv.right_closed) for iv in E.components]
+
+    def __missing__(self, ex: int):
+        s = ex - self.ex
+        out = self[ex] = (-s, self.comps) if s <= 0 else (0, [
+            (lo << s, hi << s, lc, rc) for lo, hi, lc, rc in self.comps])
+        return out
+
+
 def density_kernel(g: IntervalFunction, E: MeasurableSet) -> IntervalFunction:
     """The interval function K(I) = g(I) * m(E & I) / mI.
 
     Special points inherit from g plus the endpoints of E; bracket
     dependence is inherited from g (the measure ratio ignores brackets).
+    m(E & I) is a sum of integer overlaps, and the ratio one int/int
+    division, rounded once.
     """
-    def ev(iv: Interval) -> float:
-        m = intersect_measure(E, iv)
-        if m.num == 0:
+    edges, gspan = _EdgeKeys(E), g.span
+
+    def span(a: int, b: int, ex: int, lc: bool, rc: bool) -> float:
+        s, comps = edges[ex]
+        lo, hi = a << s, b << s
+        m = 0
+        for clo, chi, _, _ in comps:
+            if hi <= clo:
+                break                   # components are sorted
+            if lo < chi:
+                m += min(chi, hi) - max(clo, lo)
+        if m == 0:
             return 0.0
-        length = iv.length
-        if m.num < (1 << 52) and length.num < (1 << 52):
-            # float division of exactly-represented dyadics; the common
-            # aligned cases (ratio a power of two or one) stay exact
-            ratio = float(m) / float(length)
-        else:
-            ratio = float(m.as_fraction() / length.as_fraction())
-        return g(iv) * ratio
+        return gspan(a, b, ex, lc, rc) * (m / (hi - lo))
 
     return IntervalFunction(
-        f"K({g.name};E)", ev,
+        f"K({g.name};E)", span=span,
         bracket_independent=g.bracket_independent,
         special_points=with_set_edges(g, E),
         singular_schedule=g._schedule,

@@ -403,14 +403,18 @@ def _fill(key_sets, region: Region, e: Dyadic, ex: int, cap: int,
           fixed: Sequence[int] = ()) -> list[Candidate]:
     """The candidates of key sets at the exponent ex (_level_exponent):
     each set with the fixed keys and the region's ends, clipped to the
-    components and filled below e, without repeats."""
+    components and filled below e, without repeats.  A Candidate among
+    the sets is one this filler already gave, and is taken as it is."""
     comps, ek = _comp_keys(region, ex), _key(e, ex)
     fixed = [*fixed, *(k for comp in comps for k in comp)]
     out: list[Candidate] = []
-    for keys in key_sets:
-        keys, runs = _fill_keys(sorted(set(keys).union(fixed)), comps, ek, cap)
-        if all(keys != c.keys for c in out):
-            out.append(Candidate(keys, ex, runs))
+    for cand in key_sets:
+        if not isinstance(cand, Candidate):
+            keys, runs = _fill_keys(sorted(set(cand).union(fixed)), comps, ek,
+                                    cap)
+            cand = Candidate(keys, ex, runs)
+        if all(cand.keys != c.keys for c in out):
+            out.append(cand)
     return out
 
 
@@ -441,9 +445,10 @@ def candidate_point_sets(
     sets = [grid, _grid_keys(comps, sp >> 1, sp, cfg.max_points)]
     if specials:
         spec = [_key(p, ex) for p in specials]
-        keys = _fill([spec], region, e, ex, cfg.max_points, fixed)[0].keys
+        filled = _fill([spec], region, e, ex, cfg.max_points, fixed)[0]
+        keys = filled.keys
         # the filler drops the midpoints that fall in the region's gaps
-        sets += [grid + spec, keys,
+        sets += [grid + spec, filled,
                  keys + [(a + b) >> 1 for a, b in zip(keys, keys[1:])]]
     return _fill(sets, region, e, ex, cfg.max_points, fixed)
 

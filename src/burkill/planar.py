@@ -15,13 +15,12 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .catalog import IntervalFunction, xsum
+from .catalog import IntervalFunction, key_float, xsum
 from .core import (
     Dyadic,
     Interval,
     Region,
     ZERO,
-    dmid,
     floor_log2,
 )
 from .errors import BudgetExceeded
@@ -77,18 +76,35 @@ def closed_rect(x0: Dyadic, x1: Dyadic, y0: Dyadic, y1: Dyadic) -> Rect:
 
 
 class RectFunction:
-    """Pure map Rect -> real with special-rectangle hints."""
+    """Pure map Rect -> real with special-rectangle hints.
 
-    def __init__(self, name: str, func: Callable[[Rect], float], *,
+    cell(x0, x1, y0, y1, ex, xb, yb), when given, is the function on the
+    integer cell [x0/2^ex, x1/2^ex] x [y0/2^ex, y1/2^ex] with the bracket
+    pairs xb and yb; searches then evaluate it without building a Rect.
+    A function given only cell answers a Rect through it.
+    """
+
+    def __init__(self, name: str,
+                 func: Optional[Callable[[Rect], float]] = None, *,
+                 cell: Optional[Callable[..., float]] = None,
                  bracket_independent: bool = False,
                  special_rects=None):
+        if func is None and cell is None:
+            raise ValueError(f"{name} needs func or cell")
         self.name = name
-        self._func = func
+        self._func = func or self._from_cell
+        self.cell = cell
         self.bracket_independent = bracket_independent
         self._special = special_rects
 
     def __call__(self, rect: Rect) -> float:
         return self._func(rect)
+
+    def _from_cell(self, r: Rect) -> float:
+        ex = _exp(r)
+        return self.cell(*_cell(r, ex), ex,
+                         (r.x.left_closed, r.x.right_closed),
+                         (r.y.left_closed, r.y.right_closed))
 
     def special_rects(self, region: Rect, e: Dyadic) -> list[Rect]:
         return list(self._special(region, e)) if self._special else []
@@ -215,8 +231,9 @@ def planar_config(**overrides) -> SearchConfig:
 
 class _CellMemo(dict):
     """Cell -> gT's largest and smallest value over the cell's bracket
-    variants (ties keep the first, in Rect.variants order).  A Rect is
-    built only on a miss, on Dyadic points shared across the level."""
+    variants (ties keep the first, in Rect.variants order).  A miss calls
+    gT.cell when gT has one; else it builds a Rect, on Dyadic points
+    shared across the level."""
 
     def __init__(self, gT: RectFunction, ex: int):
         super().__init__()
@@ -224,12 +241,17 @@ class _CellMemo(dict):
         self.brackets = _VARIANTS[3:] if gT.bracket_independent else _VARIANTS
 
     def __missing__(self, cell: tuple) -> tuple[float, float]:
-        pts, raw, brackets = self.pts, Interval.raw, self.brackets
-        x0, x1, y0, y1 = [pts[k] if k in pts
-                          else pts.setdefault(k, Dyadic(k, self.ex))
-                          for k in cell]
-        vals = [self.gT(Rect(raw(x0, x1, *xb), raw(y0, y1, *yb)))
-                for xb in brackets for yb in brackets]
+        brackets, ex, keyed = self.brackets, self.ex, self.gT.cell
+        if keyed is not None:
+            vals = [keyed(*cell, ex, xb, yb)
+                    for xb in brackets for yb in brackets]
+        else:
+            pts, raw = self.pts, Interval.raw
+            x0, x1, y0, y1 = [pts[k] if k in pts
+                              else pts.setdefault(k, Dyadic(k, ex))
+                              for k in cell]
+            vals = [self.gT(Rect(raw(x0, x1, *xb), raw(y0, y1, *yb)))
+                    for xb in brackets for yb in brackets]
         out = self[cell] = (max(vals), min(vals))
         return out
 
@@ -394,6 +416,13 @@ def product_bv_check(
 # Planar fixtures
 # ---------------------------------------------------------------------------
 
+def _pow2_exp(d: int, ex: int) -> int:
+    """k when d/2^ex is 2^-k, k >= 2 (the lengths that charge a planar
+    fixture), else -1."""
+    k = ex - d.bit_length() + 1
+    return k if d > 0 and d & (d - 1) == 0 and k >= 2 else -1
+
+
 def two_squares_function() -> RectFunction:
     """Unit charges on two shrinking square families at dyadic anchors.
 
@@ -404,18 +433,12 @@ def two_squares_function() -> RectFunction:
     """
     cx1, cx2, cy = Dyadic(1, 2), Dyadic(3, 2), Dyadic(1, 1)
 
-    def ev(r: Rect) -> float:
-        w = r.x.length
-        if w != r.y.length or w.num != 1 or w.exp < 2:
+    def cell(x0: int, x1: int, y0: int, y1: int, ex: int, xb, yb) -> float:
+        # side 2^-k, k >= 2; centre (1/4, 1/2) for even k, (3/4, 1/2) odd
+        k = _pow2_exp(x1 - x0, ex)
+        if k < 0 or y1 - y0 != x1 - x0 or y0 + y1 != 1 << ex:
             return 0.0
-        if dmid(r.y.lo, r.y.hi) != cy:
-            return 0.0
-        centre = dmid(r.x.lo, r.x.hi)
-        if centre == cx1 and w.exp % 2 == 0:
-            return 1.0
-        if centre == cx2 and w.exp % 2 == 1:
-            return 1.0
-        return 0.0
+        return 1.0 if (x0 + x1) << 1 == (3 if k % 2 else 1) << ex else 0.0
 
     def specials(region: Rect, e: Dyadic) -> list[Rect]:
         j = max(3, -floor_log2(e))
@@ -428,7 +451,7 @@ def two_squares_function() -> RectFunction:
             out.append(closed_rect(cx - h, cx + h, cy - h, cy + h))
         return out
 
-    return RectFunction("two_squares", ev, bracket_independent=True,
+    return RectFunction("two_squares", cell=cell, bracket_independent=True,
                         special_rects=specials)
 
 
@@ -442,14 +465,14 @@ def bottom_strips_function() -> RectFunction:
     """
     half, one = Dyadic(1, 1), Dyadic(1)
 
-    def ev(r: Rect) -> float:
-        if r.y.lo != ZERO or r.y.hi.num != 1 or r.y.hi.exp < 2:
+    def cell(x0: int, x1: int, y0: int, y1: int, ex: int, xb, yb) -> float:
+        # height 2^-k, k >= 2: even k counts on [0, 1/2], odd on [1/2, 1]
+        k = _pow2_exp(y1, ex) if y0 == 0 else -1
+        if k < 0:
             return 0.0
-        even = r.y.hi.exp % 2 == 0
-        if even and r.x.hi <= half:
-            return float(r.x.length)
-        if not even and half <= r.x.lo and r.x.hi <= one:
-            return float(r.x.length)
+        if (x1 << 1 <= 1 << ex if k % 2 == 0
+                else 1 << ex <= x0 << 1 and x1 <= 1 << ex):
+            return key_float(x1 - x0, ex)
         return 0.0
 
     def specials(region: Rect, e: Dyadic) -> list[Rect]:
@@ -460,7 +483,7 @@ def bottom_strips_function() -> RectFunction:
         return [closed_rect(ZERO, half, ZERO, h_left),
                 closed_rect(half, one, ZERO, h_right)]
 
-    return RectFunction("bottom_strips", ev, bracket_independent=True,
+    return RectFunction("bottom_strips", cell=cell, bracket_independent=True,
                         special_rects=specials)
 
 
@@ -471,8 +494,12 @@ def area_function() -> RectFunction:
 
 def product_function(g1: IntervalFunction, g2: IntervalFunction,
                      name: str = "") -> RectFunction:
+    s1, s2 = g1.span, g2.span
+
+    def cell(x0: int, x1: int, y0: int, y1: int, ex: int, xb, yb) -> float:
+        return s1(x0, x1, ex, *xb) * s2(y0, y1, ex, *yb)
+
     return RectFunction(
-        name or f"{g1.name}*{g2.name}",
-        lambda r: g1(r.x) * g2(r.y),
+        name or f"{g1.name}*{g2.name}", cell=cell,
         bracket_independent=g1.bracket_independent and g2.bracket_independent,
     )
