@@ -22,6 +22,7 @@ from .core import (
     ZERO,
     floor_log2,
     is_pow2,
+    key_float,
     sort_points,
 )
 from .errors import IndeterminateForm, UnknownFixture
@@ -52,11 +53,6 @@ def xsum(values) -> float:
 def pow2(k: int) -> Dyadic:
     """2**(-k) as an exact dyadic."""
     return Dyadic(1, k) if k >= 0 else Dyadic(1 << -k, 0)
-
-
-def key_float(a: int, ex: int) -> float:
-    """a/2^ex as float(Dyadic(a, ex)) rounds it."""
-    return ldexp(a, -ex) if abs(a) < 1 << 62 else float(Dyadic(a, ex))
 
 
 class PointFunction:
@@ -156,15 +152,9 @@ class IntervalFunction:
 def stieltjes(f: PointFunction) -> IntervalFunction:
     """The endpoint difference f(hi) - f(lo); additive, bracket-free."""
     keyed = f.keyed
-    last = [None, None, None]            # the last right end: b, ex, f there
 
     def span(a: int, b: int, ex: int, lc: bool, rc: bool) -> float:
-        # candidates are scored in order, so a span mostly starts at the
-        # last one's right end
-        fa = last[2] if a == last[0] and ex == last[1] else keyed(a, ex)
-        fb = keyed(b, ex)
-        last[:] = b, ex, fb
-        return fb - fa
+        return keyed(b, ex) - keyed(a, ex)
 
     return IntervalFunction(
         f"S({f.name})",

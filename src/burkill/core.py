@@ -25,6 +25,19 @@ from .errors import (
 )
 
 
+def key_float(a: int, ex: int) -> float:
+    """a/2^ex, ex >= 0, as a float: ldexp below 2^62, else the quotient
+    rounded once.  A larger key is first reduced as Dyadic(a, ex) reduces
+    it, so key_float(a, ex) == float(Dyadic(a, ex)) for every key."""
+    if -(1 << 62) < a < 1 << 62:
+        return ldexp(a, -ex)
+    q = Fraction(a, 1 << ex)
+    n = q.numerator
+    if -(1 << 62) < n < 1 << 62:
+        return ldexp(n, 1 - q.denominator.bit_length())
+    return float(q)
+
+
 class Dyadic:
     """A rational number num / 2**exp in canonical form (num odd or exp 0)."""
 
@@ -70,9 +83,7 @@ class Dyadic:
         return Fraction(self.num, 1 << self.exp)
 
     def __float__(self) -> float:
-        if abs(self.num) < (1 << 62):
-            return ldexp(self.num, -self.exp)
-        return float(self.as_fraction())
+        return key_float(self.num, self.exp)
 
     def _pair(self, other: "Dyadic") -> tuple[int, int]:
         # Align both numerators to the common exponent.

@@ -15,13 +15,14 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .catalog import IntervalFunction, key_float, xsum
+from .catalog import IntervalFunction, xsum
 from .core import (
     Dyadic,
     Interval,
     Region,
     ZERO,
     floor_log2,
+    key_float,
 )
 from .errors import BudgetExceeded
 from .integrator import (
@@ -75,13 +76,26 @@ def closed_rect(x0: Dyadic, x1: Dyadic, y0: Dyadic, y1: Dyadic) -> Rect:
     return Rect(Interval(x0, x1, True, True), Interval(y0, y1, True, True))
 
 
+class _Points(dict):
+    """Key -> Dyadic(key, ex): a level's cells share their edges."""
+
+    def __init__(self, ex: int):
+        super().__init__()
+        self.ex = ex
+
+    def __missing__(self, k: int) -> Dyadic:
+        p = self[k] = Dyadic(k, self.ex)
+        return p
+
+
 class RectFunction:
     """Pure map Rect -> real with special-rectangle hints.
 
-    cell(x0, x1, y0, y1, ex, xb, yb), when given, is the function on the
-    integer cell [x0/2^ex, x1/2^ex] x [y0/2^ex, y1/2^ex] with the bracket
-    pairs xb and yb; searches then evaluate it without building a Rect.
-    A function given only cell answers a Rect through it.
+    cell(x0, x1, y0, y1, ex, xb, yb) is the function on the integer cell
+    [x0/2^ex, x1/2^ex] x [y0/2^ex, y1/2^ex] with the bracket pairs xb and
+    yb.  Searches evaluate it only through cell.  A function given only
+    cell answers a Rect through it, and one given only func answers cell
+    through an adapter that builds the Rect from the keys.
     """
 
     def __init__(self, name: str,
@@ -93,7 +107,8 @@ class RectFunction:
             raise ValueError(f"{name} needs func or cell")
         self.name = name
         self._func = func or self._from_cell
-        self.cell = cell
+        self.cell = cell or self._to_cell
+        self._pts = _Points(0)           # the adapter's Dyadics, one per key
         self.bracket_independent = bracket_independent
         self._special = special_rects
 
@@ -105,6 +120,14 @@ class RectFunction:
         return self.cell(*_cell(r, ex), ex,
                          (r.x.left_closed, r.x.right_closed),
                          (r.y.left_closed, r.y.right_closed))
+
+    def _to_cell(self, x0: int, x1: int, y0: int, y1: int, ex: int,
+                 xb, yb) -> float:
+        pts = self._pts
+        if pts.ex != ex:
+            pts = self._pts = _Points(ex)
+        return self._func(Rect(Interval.raw(pts[x0], pts[x1], *xb),
+                               Interval.raw(pts[y0], pts[y1], *yb)))
 
     def special_rects(self, region: Rect, e: Dyadic) -> list[Rect]:
         return list(self._special(region, e)) if self._special else []
@@ -231,27 +254,16 @@ def planar_config(**overrides) -> SearchConfig:
 
 class _CellMemo(dict):
     """Cell -> gT's largest and smallest value over the cell's bracket
-    variants (ties keep the first, in Rect.variants order).  A miss calls
-    gT.cell when gT has one; else it builds a Rect, on Dyadic points
-    shared across the level."""
+    variants (ties keep the first, in Rect.variants order)."""
 
     def __init__(self, gT: RectFunction, ex: int):
         super().__init__()
-        self.gT, self.ex, self.pts = gT, ex, {}
+        self.cell, self.ex = gT.cell, ex
         self.brackets = _VARIANTS[3:] if gT.bracket_independent else _VARIANTS
 
     def __missing__(self, cell: tuple) -> tuple[float, float]:
-        brackets, ex, keyed = self.brackets, self.ex, self.gT.cell
-        if keyed is not None:
-            vals = [keyed(*cell, ex, xb, yb)
-                    for xb in brackets for yb in brackets]
-        else:
-            pts, raw = self.pts, Interval.raw
-            x0, x1, y0, y1 = [pts[k] if k in pts
-                              else pts.setdefault(k, Dyadic(k, ex))
-                              for k in cell]
-            vals = [self.gT(Rect(raw(x0, x1, *xb), raw(y0, y1, *yb)))
-                    for xb in brackets for yb in brackets]
+        brackets, ex, keyed = self.brackets, self.ex, self.cell
+        vals = [keyed(*cell, ex, xb, yb) for xb in brackets for yb in brackets]
         out = self[cell] = (max(vals), min(vals))
         return out
 

@@ -10,6 +10,8 @@ made to raise, so that they stay on the keyed path.
 """
 
 from dataclasses import replace
+from fractions import Fraction
+from math import ldexp
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,7 +30,16 @@ from burkill.catalog import (
     poly,
     stieltjes,
 )
-from burkill.core import Dyadic, Interval, Region, ZERO, dmax, dmin, dmid
+from burkill.core import (
+    Dyadic,
+    Interval,
+    Region,
+    ZERO,
+    dmax,
+    dmin,
+    dmid,
+    key_float,
+)
 from burkill.density import (
     MeasurableSet,
     density_integral,
@@ -40,6 +51,7 @@ from burkill.integrator import _VARIANTS, SearchConfig, estimate_norm_limits
 from burkill.planar import (
     Rect,
     RectFunction,
+    area_function,
     bottom_strips_function,
     closed_rect,
     estimate_norm_limits_2d,
@@ -58,12 +70,19 @@ MIN_NORMAL = Dyadic(1, 1022)
 # The Dyadic, Interval and Rect bodies
 # ---------------------------------------------------------------------------
 
+def ref_float(x):
+    """Dyadic.__float__'s body: ldexp below 2^62, else the exact quotient."""
+    if abs(x.num) < (1 << 62):
+        return ldexp(x.num, -x.exp)
+    return float(x.as_fraction())
+
+
 def ref_poly(coeffs):
     """The polynomial's point body: Horner's rule at float(x)."""
     cs = tuple(float(c) for c in coeffs)
 
     def ev(x):
-        t = float(x)
+        t = ref_float(x)
         acc = 0.0
         for c in reversed(cs):
             acc = acc * t + c
@@ -91,7 +110,7 @@ def ref_density_kernel(g, E):
         length = iv.length
         if (m.num < (1 << 52) and length.num < (1 << 52)
                 and not m < MIN_NORMAL):
-            ratio = float(m) / float(length)
+            ratio = ref_float(m) / ref_float(length)
         else:
             ratio = float(m.as_fraction() / length.as_fraction())
         return g(iv) * ratio
@@ -158,9 +177,9 @@ def ref_bottom_strips(r):
         return 0.0
     even = r.y.hi.exp % 2 == 0
     if even and r.x.hi <= half:
-        return float(r.x.length)
+        return ref_float(r.x.length)
     if not even and half <= r.x.lo and r.x.hi <= ONE:
-        return float(r.x.length)
+        return ref_float(r.x.length)
     return 0.0
 
 
@@ -355,6 +374,23 @@ KEYS = st.one_of(st.integers(-(1 << 20), 1 << 20),
                  st.integers(1 << 1100, 1 << 1102))
 
 
+class TestKeyFloat:
+    @given(KEYS, st.integers(0, 1200), SHIFTS)
+    def test_key_float_equals_dyadic_body(self, a, ex, k):
+        x = Dyadic(a, ex)
+        want = outcome(ref_float, x)
+        assert outcome(key_float, a << k, ex + k) == want
+        assert outcome(float, x) == want
+
+    def test_reduced_before_rounding(self):
+        # 62 bits that round twice through ldexp into a subnormal: a key
+        # shifted past 2^62 must still round as its reduced Dyadic does
+        n = (1 << 60) + (1 << 9) + (1 << 8) - 1
+        assert ldexp(n, -1083) != float(Fraction(n, 1 << 1083))
+        assert key_float(n << 3, 1086) == ldexp(n, -1083)
+        assert float(Dyadic(n << 3, 1086)) == ldexp(n, -1083)
+
+
 class TestStieltjes:
     @settings(max_examples=300, deadline=None)
     @given(COEFFS, KEYS, st.integers(0, 1200))
@@ -434,6 +470,8 @@ PLANE = {
                                          fixture("origin_indicator").fn),
                 lambda: ref_product(G_CHOICES["cubic"](),
                                     fixture("origin_indicator").fn)),
+    # a func-only function: its cell is the adapter that builds the Rect
+    "area": (area_function, lambda: lambda r: ref_float(r.area)),
 }
 
 
@@ -481,6 +519,7 @@ def test_measure_searches_build_no_interval_or_rect(monkeypatch):
     monkeypatch.setattr(IntervalFunction, "_to_span", _refuse)
     monkeypatch.setattr(IntervalFunction, "__call__", _refuse)
     monkeypatch.setattr(RectFunction, "__call__", _refuse)
+    monkeypatch.setattr(RectFunction, "_to_cell", _refuse)
     cubic = stieltjes(poly("x^3-x", [0, -1, 0, 1]))
     E = MeasurableSet.from_spans([(Dyadic(3, 4), Dyadic(5, 3)),
                                   (Dyadic(13, 4), ONE)])
