@@ -10,9 +10,12 @@ oracle name or a construction note.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import compress
 from math import ldexp
+from operator import add, ne
 from typing import Callable, Optional, Sequence
 
 from .core import (
@@ -23,7 +26,6 @@ from .core import (
     floor_log2,
     is_pow2,
     key_float,
-    sort_points,
 )
 from .errors import IndeterminateForm, UnknownFixture
 
@@ -31,7 +33,15 @@ INF = float("inf")
 
 
 def xsum(values) -> float:
-    """Extended-real sum; +inf and -inf together raise IndeterminateForm."""
+    """Extended-real sum, added left to right; +inf and -inf together raise
+    IndeterminateForm."""
+    if not isinstance(values, list):
+        values = list(values)
+    # a finite total means no value was infinite or NaN; not the builtin sum,
+    # which compensates from Python 3.12 on and so rounds differently
+    total = reduce(add, values, 0.0)
+    if -INF < total < INF:
+        return total
     pos = neg = False
     total = 0.0
     for v in values:
@@ -138,15 +148,32 @@ class IntervalFunction:
     def special_points(self, region: Region, resolution: Dyadic) -> list[Dyadic]:
         if self._special is None:
             return []
-        pts = [p for p in self._special(region, resolution)
-               if region.contains_point(p)]
-        return sort_points(set(pts))
+        pts = list(self._special(region, resolution))
+        keys, comps = _point_keys(region, pts)
+        # sorted and de-duplicated without hashing the keys: the hashes of
+        # powers of two take only 61 values
+        order = sorted(range(len(pts)), key=keys.__getitem__)
+        keys = list(map(keys.__getitem__, order))
+        first = [True, *map(ne, keys[1:], keys)]
+        order, keys = list(compress(order, first)), list(compress(keys, first))
+        return [pts[i] for lo, hi in comps
+                for i in order[bisect_left(keys, lo):bisect_right(keys, hi)]]
 
     def singular_schedule(self, region: Region, resolution: Dyadic):
         if self._schedule is None:
             return []
-        return [(p, lock) for p, lock in self._schedule(region, resolution)
-                if region.contains_point(p)]
+        sched = list(self._schedule(region, resolution))
+        keys, comps = _point_keys(region, [p for p, _ in sched])
+        return [s for s, k in zip(sched, keys)
+                if any(lo <= k <= hi for lo, hi in comps)]
+
+
+def _point_keys(region: Region, points: list[Dyadic]):
+    """The points' keys and the region's component keys at one exponent."""
+    ex = max((p.exp for p in (*points, *region.endpoints())), default=0)
+    return ([p.num << (ex - p.exp) for p in points],
+            [(lo.num << (ex - lo.exp), hi.num << (ex - hi.exp))
+             for lo, hi in region.components])
 
 
 def stieltjes(f: PointFunction) -> IntervalFunction:
@@ -208,7 +235,7 @@ def add_fn(g1: IntervalFunction, g2: IntervalFunction) -> IntervalFunction:
 def length_fn() -> IntervalFunction:
     return IntervalFunction(
         "mI",
-        lambda iv: float(iv.length),
+        span=lambda a, b, ex, lc, rc: key_float(b - a, ex),
         additive=True,
         bracket_independent=True,
         continuous=True,
@@ -313,11 +340,11 @@ def cantor_staircase_12() -> tuple[PointFunction, list[tuple[Dyadic, Dyadic]]]:
     rise = 1 << depth
     last = len(spans) - 1
 
-    def ev(x: Dyadic) -> float:
-        # x and the breakpoints as integers at one exponent e >= grid
-        e = max(grid, x.exp)
+    def keyed(k: int, ex: int) -> float:
+        # x = k/2^ex and the breakpoints as integers at one exponent e >= grid
+        e = max(grid, ex)
         shift = e - grid
-        xi = x.num << (e - x.exp)
+        xi = k << (e - ex)
         if xi <= starts[0] << shift:
             return 0.0
         if xi >= ends[last] << shift:
@@ -329,7 +356,8 @@ def cantor_staircase_12() -> tuple[PointFunction, list[tuple[Dyadic, Dyadic]]]:
         # (i + (x - a) / (b - a)) / 2^12, correctly rounded
         return (i * (b - a) + xi - a) / (rise * (b - a))
 
-    return PointFunction("staircase12", ev), spans
+    return PointFunction("staircase12", lambda x: keyed(x.num, x.exp),
+                         keyed=keyed), spans
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +580,7 @@ def cantor_staircase_function() -> tuple[IntervalFunction, list]:
 
         g = IntervalFunction(
             "S(staircase12)",
-            lambda iv: f(iv.hi) - f(iv.lo),
+            span=stieltjes(f).span,
             additive=True,
             bracket_independent=True,
             continuous=True,

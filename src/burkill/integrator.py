@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, compress, count, islice, repeat
+from operator import is_, is_not
 from typing import Optional, Sequence
 
 from .catalog import INF, IntervalFunction, xsum
@@ -200,24 +201,65 @@ def _score(g: IntervalFunction, cand: Candidate, memo: dict, locks: dict,
     """One pass over a candidate's spans that scores both senses.
 
     memo maps a span's integer endpoints to g's value when g is bracket
-    independent, else to its four variant values, filled as they are
-    needed by g.span straight from the keys.  Per
-    span, each sense takes the first allowed variant unless a later one is
-    strictly better.  absolute scores |g| off the same values.
+    independent, else to its four variant values (a list while a locked
+    trace has filled only some), filled as they are needed by g.span
+    straight from the keys, span by span in order.  Per span, each sense
+    takes the first allowed variant unless a later one is strictly better.
+    absolute scores |g| off the same values.
     Returns the values and the variant indices chosen in the max and the
     min sense; a bracket-independent g shares one list between the senses,
     and None stands for the open variant on every span.
     """
+    if locks:
+        return _score_locked(g, cand, memo, locks, absolute)
+    keys, ex, span = cand.keys, cand.ex, g.span
+    free = g.bracket_independent
+    vals: list = []                      # values, or rows of variant values
+    for start, stop in cand.runs:
+        ks = keys[start:stop]
+        pairs = list(zip(ks, ks[1:]))
+        got = list(map(memo.get, pairs))
+        # a run's spans are distinct, and one that an earlier run shares
+        # (a pack pool's runs can) is in the memo by now
+        if free:
+            for i in compress(count(), map(is_, got, repeat(None))):
+                key = pairs[i]
+                got[i] = memo[key] = span(*key, ex, False, False)
+        else:
+            # a row is a tuple once it holds every variant; a locked trace
+            # leaves a list with None for the variants it did not need
+            for i in compress(count(), map(is_not, map(type, got),
+                                           repeat(tuple))):
+                key, row = pairs[i], list(got[i] or (None,) * 4)
+                for k, v in enumerate(row):
+                    if v is None:
+                        row[k] = span(*key, ex, *_VARIANTS[k])
+                got[i] = memo[key] = tuple(row)
+        vals += got
+    if free:
+        if absolute:
+            vals = list(map(abs, vals))
+        return vals, vals, None, None
+    if absolute:                         # |values|, four to a row again
+        vals = list(zip(*[map(abs, chain.from_iterable(vals))] * 4))
+    # max and min keep the first value unless a later one is strictly
+    # better, so ties and NaN resolve as in the locked loop
+    ups, lows = list(map(max, vals)), list(map(min, vals))
+    return (ups, lows, list(map(tuple.index, vals, ups)),
+            list(map(tuple.index, vals, lows)))
+
+
+def _score_locked(g: IntervalFunction, cand: Candidate, memo: dict,
+                  locks: dict, absolute: bool):
+    """_score over spans whose variants the junction locks restrict."""
     keys, ex, span = cand.keys, cand.ex, g.span
     if g.bracket_independent:
         vals: list[float] = []
-        choice: Optional[list[int]] = [] if locks else None
+        choice: list[int] = []
         for start, stop in cand.runs:
             for i in range(start, stop - 1):
-                k = 0
-                if locks:
-                    k = _span_variants(locks, cand, i)[0]
-                    choice.append(k)
+                k = _span_variants(locks, cand, i)[0]
+                choice.append(k)
                 key = (keys[i], keys[i + 1])
                 v = memo.get(key)
                 if v is None:
@@ -230,7 +272,7 @@ def _score(g: IntervalFunction, cand: Candidate, memo: dict, locks: dict,
     low_k: list[int] = []
     for start, stop in cand.runs:
         for i in range(start, stop - 1):
-            allowed = _span_variants(locks, cand, i) if locks else _ALL
+            allowed = _span_variants(locks, cand, i)
             key = (keys[i], keys[i + 1])
             row = memo.get(key)
             if row is None:
@@ -702,27 +744,26 @@ def oscillation(report: LimitReport) -> float:
 
 def _split_scores(whole: list[float], left: list[float],
                   right: list[float]) -> tuple[float, float]:
-    """The split defect over the 64 bracket choices, and the two-sided
-    defect max(split defect, pair spread), from the variant values."""
-    c = 0.0
-    for w in whole:
-        for a in left:
-            for b in right:
-                val = abs(w - a - b)
-                if val > c:
-                    c = val
+    """The split defect over the bracket choices, and the two-sided defect
+    max(split defect, pair spread), from the variant values."""
+    # max keeps 0.0 unless a later value is strictly larger, so NaN is skipped
+    c = max([0.0] + [abs(w - a - b) for w in whole for a in left
+                     for b in right])
     sums = [a + b for a in left for b in right]
     return c, max(c, max(sums) - min(sums))
 
 
 def _triple_values(g: IntervalFunction, x: int, y: int, z: int, ex: int,
                    memo: dict) -> list[list[float]]:
-    """g over the four bracket variants of x..z, x..y and y..z, keys at ex,
-    in canonical order; memo maps each key pair already seen to them."""
+    """g over the bracket variants of x..z, x..y and y..z, keys at ex, in
+    canonical order: the open variant alone when g is bracket independent,
+    since the others equal it.  memo maps each key pair already seen to
+    them."""
+    variants = _VARIANTS[:1] if g.bracket_independent else _VARIANTS
     out = []
     for key in ((x, z), (x, y), (y, z)):
         if key not in memo:
-            memo[key] = [g.span(*key, ex, lc, rc) for lc, rc in _VARIANTS]
+            memo[key] = [g.span(*key, ex, lc, rc) for lc, rc in variants]
         out.append(memo[key])
     return out
 
@@ -778,33 +819,20 @@ def _defect_at(g: IntervalFunction, y: Dyadic, cfg: SearchConfig,
     below, above = _neighbours(keys, yk)
     below = [k for k in below if k >= lo]
     above = [k for k in above if yk < k <= hi][:4]
-    gap_below = [yk - k for k in below]
-    gap_above = [k - yk for k in above]
-    scores: dict = {}                    # (i, j) -> (split defect, two-sided)
+    # the triples inside the coarsest window, by the larger of their gaps,
+    # in order; a finer window holds some of them, so the traces are
+    # non-increasing as they stand
+    ek = _key(cfg.e_schedule[0], ex)
+    scored = [(max(yk - x, z - yk), *_split_scores(*_triple_values(
+        g, x, yk, z, ex, memo))) for x in below if yk - x < ek
+        for z in above if z - yk < ek]
     trace = []
     sigma_trace = []
     for e in cfg.e_schedule:
         ek = _key(e, ex)
-        js = [j for j, d in enumerate(gap_above) if d < ek]
-        c_best = 0.0
-        s_best = 0.0
-        for i, d in enumerate(gap_below):
-            if d >= ek:
-                continue
-            for j in js:
-                cs = scores.get((i, j))
-                if cs is None:
-                    cs = scores[i, j] = _split_scores(*_triple_values(
-                        g, below[i], yk, above[j], ex, memo))
-                c_best = max(c_best, cs[0])
-                s_best = max(s_best, cs[1])
-        trace.append((e, c_best))
-        sigma_trace.append((e, s_best))
-    # a triple inside a fine window is inside every coarser one
-    for i in range(len(trace) - 2, -1, -1):
-        trace[i] = (trace[i][0], max(trace[i][1], trace[i + 1][1]))
-        sigma_trace[i] = (sigma_trace[i][0],
-                          max(sigma_trace[i][1], sigma_trace[i + 1][1]))
+        trace.append((e, max([0.0] + [c for d, c, _ in scored if d < ek])))
+        sigma_trace.append((e, max([0.0] + [s for d, _, s in scored
+                                            if d < ek])))
     return DefectReport(y, trace, trace[-1][1], sigma_trace[-1][1])
 
 

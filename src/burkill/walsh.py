@@ -62,17 +62,20 @@ def sign_table(n: int) -> SignTable:
     return SignTable(n, mat)
 
 
-def orthogonality_check(table: SignTable) -> int:
-    """Largest |off-diagonal row dot product|; 0 for every stage.
+def _int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for sign tables, through BLAS in float64 and back to int64.
 
-    Row dot products are integers bounded by N, far below 2**53, so the
-    float64 matmul used for large stages is integer-exact.
+    Every entry is an integer of magnitude at most N <= 2**15, far below
+    2**53, so the float64 product is exact; numpy multiplies int64 arrays
+    without BLAS, many times slower.
     """
+    return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+
+
+def orthogonality_check(table: SignTable) -> int:
+    """Largest |off-diagonal row dot product|; 0 for every stage."""
     m = table.matrix
-    if table.size <= 256:
-        gram = m.astype(np.int64) @ m.astype(np.int64).T
-    else:
-        gram = (m.astype(np.float64) @ m.astype(np.float64).T).astype(np.int64)
+    gram = _int_matmul(m, m.T)
     off = gram - np.diag(np.diag(gram))
     return int(np.abs(off).max()) if off.size else 0
 
@@ -125,9 +128,9 @@ def span_check(table: SignTable, with_determinant: bool = True) -> bool:
     j divided by N; the reconstruction is verified entry by entry, and for
     small stages the nonzero exact determinant confirms invertibility.
     """
-    m = table.matrix.astype(np.int64)
+    m = table.matrix
     n_size = table.size
-    gram = m @ m  # symmetric table: row combinations of rows
+    gram = _int_matmul(m, m)  # symmetric table: row combinations of rows
     ok = bool(np.array_equal(gram, n_size * np.eye(n_size, dtype=np.int64)))
     if with_determinant and n_size <= 256:
         ok = ok and exact_determinant(table) != 0

@@ -467,7 +467,22 @@ class TestDefectScanReference:
         g, calls = counting(fx.fn)
         cfg = SearchConfig(e_schedule=tuple(Dyadic(1, k) for k in range(3, 9)))
         defect_report_at(g, fx.region, ZERO, cfg)
-        assert calls[0] == 96
+        assert calls[0] == 24
+
+    def test_bracket_dependent_defect_evaluates_four_variants(self):
+        fx = fixture("origin_indicator")
+        seen = []
+
+        def ev(iv):
+            seen.append((iv.lo, iv.hi, iv.left_closed, iv.right_closed))
+            return fx.fn(iv)
+
+        g = IntervalFunction(fx.fn.name, ev, additive=fx.fn.additive,
+                             special_points=fx.fn.special_points)
+        cfg = SearchConfig(e_schedule=tuple(Dyadic(1, k) for k in range(3, 9)))
+        defect_report_at(g, fx.region, ZERO, cfg)
+        spans = {(lo, hi) for lo, hi, _, _ in seen}
+        assert len(seen) == len(set(seen)) == 4 * len(spans) == 12
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +646,7 @@ class TestMonotoneReference:
         g, calls = counting(stieltjes(poly("x^3", [0, 0, 0, 1])))
         unit = Region.interval(ZERO, Dyadic(1))
         assert monotone_on_subdivision(g, unit, samples=50) == "both"
-        assert calls[0] == 12 * 50
+        assert calls[0] == 3 * 50
 
 
 # ---------------------------------------------------------------------------

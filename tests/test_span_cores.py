@@ -5,8 +5,9 @@ around-set chain, stieltjes functions of polynomials and the planar
 fixtures' cells are evaluated on integer keys.  The bodies below are the
 ones they had on Dyadic, Interval and Rect objects; every keyed value must
 equal its body's by repr, at every span exponent, for every bracket pair.
-A guard test runs the measure searches with the Interval and Rect paths
-made to raise, so that they stay on the keyed path.
+A guard test runs the measure searches, and the absolute-continuity probes
+of the staircase and of length, with the Interval and Rect paths made to
+raise, so that they stay on the keyed path.
 """
 
 from dataclasses import replace
@@ -25,6 +26,7 @@ from burkill.around_set import (
 from burkill.catalog import (
     IntervalFunction,
     PointFunction,
+    cantor_staircase_function,
     fixture,
     length_fn,
     poly,
@@ -59,6 +61,7 @@ from burkill.planar import (
     product_function,
     two_squares_function,
 )
+from burkill.variation import is_absolutely_continuous
 
 INF = float("inf")
 ONE = Dyadic(1)
@@ -535,3 +538,5 @@ def test_measure_searches_build_no_interval_or_rect(monkeypatch):
     for gT in (two_squares_function(), bottom_strips_function(), product):
         for mode in ("restricted", "extended"):
             estimate_norm_limits_2d(gT, unit, mode, cfg)
+    is_absolutely_continuous(cantor_staircase_function()[0], UNIT, short)
+    is_absolutely_continuous(length_fn(), UNIT, short)
