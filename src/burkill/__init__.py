@@ -25,7 +25,6 @@ from .core import (
     Region,
     division_from_points,
     enumerate_bracket_assignments,
-    make_interval,
     refine,
     region_subtract,
     relate,

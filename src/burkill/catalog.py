@@ -24,7 +24,6 @@ from .core import (
     Region,
     ZERO,
     floor_log2,
-    is_pow2,
     key_float,
 )
 from .errors import IndeterminateForm, UnknownFixture
@@ -66,18 +65,16 @@ def pow2(k: int) -> Dyadic:
 
 
 class PointFunction:
-    """A pure real function of a dyadic point, with an optional derivative.
+    """A pure real function of a dyadic point.
 
     keyed(a, ex) is f at a/2^ex; by default f(Dyadic(a, ex)).
     """
 
     def __init__(self, name: str, func: Callable[[Dyadic], float],
-                 derivative: Optional[Callable[[float], float]] = None,
                  continuous: bool = True,
                  keyed: Optional[Callable[[int, int], float]] = None):
         self.name = name
         self._func = func
-        self.derivative = derivative
         self.continuous = continuous
         self.keyed = keyed or (lambda a, ex: func(Dyadic(a, ex)))
 
@@ -196,7 +193,6 @@ def abs_fn(g: IntervalFunction) -> IntervalFunction:
     span = g.span
     return IntervalFunction(
         f"|{g.name}|",
-        lambda iv: abs(g(iv)),
         span=lambda a, b, ex, lc, rc: abs(span(a, b, ex, lc, rc)),
         bracket_independent=g.bracket_independent,
         continuous=g.continuous,
@@ -206,9 +202,10 @@ def abs_fn(g: IntervalFunction) -> IntervalFunction:
 
 
 def scale_fn(c: float, g: IntervalFunction) -> IntervalFunction:
+    span = g.span
     return IntervalFunction(
         f"{c}*{g.name}",
-        lambda iv: c * g(iv),
+        span=lambda a, b, ex, lc, rc: c * span(a, b, ex, lc, rc),
         additive=g.additive,
         bracket_independent=g.bracket_independent,
         continuous=g.continuous,
@@ -222,9 +219,11 @@ def add_fn(g1: IntervalFunction, g2: IntervalFunction) -> IntervalFunction:
         return g1.special_points(region, resolution) + g2.special_points(
             region, resolution)
 
+    s1, s2 = g1.span, g2.span
     return IntervalFunction(
         f"{g1.name}+{g2.name}",
-        lambda iv: g1(iv) + g2(iv),
+        span=lambda a, b, ex, lc, rc: (s1(a, b, ex, lc, rc)
+                                       + s2(a, b, ex, lc, rc)),
         additive=g1.additive and g2.additive,
         bracket_independent=g1.bracket_independent and g2.bracket_independent,
         continuous=g1.continuous and g2.continuous,
@@ -244,12 +243,14 @@ def length_fn() -> IntervalFunction:
 
 def hellinger(f: PointFunction, h: PointFunction) -> IntervalFunction:
     """S(f;I)**2 / S(h;I) for strictly increasing h."""
-    def ev(iv: Interval) -> float:
-        d = h(iv.hi) - h(iv.lo)
-        s = f(iv.hi) - f(iv.lo)
+    fk, hk = f.keyed, h.keyed
+
+    def span(a: int, b: int, ex: int, lc: bool, rc: bool) -> float:
+        d = hk(b, ex) - hk(a, ex)
+        s = fk(b, ex) - fk(a, ex)
         return s * s / d
 
-    return IntervalFunction(f"S({f.name})^2/S({h.name})", ev,
+    return IntervalFunction(f"S({f.name})^2/S({h.name})", span=span,
                             bracket_independent=True)
 
 
@@ -258,9 +259,8 @@ def hellinger(f: PointFunction, h: PointFunction) -> IntervalFunction:
 # ---------------------------------------------------------------------------
 
 def poly(name: str, coeffs: Sequence[float]) -> PointFunction:
-    """Polynomial sum(c_k x^k); derivative supplied for oracle use."""
+    """Polynomial sum(c_k x^k)."""
     cs = tuple(float(c) for c in coeffs)
-    dcs = tuple(k * cs[k] for k in range(1, len(cs)))
 
     def keyed(a: int, ex: int) -> float:
         t = key_float(a, ex)
@@ -269,14 +269,7 @@ def poly(name: str, coeffs: Sequence[float]) -> PointFunction:
             acc = acc * t + c
         return acc
 
-    def deriv(t: float) -> float:
-        acc = 0.0
-        for c in reversed(dcs):
-            acc = acc * t + c
-        return acc
-
-    return PointFunction(name, lambda x: keyed(x.num, x.exp),
-                         derivative=deriv, keyed=keyed)
+    return PointFunction(name, lambda x: keyed(x.num, x.exp), keyed=keyed)
 
 
 def step(at: Dyadic, include_at: bool = True, jump: float = 1.0) -> PointFunction:
@@ -537,23 +530,25 @@ def _k_convention_jump() -> IntervalFunction:
                             singular_schedule=schedule)
 
 
-def apply_k_convention(iv: Interval) -> Interval:
-    """Rewrite brackets at ends lying in the singular set {0, 2^-r} to ")["."""
-    lc, rc = iv.left_closed, iv.right_closed
-    if iv.lo == ZERO or (is_pow2(iv.lo) and iv.lo.num == 1 and iv.lo.exp >= 1):
-        lc = True
-    if iv.hi == ZERO or (is_pow2(iv.hi) and iv.hi.num == 1 and iv.hi.exp >= 1):
-        rc = False
-    return iv.with_brackets(lc, rc)
+def _k_singular(k: int, ex: int) -> bool:
+    """Whether k/2^ex lies in the jump fixture's singular set {0, 2^-r},
+    r >= 1."""
+    return k == 0 or (0 < k < 1 << ex and k & (k - 1) == 0)
 
 
 def k_jump_locked_function() -> IntervalFunction:
     """The jump fixture evaluated through the locked convention: every end
     lying in the singular set is rewritten to ")[" before evaluation."""
     base = _k_convention_jump()
+    span = base.span
+
+    def locked(a: int, b: int, ex: int, lc: bool, rc: bool) -> float:
+        return span(a, b, ex, lc or _k_singular(a, ex),
+                    rc and not _k_singular(b, ex))
+
     return IntervalFunction(
         "k_convention_jump_locked",
-        lambda iv: base(apply_k_convention(iv)),
+        span=locked,
         bracket_independent=True,
         special_points=base._special,
         singular_schedule=base._schedule,

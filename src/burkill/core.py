@@ -266,12 +266,6 @@ class Interval:
         return f"{left}{self.lo},{self.hi}{right}"
 
 
-def make_interval(lo: Dyadic, hi: Dyadic, left_closed: bool = True,
-                  right_closed: bool = True) -> Interval:
-    """Build a bracketed interval; raises DegenerateInterval when lo >= hi."""
-    return Interval(lo, hi, left_closed, right_closed)
-
-
 def relate(i1: Interval, i2: Interval) -> str:
     """Classify two spans: equal-span, contains, overlap, abut or disjoint.
 

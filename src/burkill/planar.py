@@ -11,8 +11,7 @@ exponent; searches keep one memo per level and no state between calls.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 from .catalog import IntervalFunction, xsum
@@ -32,6 +31,7 @@ from .integrator import (
     _VARIANTS,
     _grid_spacing,
     _key,
+    _search_levels,
     _tightened_report,
     candidate_point_sets,
     estimate_norm_limits,
@@ -48,15 +48,6 @@ class Rect:
     @property
     def area(self) -> Dyadic:
         return self.x.length * self.y.length
-
-    @property
-    def diameter(self) -> float:
-        return math.hypot(float(self.x.length), float(self.y.length))
-
-    @property
-    def regularity(self) -> float:
-        a, b = float(self.x.length), float(self.y.length)
-        return min(a, b) / max(a, b)
 
     def variants(self):
         for xv in self.x.variants():
@@ -133,27 +124,6 @@ class RectFunction:
         return list(self._special(region, e)) if self._special else []
 
 
-@dataclass
-class RectDivision:
-    region: Rect
-    rects: list[Rect]
-    mode: str                       # "restricted" | "extended"
-
-    @property
-    def norm(self) -> float:
-        return max(r.diameter for r in self.rects)
-
-    def area_total(self) -> Dyadic:
-        total = ZERO
-        for r in self.rects:
-            total = total + r.area
-        return total
-
-
-def riemann_sum_2d(gT: RectFunction, division: RectDivision) -> float:
-    return xsum(gT(r) for r in division.rects)
-
-
 def _chop(a: int, b: int, s: int) -> list[int]:
     """Cut points of [a, b] with pieces in [s, 2s); short spans stay whole."""
     return [a, *range(a + s, b - s + 1, s), b]
@@ -203,46 +173,6 @@ def _cell(r: Rect, ex: int) -> tuple:
             _key(r.y.lo, ex), _key(r.y.hi, ex))
 
 
-def _closed_rects(cells: Sequence[tuple], ex: int) -> list[Rect]:
-    pts, raw = {k: Dyadic(k, ex) for c in cells for k in c}, Interval.raw
-    return [Rect(raw(pts[x0], pts[x1], True, True),
-                 raw(pts[y0], pts[y1], True, True))
-            for x0, x1, y0, y1 in cells]
-
-
-def chop(a: Dyadic, b: Dyadic, s: Dyadic) -> list[Dyadic]:
-    """Cut points of [a, b] with pieces in [s, 2s); short spans stay whole."""
-    ex = max(a.exp, b.exp, s.exp)
-    return [Dyadic(k, ex)
-            for k in _chop(_key(a, ex), _key(b, ex), _key(s, ex))]
-
-
-def grid_division(region: Rect, s: Dyadic,
-                  x_anchor: Sequence[Dyadic] = (),
-                  y_anchor: Sequence[Dyadic] = ()) -> RectDivision:
-    """Restricted division: full crossing lines chopped outward from the
-    anchors inside the region."""
-    ex = max(s.exp, _exp(region), *(p.exp for p in (*x_anchor, *y_anchor)))
-    cells = _grid_cells(_cell(region, ex), _key(s, ex),
-                        [_key(a, ex) for a in x_anchor],
-                        [_key(a, ex) for a in y_anchor])
-    return RectDivision(region, _closed_rects(cells, ex), "restricted")
-
-
-def seeded_guillotine(region: Rect, specials: Sequence[Rect],
-                      s: Dyadic) -> RectDivision:
-    """Guillotine tiling containing each special rectangle as a cell band.
-
-    Vertical cuts at every special's x-edges give columns; a special's
-    band is x-chopped at its own height, the rest of the column is chopped
-    square-ish.  Specials must not overlap in x.
-    """
-    ex = max(s.exp, _exp(region), *map(_exp, specials))
-    cells = _guillotine_cells(_cell(region, ex),
-                              [_cell(sp, ex) for sp in specials], _key(s, ex))
-    return RectDivision(region, _closed_rects(cells, ex), "extended")
-
-
 def _default_2d_schedule() -> tuple[Dyadic, ...]:
     return tuple(Dyadic(1, k) for k in range(3, 6))
 
@@ -283,6 +213,10 @@ def estimate_norm_limits_2d(
     if mode not in ("restricted", "extended"):
         raise ValueError("mode must be 'restricted' or 'extended'")
     cfg = cfg or planar_config()
+    if cfg.convention_mode != "optimize":
+        raise ValueError(f"planar searches optimize every cell's brackets; "
+                         f"convention_mode {cfg.convention_mode!r} is not "
+                         f"supported")
     levels = []
     for e in cfg.e_schedule:
         # cells up to 2s per side keep the diameter under e when s <= e/4
@@ -352,46 +286,47 @@ def fubini_chain(
 ) -> FubiniReport:
     """Column-division chain: 2D bounds enclose the iterated x-of-y bounds.
 
-    Inner reports per x-interval are cached by span and brackets; the 2D
-    side evaluates the same columns at the current level while the
-    iterated side uses the finest inner level, which forces the ordering.
-    One pass per candidate scores all four bounds, each span taking its
-    best bracket variant per bound.
+    Each bound is a search of the shared level loop over column divisions
+    of the x-side, scoring a column by a bound of its inner y-report: the
+    iterated bounds read the finest inner level over the whole schedule,
+    the 2D bounds at level i read the inner level i, which forces the
+    ordering.  Inner reports are cached by column and brackets.
     """
     cfg = cfg or SearchConfig(e_schedule=_fubini_schedule())
     rx = Region.interval(region.x.lo, region.x.hi)
     ry = Region.interval(region.y.lo, region.y.hi)
-    variants = _VARIANTS[:1] if gT.bracket_independent else _VARIANTS
     cache: dict = {}
 
-    def inner(ivx: Interval) -> LimitReport:
-        key = (ivx.lo.num, ivx.lo.exp, ivx.hi.num, ivx.hi.exp,
-               ivx.left_closed, ivx.right_closed)
-        if key not in cache:
+    def inner(a: int, b: int, ex: int, lc: bool, rc: bool) -> LimitReport:
+        # an Interval hashes by value: the levels key their columns at
+        # different exponents
+        ivx = Interval.raw(Dyadic(a, ex), Dyadic(b, ex), lc, rc)
+        rep = cache.get(ivx)
+        if rep is None:
             fy = IntervalFunction(
                 "column", lambda ivy: gT(Rect(ivx, ivy)),
                 bracket_independent=gT.bracket_independent)
-            cache[key] = estimate_norm_limits(fy, ry, cfg)
-        return cache[key]
+            rep = cache[ivx] = estimate_norm_limits(fy, ry, cfg)
+        return rep
 
-    # columns publish no special points, so only the grids are candidates
-    plain = IntervalFunction("column_bounds", lambda ivx: 0.0)
+    def bounds(read, schedule) -> list[LevelEstimate]:
+        # columns publish no special points, so only the grids are candidates
+        g = IntervalFunction(
+            "column_bound", span=lambda *span: read(inner(*span)),
+            bracket_independent=gT.bracket_independent)
+        levels, = _search_levels(
+            g, replace(cfg, e_schedule=schedule), [(None, False)],
+            lambda e: (rx, candidate_point_sets(g, rx, e, cfg)))
+        return levels
+
+    low = bounds(lambda r: r.lower, cfg.e_schedule)
+    up = bounds(lambda r: r.upper, cfg.e_schedule)
     levels = []
     for i, e in enumerate(cfg.e_schedule):
-        sums = []                      # per candidate: the four span sums
-        for c in candidate_point_sets(plain, rx, e, cfg):
-            cols: list[list[float]] = [[], [], [], []]
-            pts = c.points                 # rx has one component
-            for a, b in zip(pts, pts[1:]):
-                reps = [inner(Interval.raw(a, b, lc, rc))
-                        for lc, rc in variants]
-                cols[0].append(min(r.levels[i].lower for r in reps))
-                cols[1].append(min(r.lower for r in reps))
-                cols[2].append(max(r.upper for r in reps))
-                cols[3].append(max(r.levels[i].upper for r in reps))
-            sums.append([xsum(col) for col in cols])
-        levels.append((e, min(s[0] for s in sums), min(s[1] for s in sums),
-                       max(s[2] for s in sums), max(s[3] for s in sums)))
+        low_2d, = bounds(lambda r: r.levels[i].lower, (e,))
+        up_2d, = bounds(lambda r: r.levels[i].upper, (e,))
+        levels.append((e, low_2d.lower, low[i].lower, up[i].upper,
+                       up_2d.upper))
     return FubiniReport(levels, tol)
 
 

@@ -15,13 +15,12 @@ import random
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .catalog import INF, IntervalFunction
 from .core import Dyadic, Interval, Region, dmax, dmin
 from .errors import BracketDependent
 from .integrator import (
-    _VARIANTS,
     Candidate,
     LimitReport,
     SearchConfig,
@@ -213,8 +212,9 @@ class _ScoredPool:
         return out
 
     def pack(self, mu, sense: str) -> tuple[float, list[int]]:
-        """The greedy pack of measure at most mu, as pack_search, with the
-        indices of the spans it takes."""
+        """The greedy pack of measure at most mu in the sense's order, with
+        the indices of the spans it takes; its value is a lower bound on
+        the supremum of |sum g| over packs of that measure."""
         return _greedy(self.E, self.ranked(sense), mu)
 
 
@@ -251,28 +251,6 @@ def _greedy(E: int, ranked: list[tuple], mu) -> tuple[float, list[int]]:
         total_value += val
         chosen.append(i)
     return total_value, chosen
-
-
-def pack_search(
-    g: IntervalFunction,
-    pool: Sequence[Interval],
-    mu: Fraction,
-    sense: str = "max",
-) -> tuple[float, list[Interval]]:
-    """Greedy non-overlapping pack of total measure <= mu optimizing sum g.
-
-    Intervals are ranked by value density; the result is a lower bound on
-    the true supremum of |sum g| over packs of that measure.  A
-    bracket-independent g gets its pack members back as given.
-    """
-    E = max((p.exp for iv in pool for p in (iv.lo, iv.hi)), default=0)
-    keys = [_key(p, E) for iv in pool for p in (iv.lo, iv.hi)]
-    scored = _ScoredPool(g, Candidate(keys, E, [(i, i + 2) for i in
-                                                 range(0, len(keys), 2)]))
-    value, chosen = scored.pack(mu, sense)
-    k = scored.best[sense][1]
-    return value, [pool[i].with_brackets(*_VARIANTS[k[i]]) if k else pool[i]
-                   for i in chosen]
 
 
 def is_absolutely_continuous(

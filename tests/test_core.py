@@ -5,13 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from burkill.core import (
     Dyadic,
+    Interval,
     PointConvention,
     Region,
     ZERO,
     division_from_points,
     dmid,
     enumerate_bracket_assignments,
-    make_interval,
     refine,
     region_subtract,
     relate,
@@ -74,51 +74,51 @@ class TestDyadic:
 
 class TestInterval:
     def test_make_interval(self):
-        iv = make_interval(D(0), D(1), True, False)
+        iv = Interval(D(0), D(1), True, False)
         assert str(iv) == "[0,1)"
         assert iv.length == D(1)
 
     def test_degenerate(self):
         with pytest.raises(DegenerateInterval):
-            make_interval(D(1, 1), D(1, 1))
+            Interval(D(1, 1), D(1, 1))
 
     def test_open_interval_length(self):
-        iv = make_interval(D(1, 2), D(3, 2), False, False)
+        iv = Interval(D(1, 2), D(3, 2), False, False)
         assert iv.length == D(1, 1)
 
     def test_contains_point(self):
-        iv = make_interval(D(0), D(1), True, False)
+        iv = Interval(D(0), D(1), True, False)
         assert iv.contains_point(D(0))
         assert not iv.contains_point(D(1))
         assert iv.contains_point(D(1, 1))
 
     def test_variants(self):
-        iv = make_interval(D(0), D(1))
+        iv = Interval(D(0), D(1))
         assert len(set(iv.variants())) == 4
 
 
 class TestRelate:
     def test_examples(self):
-        assert relate(make_interval(D(0), D(1)),
-                      make_interval(D(1), D(2))) == "abut"
-        assert relate(make_interval(D(0), D(1)),
-                      make_interval(D(1, 1), D(2))) == "overlap"
+        assert relate(Interval(D(0), D(1)),
+                      Interval(D(1), D(2))) == "abut"
+        assert relate(Interval(D(0), D(1)),
+                      Interval(D(1, 1), D(2))) == "overlap"
         # brackets do not matter for abutment
-        assert relate(make_interval(D(0), D(1), True, False),
-                      make_interval(D(1), D(2), False, True)) == "abut"
-        assert relate(make_interval(D(0), D(2)),
-                      make_interval(D(1, 1), D(1))) == "contains"
-        assert relate(make_interval(D(0), D(1)),
-                      make_interval(D(0), D(1), False, False)) == "equal-span"
-        assert relate(make_interval(D(0), D(1)),
-                      make_interval(D(3), D(4))) == "disjoint"
+        assert relate(Interval(D(0), D(1), True, False),
+                      Interval(D(1), D(2), False, True)) == "abut"
+        assert relate(Interval(D(0), D(2)),
+                      Interval(D(1, 1), D(1))) == "contains"
+        assert relate(Interval(D(0), D(1)),
+                      Interval(D(0), D(1), False, False)) == "equal-span"
+        assert relate(Interval(D(0), D(1)),
+                      Interval(D(3), D(4))) == "disjoint"
 
     @given(dyadics, dyadics, dyadics, dyadics)
     @settings(max_examples=80)
     def test_symmetric(self, a, b, c, d):
         if not (a < b and c < d):
             return
-        i1, i2 = make_interval(a, b), make_interval(c, d)
+        i1, i2 = Interval(a, b), Interval(c, d)
         r12, r21 = relate(i1, i2), relate(i2, i1)
         if r12 in ("disjoint", "abut", "overlap"):
             assert r12 == r21

@@ -24,6 +24,7 @@ from burkill.integrator import (
     k_chain_reports,
     singularity_scan,
 )
+from keyed_inputs import scored_pool
 
 # the package exports the function variation() under the module's name
 variation_mod = importlib.import_module("burkill.variation")
@@ -67,6 +68,14 @@ def _cells(fx):
     return out
 
 
+def _packs(scored):
+    """Each sense's values and variants, and its packs at 2^-1, 2^-3 and
+    2^-5."""
+    return repr((scored.best, [scored.pack(Fraction(1, 1 << k), sense)
+                               for k in (1, 3, 5)
+                               for sense in ("max", "min")]))
+
+
 def _variation(g, fx):
     rep = variation_mod.variation(g, fx.region, LEVELS, scan_j=False)
     return (repr((rep.levels, rep.verdict, rep.total, rep.a_bound)),
@@ -95,10 +104,7 @@ SEARCHES = {
     "monotone_on_subdivision": lambda g, fx: [
         variation_mod.monotone_on_subdivision(g, fx.region, 40, seed)
         for seed in range(3)],
-    "pack_search": lambda g, fx: [
-        repr(variation_mod.pack_search(g, _cells(fx), Fraction(1, 1 << k),
-                                       sense))
-        for k in (1, 3, 5) for sense in ("max", "min")],
+    "pack_search": lambda g, fx: _packs(scored_pool(g, _cells(fx))),
 }
 AT_SCAN_POINTS = ("j_singularity", "defect_report_at")
 CASES = [(name, search) for name in fixture_names() for search in SEARCHES

@@ -1,85 +1,80 @@
+from fractions import Fraction
+
 import pytest
 
-from burkill.catalog import fixture, length_fn, poly, stieltjes
+from burkill.catalog import fixture, length_fn, poly, stieltjes, xsum
 from burkill.core import Dyadic, Region, ZERO
 from burkill.planar import (
     RectFunction,
+    _chop,
+    _grid_cells,
     area_function,
     bottom_strips_function,
-    chop,
     closed_rect,
     estimate_norm_limits_2d,
     fubini_chain,
-    grid_division,
     planar_config,
     product_function,
-    riemann_sum_2d,
-    seeded_guillotine,
     two_squares_function,
 )
+from keyed_inputs import cell_rects
 
 D = Dyadic
 UNIT_SQ = closed_rect(ZERO, D(1), ZERO, D(1))
 
 
 class TestRectBasics:
-    def test_area_and_diameter(self):
+    def test_area(self):
         r = closed_rect(ZERO, D(3, 2), ZERO, D(1, 1))
         assert r.area == D(3, 3)
-        assert abs(r.diameter - (0.75 ** 2 + 0.5 ** 2) ** 0.5) < 1e-15
-
-    def test_regularity(self):
-        r = closed_rect(ZERO, D(1), ZERO, D(1, 1))
-        assert r.regularity == 0.5
 
     def test_sixteen_variants(self):
         assert len({str(v) for v in UNIT_SQ.variants()}) == 16
 
     def test_chop_piece_sizes(self):
-        pts = chop(ZERO, D(13, 4), D(1, 3))
-        gaps = [(b - a).as_fraction() for a, b in zip(pts, pts[1:])]
+        keys = _chop(0, 13, 2)                   # [0, 13/16] by 1/8, at 2^-4
+        gaps = [Fraction(b - a, 16) for a, b in zip(keys, keys[1:])]
         for gap in gaps:
             assert 1 / 8 <= gap < 1 / 4
-        assert sum(gaps) == 13 / 16
+        assert sum(gaps) == Fraction(13, 16)
 
 
 class TestDivisions:
     def test_grid_partitions_area(self):
-        div = grid_division(UNIT_SQ, D(1, 3))
-        assert div.area_total() == D(1)
-        assert div.mode == "restricted"
+        cells = _grid_cells((0, 8, 0, 8), 1)     # the unit square by 1/8
+        assert sum((x1 - x0) * (y1 - y0) for x0, x1, y0, y1 in cells) == 64
 
     def test_grid_regularity_floor(self):
-        div = grid_division(UNIT_SQ, D(1, 4),
-                            x_anchor=[D(5, 4)], y_anchor=[D(1, 2)])
-        for r in div.rects:
-            assert r.regularity >= 0.5
+        # the unit square at 2^-4, spacing 1/16, anchors at 5/16 and 1/4
+        cells = _grid_cells((0, 16, 0, 16), 1, [5], [4])
+        for x0, x1, y0, y1 in cells:
+            w, h = x1 - x0, y1 - y0
+            assert 2 * min(w, h) >= max(w, h)
 
     def test_seeded_partitions_area(self):
         sq = two_squares_function()
         specials = sq.special_rects(UNIT_SQ, D(1, 4))
-        div = seeded_guillotine(UNIT_SQ, specials, D(1, 6))
-        assert div.area_total() == D(1)
-        charged = [r for r in div.rects if sq(r) == 1.0]
+        rects = cell_rects(UNIT_SQ, D(1, 6), specials=specials)
+        assert sum(r.area.as_fraction() for r in rects) == 1
+        charged = [r for r in rects if sq(r) == 1.0]
         assert len(charged) == 2
 
     def test_riemann_sum_area(self):
-        div = grid_division(UNIT_SQ, D(1, 3))
-        assert riemann_sum_2d(area_function(), div) == 1.0
+        rects = cell_rects(UNIT_SQ, D(1, 3))
+        assert xsum(map(area_function(), rects)) == 1.0
 
     def test_riemann_sum_product_telescopes(self):
         f = poly("xy", [0, 1])
         gT = product_function(stieltjes(f), stieltjes(f))
-        div = grid_division(UNIT_SQ, D(1, 3))
-        assert abs(riemann_sum_2d(gT, div) - 1.0) < 1e-12
+        rects = cell_rects(UNIT_SQ, D(1, 3))
+        assert abs(xsum(map(gT, rects)) - 1.0) < 1e-12
 
     def test_restricted_grid_isolates_one_square(self):
         sq = two_squares_function()
         sp = sq.special_rects(UNIT_SQ, D(1, 4))[0]
-        div = grid_division(UNIT_SQ, D(1, 6),
-                            x_anchor=[sp.x.lo, sp.x.hi],
-                            y_anchor=[sp.y.lo, sp.y.hi])
-        assert riemann_sum_2d(sq, div) == 1.0
+        rects = cell_rects(UNIT_SQ, D(1, 6), [sp.x.lo, sp.x.hi],
+                           [sp.y.lo, sp.y.hi])
+        assert xsum(map(sq, rects)) == 1.0
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +114,11 @@ class TestPlanarGap:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             estimate_norm_limits_2d(area_function(), UNIT_SQ, "diagonal")
+
+    def test_fixed_convention_is_rejected(self):
+        cfg = planar_config(convention_mode="fixed")
+        with pytest.raises(ValueError, match="'fixed'"):
+            estimate_norm_limits_2d(area_function(), UNIT_SQ, "extended", cfg)
 
 
 class TestFubini:

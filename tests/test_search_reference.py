@@ -69,16 +69,17 @@ from burkill.integrator import (
     k_chain_reports,
 )
 from burkill.planar import (
-    RectDivision,
+    FubiniReport,
+    Rect,
     RectFunction,
+    _chop,
     area_function,
     bottom_strips_function,
-    chop,
     closed_rect,
     estimate_norm_limits_2d,
-    grid_division,
+    fubini_chain,
     planar_config,
-    seeded_guillotine,
+    product_function,
     two_squares_function,
 )
 from burkill.reporting import density_report_json, limit_report_json
@@ -88,9 +89,9 @@ from burkill.variation import (
     is_absolutely_continuous,
     is_absolutely_semicontinuous,
     monotone_on_subdivision,
-    pack_search,
     scored_pack_pool,
 )
+from keyed_inputs import cell_rects, scored_pool
 
 INF = float("inf")
 # the package exports the function variation() under the module's name
@@ -553,11 +554,16 @@ class TestPackReference:
     @given(pack_cases(), BUDGETS, st.sampled_from(("max", "min")))
     def test_integer_greedy_equals_fraction_greedy(self, case, mu, sense):
         g, pool = case
-        value, chosen = pack_search(g, pool, mu, sense)
+        scored = scored_pool(g, pool)
+        value, taken = scored.pack(mu, sense)
+        k = scored.best[sense][1]
+        # each taken interval with its optimal variant; a bracket-independent
+        # g's are the caller's own intervals
+        chosen = [pool[i].with_brackets(*VARIANTS[k[i]]) if k else pool[i]
+                  for i in taken]
         ref_value, ref_chosen = ref_pack_search(g, pool, mu, sense)
         assert repr(value) == repr(ref_value)
         assert chosen == ref_chosen
-        # a bracket-independent g gets the caller's own intervals back
         assert repr((value, chosen)) == \
             repr(RefScoredPool(g, pool).pack(mu, sense))
 
@@ -1516,7 +1522,7 @@ def ref_grid_division(region, s, x_anchor=(), y_anchor=()):
 
     xs = lines(region.x.lo, region.x.hi, x_anchor)
     ys = lines(region.y.lo, region.y.hi, y_anchor)
-    return RectDivision(region, ref_cells(xs, ys), "restricted")
+    return ref_cells(xs, ys)
 
 
 def ref_seeded_guillotine(region, specials, s):
@@ -1548,7 +1554,7 @@ def ref_seeded_guillotine(region, specials, s):
             else:
                 rects.extend(ref_cells(ref_chop(x0, x1, s),
                                        ref_chop(b0, b1, s)))
-    return RectDivision(region, rects, "extended")
+    return rects
 
 
 def ref_estimate_norm_limits_2d(gT, region, mode, cfg):
@@ -1567,12 +1573,12 @@ def ref_estimate_norm_limits_2d(gT, region, mode, cfg):
             for sp in specials:
                 cands.append(ref_seeded_guillotine(region, [sp], s))
         for c in cands:
-            if len(c.rects) > cfg.max_points:
+            if len(c) > cfg.max_points:
                 raise BudgetExceeded(
-                    f"{len(c.rects)} cells exceed {cfg.max_points}")
-        up = max(xsum(ref_best_value(gT, r, "max")[0] for r in c.rects)
+                    f"{len(c)} cells exceed {cfg.max_points}")
+        up = max(xsum(ref_best_value(gT, r, "max")[0] for r in c)
                  for c in cands)
-        low = min(xsum(ref_best_value(gT, r, "min")[0] for r in c.rects)
+        low = min(xsum(ref_best_value(gT, r, "min")[0] for r in c)
                   for c in cands)
         levels.append(LevelEstimate(e, up, low))
     return _tightened_report(levels, cfg.tol_float)
@@ -1627,7 +1633,10 @@ class TestPlanarReference:
     @settings(max_examples=300, deadline=None)
     @given(POINTS, POINTS, SPACINGS)
     def test_chop_equals_reference(self, a, b, s):
-        assert chop(a, b, s) == ref_chop(a, b, s)
+        ex = max(a.exp, b.exp, s.exp)
+        assert [Dyadic(k, ex) for k in _chop(_key(a, ex), _key(b, ex),
+                                             _key(s, ex))] == \
+            ref_chop(a, b, s)
 
     @settings(max_examples=200, deadline=None)
     @given(plane_cases(), SPACINGS, st.data())
@@ -1637,19 +1646,17 @@ class TestPlanarReference:
                                 max_size=4))
         ya = data.draw(st.lists(_inside(region.y.lo, region.y.hi),
                                 max_size=4))
-        for got, ref in (
-                (grid_division(region, s, xa, ya),
-                 ref_grid_division(region, s, xa, ya)),
-                (seeded_guillotine(region, specials, s),
-                 ref_seeded_guillotine(region, specials, s))):
-            assert (got.mode, got.rects) == (ref.mode, ref.rects)
+        assert cell_rects(region, s, xa, ya) == \
+            ref_grid_division(region, s, xa, ya)
+        assert cell_rects(region, s, specials=specials) == \
+            ref_seeded_guillotine(region, specials, s)
 
     def test_anchors_outside_the_region_are_ignored(self):
         unit = closed_rect(ZERO, ONE, ZERO, ONE)
         s = Dyadic(1, 3)
-        got = grid_division(unit, s, [Dyadic(-1), ONE, Dyadic(3, 1)],
-                            [Dyadic(5, 2), Dyadic(9)])
-        assert got.rects == grid_division(unit, s, [], [Dyadic(5, 2)]).rects
+        got = cell_rects(unit, s, [Dyadic(-1), ONE, Dyadic(3, 1)],
+                         [Dyadic(5, 2), Dyadic(9)])
+        assert got == cell_rects(unit, s, [], [Dyadic(5, 2)])
 
     @settings(max_examples=150, deadline=None)
     @given(plane_cases(max_side=8),
@@ -1670,6 +1677,144 @@ class TestPlanarReference:
 
         assert report(estimate_norm_limits_2d) == report(
             ref_estimate_norm_limits_2d)
+
+
+# ---------------------------------------------------------------------------
+# Fubini's outer pass against its own candidate loop
+# ---------------------------------------------------------------------------
+
+def ref_fubini_chain(gT, region, cfg):
+    """fubini_chain's own loop: per level, every candidate's columns on
+    Dyadic points scored for all four bounds, each column taking its best
+    variant per bound, and min/max over the candidates.  Under
+    convention_mode "fixed" every column takes the ")[" brackets, as the
+    shared loop's junction locks give it."""
+    rx = Region.interval(region.x.lo, region.x.hi)
+    ry = Region.interval(region.y.lo, region.y.hi)
+    variants = VARIANTS[:1] if gT.bracket_independent else VARIANTS
+    if cfg.convention_mode == "fixed":
+        variants = ((True, False),)
+    cache = {}
+
+    def inner(ivx):
+        key = (ivx.lo.num, ivx.lo.exp, ivx.hi.num, ivx.hi.exp,
+               ivx.left_closed, ivx.right_closed)
+        if key not in cache:
+            fy = IntervalFunction(
+                "column", lambda ivy: gT(Rect(ivx, ivy)),
+                bracket_independent=gT.bracket_independent)
+            cache[key] = estimate_norm_limits(fy, ry, cfg)
+        return cache[key]
+
+    plain = IntervalFunction("column_bounds", lambda ivx: 0.0)
+    levels = []
+    for i, e in enumerate(cfg.e_schedule):
+        sums = []
+        for c in candidate_point_sets(plain, rx, e, cfg):
+            cols = [[], [], [], []]
+            pts = c.points
+            for a, b in zip(pts, pts[1:]):
+                reps = [inner(Interval.raw(a, b, lc, rc))
+                        for lc, rc in variants]
+                cols[0].append(min(r.levels[i].lower for r in reps))
+                cols[1].append(min(r.lower for r in reps))
+                cols[2].append(max(r.upper for r in reps))
+                cols[3].append(max(r.levels[i].upper for r in reps))
+            sums.append([xsum(col) for col in cols])
+        levels.append((e, min(s[0] for s in sums), min(s[1] for s in sums),
+                       max(s[2] for s in sums), max(s[3] for s in sums)))
+    return FubiniReport(levels, 1e-9)
+
+
+@st.composite
+def fubini_cases(draw):
+    """A product of stieltjes cubics or a rect_table function, bracket-free
+    or not, over a region with sides up to 1 that may lie below y = 0."""
+    region, specials = draw(plane_cases(max_side=8))
+    if draw(st.booleans()):
+        coeffs = st.lists(st.integers(-3, 3).map(float), min_size=1,
+                          max_size=4)
+        gT = product_function(stieltjes(poly("f", draw(coeffs))),
+                              stieltjes(poly("h", draw(coeffs))))
+    else:
+        values = draw(st.lists(TABLE_VALUES_NAN, min_size=1, max_size=16))
+        gT = rect_table(values, specials, draw(st.booleans()))
+    return gT, region
+
+
+def fubini_outcome(search, gT, region, cfg):
+    try:
+        return repr(search(gT, region, cfg).levels)
+    except (BudgetExceeded, IndeterminateForm) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestFubiniReference:
+    @settings(max_examples=60, deadline=None)
+    @given(fubini_cases(),
+           st.lists(st.integers(1, 3), min_size=1, max_size=3, unique=True),
+           st.sampled_from(("optimize", "fixed")),
+           st.sampled_from((200_000, 12)))
+    def test_shared_loop_equals_candidate_loop(self, case, ks, mode, cap):
+        gT, region = case
+        cfg = SearchConfig(e_schedule=tuple(Dyadic(1, k) for k in sorted(ks)),
+                           convention_mode=mode, max_points=cap)
+        got = fubini_outcome(fubini_chain, gT, region, cfg)
+        want = fubini_outcome(ref_fubini_chain, gT, region, cfg)
+        if got != want:
+            # the shared loop also sums each bound's other sense, which can
+            # mix +inf and -inf where the bound's own sense does not
+            assert got == ("IndeterminateForm", "inf - inf in a Riemann sum")
+            assert "inf" in want
+
+    @pytest.mark.parametrize("mode", ("optimize", "fixed"))
+    def test_default_schedule_equals_candidate_loop(self, mode):
+        tall = closed_rect(ZERO, ONE, -ONE, ONE)
+        cfg = SearchConfig(e_schedule=tuple(Dyadic(1, k) for k in (2, 3, 4)),
+                           convention_mode=mode)
+        for gT in (_asym(), area_function()):
+            assert fubini_outcome(fubini_chain, gT, tall, cfg) == \
+                fubini_outcome(ref_fubini_chain, gT, tall, cfg)
+
+    def test_other_sense_can_raise_where_the_candidate_loop_did_not(self):
+        # the first column's left-open variants see only NaN, so their
+        # inner lower bound is +inf, and every other column reads -inf:
+        # the lower bounds' max sense sums +inf and -inf
+        gT = RectFunction("mixed", lambda r: (
+            float("nan") if r.x.lo == ZERO and not r.x.left_closed
+            else -INF if r.x.lo > ZERO else 1.0))
+        cfg = SearchConfig(e_schedule=(Dyadic(1, 1),))
+        unit = closed_rect(ZERO, ONE, ZERO, ONE)
+        assert fubini_outcome(ref_fubini_chain, gT, unit, cfg) == \
+            repr([(Dyadic(1, 1), -INF, -INF, -INF, -INF)])
+        assert fubini_outcome(fubini_chain, gT, unit, cfg) == \
+            ("IndeterminateForm", "inf - inf in a Riemann sum")
+
+    def test_nan_columns_never_reach_the_outer_sums(self):
+        # an inner search keeps a candidate only on a strict improvement,
+        # so a column whose every rectangle is NaN reads +inf below and
+        # -inf above, and no outer sum is NaN
+        gT = RectFunction("nan_left", lambda r: float("nan")
+                          if r.x.lo == ZERO else 1.0)
+        cfg = SearchConfig(e_schedule=(Dyadic(1, 1), Dyadic(1, 2)))
+        rep = fubini_chain(gT, closed_rect(ZERO, ONE, -ONE, ONE), cfg)
+        assert repr(rep.levels) == repr(ref_fubini_chain(
+            gT, closed_rect(ZERO, ONE, -ONE, ONE), cfg).levels)
+        assert [vs for _, *vs in rep.levels] == [[INF, INF, -INF, -INF]] * 2
+
+    def test_fixed_mode_locks_every_column_junction(self):
+        # a unit charge at x = 0: the free outer pass counts it twice from
+        # closed columns and never from open ones, the ")[" columns once
+        charge = fixture("origin_indicator").fn
+        gT = RectFunction("x_charge",
+                          lambda r: charge(r.x) * float(r.y.length))
+        wide = closed_rect(-ONE, ONE, ZERO, ONE)
+        for mode, want in (("optimize", [0.0, 0.0, 2.0, 2.0]),
+                           ("fixed", [1.0, 1.0, 1.0, 1.0])):
+            cfg = SearchConfig(e_schedule=(Dyadic(1, 1), Dyadic(1, 2)),
+                               convention_mode=mode)
+            rep = fubini_chain(gT, wide, cfg)
+            assert [vs for _, *vs in rep.levels] == [want] * 2
 
 
 def rect_level_counting(gT):

@@ -1,13 +1,15 @@
 """Integer span cores against the Interval and Rect bodies they replaced.
 
 Density kernels, the around-set parts and the iterated functions of the
-around-set chain, stieltjes functions of polynomials and the planar
+around-set chain, stieltjes functions of polynomials, the combinators
+(scale_fn, add_fn, hellinger and the locked jump fixture) and the planar
 fixtures' cells are evaluated on integer keys.  The bodies below are the
 ones they had on Dyadic, Interval and Rect objects; every keyed value must
 equal its body's by repr, at every span exponent, for every bracket pair.
-A guard test runs the measure searches, and the absolute-continuity probes
-of the staircase and of length, with the Interval and Rect paths made to
-raise, so that they stay on the keyed path.
+A guard test runs the measure searches, the absolute-continuity probes of
+the staircase and of length, criterion 3 and searches on the combinators
+with the Interval and Rect paths made to raise, so that they stay on the
+keyed path.
 """
 
 from dataclasses import replace
@@ -26,10 +28,16 @@ from burkill.around_set import (
 from burkill.catalog import (
     IntervalFunction,
     PointFunction,
+    add_fn,
     cantor_staircase_function,
     fixture,
+    hellinger,
+    k_jump_locked_function,
     length_fn,
     poly,
+    pow2,
+    scale_fn,
+    step,
     stieltjes,
 )
 from burkill.core import (
@@ -40,6 +48,7 @@ from burkill.core import (
     dmax,
     dmin,
     dmid,
+    is_pow2,
     key_float,
 )
 from burkill.density import (
@@ -61,7 +70,8 @@ from burkill.planar import (
     product_function,
     two_squares_function,
 )
-from burkill.variation import is_absolutely_continuous
+from burkill.variation import is_absolutely_continuous, variation
+from burkill.verify import check_3_k_convention
 
 INF = float("inf")
 ONE = Dyadic(1)
@@ -157,6 +167,37 @@ def ref_around_chain_check(g, E, region, cfg, tol=1e-6):
                        estimate_norm_limits(h_low, region, cfg).lower,
                        estimate_norm_limits(h_up, region, cfg).upper,
                        outer.upper, tol)
+
+
+def ref_scale(c, g):
+    return lambda iv: c * g(iv)
+
+
+def ref_add(g1, g2):
+    return lambda iv: g1(iv) + g2(iv)
+
+
+def ref_hellinger(f, h):
+    def ev(iv):
+        d = h(iv.hi) - h(iv.lo)
+        s = f(iv.hi) - f(iv.lo)
+        return s * s / d
+
+    return ev
+
+
+def ref_apply_k_convention(iv):
+    """Rewrite brackets at ends lying in the singular set {0, 2^-r} to ")["."""
+    lc, rc = iv.left_closed, iv.right_closed
+    if iv.lo == ZERO or (is_pow2(iv.lo) and iv.lo.num == 1 and iv.lo.exp >= 1):
+        lc = True
+    if iv.hi == ZERO or (is_pow2(iv.hi) and iv.hi.num == 1 and iv.hi.exp >= 1):
+        rc = False
+    return iv.with_brackets(lc, rc)
+
+
+def ref_k_jump_locked(iv):
+    return fixture("k_convention_jump").fn(ref_apply_k_convention(iv))
 
 
 def ref_two_squares(r):
@@ -435,6 +476,63 @@ class TestStieltjes:
 
 
 # ---------------------------------------------------------------------------
+# Combinators
+# ---------------------------------------------------------------------------
+
+# point functions with a key evaluator, and one built on the point body
+POINT_FUNCTIONS = st.one_of(
+    COEFFS.map(lambda cs: poly("p", cs)),
+    COEFFS.map(lambda cs: PointFunction("q", ref_poly(cs))),
+    st.builds(lambda k, j: step(Dyadic(k, 3), jump=j), st.integers(-8, 8),
+              st.sampled_from((1.0, -0.5))))
+NO_SET = MeasurableSet([])
+# the jump fixture's singular ends 0 and 2^-r, 2^0 = 1 and any other point
+JUMP_POINTS = st.one_of(st.just(ZERO), st.builds(pow2, st.integers(0, 12)),
+                        st.builds(Dyadic, st.integers(-48, 48),
+                                  st.integers(0, 12)))
+
+
+def assert_span_equals_body(g, ref, a, b, ex):
+    """g.span and g on the Interval equal the body, for every bracket pair
+    and at exponents above the keys' own."""
+    for lc, rc in _VARIANTS:
+        iv = interval(a, b, ex, lc, rc)
+        want = outcome(ref, iv)
+        assert outcome(g.span, a, b, ex, lc, rc) == want
+        assert outcome(g, iv) == want
+        assert outcome(g.span, a << 9, b << 9, ex + 9, lc, rc) == want
+
+
+class TestCombinators:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(G_CHOICES)), st.sampled_from(sorted(G_CHOICES)),
+           st.floats(-4, 4, allow_nan=False), spans(NO_SET))
+    def test_scale_and_add_equal_interval_bodies(self, n1, n2, c, span):
+        a, b, ex, _, _ = span
+        g1, g2 = G_CHOICES[n1](), G_CHOICES[n2]()
+        assert_span_equals_body(scale_fn(c, g1), ref_scale(c, g1), a, b, ex)
+        assert_span_equals_body(add_fn(g1, g2), ref_add(g1, g2), a, b, ex)
+
+    @settings(max_examples=300, deadline=None)
+    @given(POINT_FUNCTIONS, POINT_FUNCTIONS, spans(NO_SET))
+    def test_hellinger_equals_interval_body(self, f, h, span):
+        a, b, ex, _, _ = span
+        assert_span_equals_body(hellinger(f, h), ref_hellinger(f, h), a, b,
+                                ex)
+
+    @settings(max_examples=300, deadline=None)
+    @given(JUMP_POINTS, JUMP_POINTS, st.integers(0, 12))
+    def test_locked_jump_equals_rewritten_brackets(self, lo, hi, pad):
+        if lo == hi:
+            return
+        lo, hi = dmin(lo, hi), dmax(lo, hi)
+        ex = max(lo.exp, hi.exp) + pad
+        assert_span_equals_body(k_jump_locked_function(), ref_k_jump_locked,
+                                lo.num << (ex - lo.exp),
+                                hi.num << (ex - hi.exp), ex)
+
+
+# ---------------------------------------------------------------------------
 # Planar cells
 # ---------------------------------------------------------------------------
 
@@ -540,3 +638,10 @@ def test_measure_searches_build_no_interval_or_rect(monkeypatch):
             estimate_norm_limits_2d(gT, unit, mode, cfg)
     is_absolutely_continuous(cantor_staircase_function()[0], UNIT, short)
     is_absolutely_continuous(length_fn(), UNIT, short)
+    # the combinators, and criterion 3's k search on the locked jump
+    x, x2 = poly("x", [0, 1]), poly("x^2", [0, 0, 1])
+    for g in (scale_fn(-2.0, cubic), add_fn(cubic, length_fn()),
+              hellinger(x2, x)):
+        estimate_norm_limits(g, UNIT, short)
+        variation(g, UNIT, short, scan_j=False)
+    assert check_3_k_convention().passed

@@ -18,7 +18,6 @@ from burkill.variation import (
     is_absolutely_continuous,
     j_singularity,
     monotone_on_subdivision,
-    pack_search,
     scored_pack_pool,
     variation,
     variation_split,
@@ -125,12 +124,11 @@ class TestAbsoluteContinuity:
     def test_staircase_pack_carries_mass(self):
         stair, _ = cantor_staircase_function()
         scored = scored_pack_pool(stair, UNIT, cfg())
-        pool = [Interval(D(lo, scored.E), D(hi, scored.E))
-                for lo, hi in scored.spans]
         mu = Fraction(2, 3) ** 12 + Fraction(1, 1 << 14)
-        carried, pack = pack_search(stair, pool, mu, "max")
+        carried, pack = scored.pack(mu, "max")
         assert carried >= 0.99
-        total = sum(iv.length.as_fraction() for iv in pack)
+        total = sum(Fraction(hi - lo, 1 << scored.E)
+                    for lo, hi in map(scored.spans.__getitem__, pack))
         assert total <= mu
 
     def test_ac_implies_bv(self):
