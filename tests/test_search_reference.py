@@ -1,9 +1,9 @@
 """The memoized defect scan, the integer pack greedy, the keyed pack pools
 and subdivision probe, the integer staircase, the fused max/min pass, the
-integer candidate construction, the fixtures' integer span evaluators and
-the planar integer cells against the straightforward code they replaced,
-kept here as references; results must agree to the last bit (repr
-equality)."""
+integer candidate construction, the fixtures' integer span evaluators, the
+planar integer cells and Fubini's outer pass on the shared level loop
+against the straightforward code they replaced, kept here as references;
+results must agree to the last bit (repr equality)."""
 
 import importlib
 import random
@@ -1684,11 +1684,12 @@ class TestPlanarReference:
 # ---------------------------------------------------------------------------
 
 def ref_fubini_chain(gT, region, cfg):
-    """fubini_chain's own loop: per level, every candidate's columns on
-    Dyadic points scored for all four bounds, each column taking its best
-    variant per bound, and min/max over the candidates.  Under
-    convention_mode "fixed" every column takes the ")[" brackets, as the
-    shared loop's junction locks give it."""
+    """The loop fubini_chain had before it ran on the shared level loop:
+    per level, every candidate's columns on Dyadic points scored for all
+    four bounds, each column taking its best variant per bound, and
+    min/max over the candidates.  Under convention_mode "fixed" every
+    column takes the ")[" brackets, as the shared loop's junction locks
+    give it."""
     rx = Region.interval(region.x.lo, region.x.hi)
     ry = Region.interval(region.y.lo, region.y.hi)
     variants = VARIANTS[:1] if gT.bracket_independent else VARIANTS
