@@ -286,15 +286,21 @@ def fubini_chain(
 ) -> FubiniReport:
     """Column-division chain: 2D bounds enclose the iterated x-of-y bounds.
 
-    Each bound is a search of the shared level loop over column divisions
-    of the x-side, scoring a column by a bound of its inner y-report: the
-    iterated bounds read the finest inner level over the whole schedule,
-    the 2D bounds at level i read the inner level i, which forces the
-    ordering.  Inner reports are cached by column and brackets.
+    Each bound at each level is a one-level search of the shared level
+    loop over column divisions of the x-side, scoring a column by a bound
+    of its inner y-report: the iterated bounds read the inner report's
+    tightened bounds, the 2D bounds at level i read the inner level i,
+    which forces the ordering.  A column scores the best bound over its bracket variants
+    (")[" alone under convention_mode "fixed"), so the column-bound
+    function is bracket independent and each search sums only the sense
+    it reads.  Inner reports are cached by column and brackets.
     """
     cfg = cfg or SearchConfig(e_schedule=_fubini_schedule())
     rx = Region.interval(region.x.lo, region.x.hi)
     ry = Region.interval(region.y.lo, region.y.hi)
+    variants = _VARIANTS[:1] if gT.bracket_independent else _VARIANTS
+    if cfg.convention_mode == "fixed":
+        variants = ((True, False),)
     cache: dict = {}
 
     def inner(a: int, b: int, ex: int, lc: bool, rc: bool) -> LimitReport:
@@ -309,24 +315,23 @@ def fubini_chain(
             rep = cache[ivx] = estimate_norm_limits(fy, ry, cfg)
         return rep
 
-    def bounds(read, schedule) -> list[LevelEstimate]:
+    def bound(read, best, e: Dyadic) -> LevelEstimate:
         # columns publish no special points, so only the grids are candidates
         g = IntervalFunction(
-            "column_bound", span=lambda *span: read(inner(*span)),
-            bracket_independent=gT.bracket_independent)
-        levels, = _search_levels(
-            g, replace(cfg, e_schedule=schedule), [(None, False)],
+            "column_bound", span=lambda a, b, ex, lc, rc: best(
+                read(inner(a, b, ex, *v)) for v in variants),
+            bracket_independent=True)
+        (level,), = _search_levels(
+            g, replace(cfg, e_schedule=(e,)), [(None, False)],
             lambda e: (rx, candidate_point_sets(g, rx, e, cfg)))
-        return levels
+        return level
 
-    low = bounds(lambda r: r.lower, cfg.e_schedule)
-    up = bounds(lambda r: r.upper, cfg.e_schedule)
     levels = []
     for i, e in enumerate(cfg.e_schedule):
-        low_2d, = bounds(lambda r: r.levels[i].lower, (e,))
-        up_2d, = bounds(lambda r: r.levels[i].upper, (e,))
-        levels.append((e, low_2d.lower, low[i].lower, up[i].upper,
-                       up_2d.upper))
+        levels.append((e, bound(lambda r: r.levels[i].lower, min, e).lower,
+                       bound(lambda r: r.lower, min, e).lower,
+                       bound(lambda r: r.upper, max, e).upper,
+                       bound(lambda r: r.levels[i].upper, max, e).upper))
     return FubiniReport(levels, tol)
 
 

@@ -1760,13 +1760,8 @@ class TestFubiniReference:
         gT, region = case
         cfg = SearchConfig(e_schedule=tuple(Dyadic(1, k) for k in sorted(ks)),
                            convention_mode=mode, max_points=cap)
-        got = fubini_outcome(fubini_chain, gT, region, cfg)
-        want = fubini_outcome(ref_fubini_chain, gT, region, cfg)
-        if got != want:
-            # the shared loop also sums each bound's other sense, which can
-            # mix +inf and -inf where the bound's own sense does not
-            assert got == ("IndeterminateForm", "inf - inf in a Riemann sum")
-            assert "inf" in want
+        assert fubini_outcome(fubini_chain, gT, region, cfg) == \
+            fubini_outcome(ref_fubini_chain, gT, region, cfg)
 
     @pytest.mark.parametrize("mode", ("optimize", "fixed"))
     def test_default_schedule_equals_candidate_loop(self, mode):
@@ -1777,19 +1772,32 @@ class TestFubiniReference:
             assert fubini_outcome(fubini_chain, gT, tall, cfg) == \
                 fubini_outcome(ref_fubini_chain, gT, tall, cfg)
 
-    def test_other_sense_can_raise_where_the_candidate_loop_did_not(self):
+    def test_unread_sense_never_raises(self):
         # the first column's left-open variants see only NaN, so their
         # inner lower bound is +inf, and every other column reads -inf:
-        # the lower bounds' max sense sums +inf and -inf
+        # a sum of the max over variants of the lower bounds would mix
+        # +inf and -inf, but a lower bound takes the min over variants only
         gT = RectFunction("mixed", lambda r: (
             float("nan") if r.x.lo == ZERO and not r.x.left_closed
             else -INF if r.x.lo > ZERO else 1.0))
         cfg = SearchConfig(e_schedule=(Dyadic(1, 1),))
         unit = closed_rect(ZERO, ONE, ZERO, ONE)
-        assert fubini_outcome(ref_fubini_chain, gT, unit, cfg) == \
-            repr([(Dyadic(1, 1), -INF, -INF, -INF, -INF)])
-        assert fubini_outcome(fubini_chain, gT, unit, cfg) == \
-            ("IndeterminateForm", "inf - inf in a Riemann sum")
+        want = repr([(Dyadic(1, 1), -INF, -INF, -INF, -INF)])
+        assert fubini_outcome(ref_fubini_chain, gT, unit, cfg) == want
+        assert fubini_outcome(fubini_chain, gT, unit, cfg) == want
+
+    def test_a_level_raises_before_a_finer_one(self):
+        # the upper sums at level 1/2 mix +inf and -inf, and the x-grid
+        # at 1/8 needs more than 8 points: the candidate loop finished a
+        # level's four bounds before it built the next level's grids
+        gT = RectFunction("split", lambda r: INF if r.x.lo == ZERO
+                          and r.x.left_closed else -INF)
+        flat = closed_rect(ZERO, ONE, ZERO, Dyadic(1, 3))
+        cfg = SearchConfig(e_schedule=(Dyadic(1, 1), Dyadic(1, 3)),
+                           max_points=8)
+        want = ("IndeterminateForm", "inf - inf in a Riemann sum")
+        assert fubini_outcome(ref_fubini_chain, gT, flat, cfg) == want
+        assert fubini_outcome(fubini_chain, gT, flat, cfg) == want
 
     def test_nan_columns_never_reach_the_outer_sums(self):
         # an inner search keeps a candidate only on a strict improvement,
