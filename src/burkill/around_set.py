@@ -14,7 +14,12 @@ from typing import Optional
 from .catalog import IntervalFunction
 from .core import Dyadic, Region
 from .density import MeasurableSet, _EdgeKeys, with_set_edges
-from .integrator import LimitReport, SearchConfig, estimate_norm_limits
+from .integrator import (
+    LimitReport,
+    SearchConfig,
+    _iterated_search,
+    estimate_norm_limits,
+)
 
 
 def _meets(E: MeasurableSet):
@@ -95,43 +100,26 @@ def around_chain_check(
     """The four-term chain: outer around-limits of the inner around-limits
     sit inside the plain around-limits.
 
-    Inner estimates per interval depend only on the span, so they are
-    cached; the outer pass runs at a shallow schedule for desk-scale cost.
+    The chain reads every report at its finest level, which depends on no
+    other level, so each search runs only at the last bound of a shallow
+    schedule (the first half of cfg's, at most five bounds); the iterated
+    bounds run on the shared iterated builder, reading 0.0 off E.
     """
     cfg = cfg or SearchConfig()
-    schedule = cfg.e_schedule[:len(cfg.e_schedule) // 2 + 1][:5]
-    cfg = replace(cfg, e_schedule=schedule)
+    e = cfg.e_schedule[min(len(cfg.e_schedule) // 2, 4)]
+    cfg = replace(cfg, e_schedule=(e,))
     gE = around_part(g, E)
     outer = estimate_norm_limits(gE, region, cfg)
-
-    cache: dict[tuple, tuple[float, float]] = {}
     meets = _meets(E)
+    inner, bound = _iterated_search(
+        lambda a, b, ex: estimate_norm_limits(
+            gE, Region.interval(Dyadic(a, ex), Dyadic(b, ex)), cfg),
+        region, cfg, gE.bracket_independent, with_set_edges(g, E))
 
-    def inner(a: int, b: int, ex: int) -> tuple[float, float]:
-        lo, hi = Dyadic(a, ex), Dyadic(b, ex)
-        key = (lo.num, lo.exp, hi.num, hi.exp)
-        if key not in cache:
-            rep = estimate_norm_limits(gE, Region.interval(lo, hi), cfg)
-            cache[key] = (rep.upper, rep.lower)
-        return cache[key]
+    def read(sense: str):
+        return lambda a, b, ex, lc, rc: (getattr(inner(a, b, ex), sense)
+                                         if meets(a, b, ex, lc, rc) else 0.0)
 
-    def up_span(a: int, b: int, ex: int, lc: bool, rc: bool) -> float:
-        return inner(a, b, ex)[0] if meets(a, b, ex, lc, rc) else 0.0
-
-    def low_span(a: int, b: int, ex: int, lc: bool, rc: bool) -> float:
-        return inner(a, b, ex)[1] if meets(a, b, ex, lc, rc) else 0.0
-
-    specials = with_set_edges(g, E)
-    h_up = IntervalFunction("iterated_upper", span=up_span,
-                            special_points=specials)
-    h_low = IntervalFunction("iterated_lower", span=low_span,
-                             special_points=specials)
-    it_up = estimate_norm_limits(h_up, region, cfg).upper
-    it_low = estimate_norm_limits(h_low, region, cfg).lower
-    return ChainReport(
-        lower_around=outer.lower,
-        iterated_lower=it_low,
-        iterated_upper=it_up,
-        upper_around=outer.upper,
-        tol=tol,
-    )
+    it_up = bound(read("upper"), max, e).upper
+    it_low = bound(read("lower"), min, e).lower
+    return ChainReport(outer.lower, it_low, it_up, outer.upper, tol)

@@ -13,7 +13,7 @@ fine bound is also admissible at every coarser bound.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain, compress, count, islice, repeat
 from operator import is_, is_not
 from typing import Optional, Sequence
@@ -624,6 +624,41 @@ def estimate_norm_limits(
     envelope against the tolerance.
     """
     return _norm_search(g, region, cfg, [(None, False)], extra_points)[0]
+
+
+def _iterated_search(build, region: Region, cfg: SearchConfig,
+                     bracket_independent: bool, special_points=None):
+    """The shared builder of iterated limits: an inner report per outer
+    span, and one-level outer searches of bounds read off them.
+
+    inner(a, b, ex, *brackets) is build's report on the span a/2^ex ..
+    b/2^ex, cached by the span's keys reduced to their lowest exponent and
+    by the brackets; build gets the reduced keys.  bound(read, best, e) is
+    the report at the one norm bound e of the column bound best(read(a, b,
+    ex, *v) for v in variants), which is bracket independent, so a search
+    sums only the sense it reads.  The variants are ")[" alone under
+    convention_mode "fixed", else the open variant when the integrand is
+    bracket independent, else all four.
+    """
+    variants = (((True, False),) if cfg.convention_mode == "fixed"
+                else _VARIANTS[:1] if bracket_independent else _VARIANTS)
+    cache: dict = {}
+
+    def inner(a: int, b: int, ex: int, *brackets) -> LimitReport:
+        s = min(ex, ((a | b) & -(a | b)).bit_length() - 1)
+        key = (a >> s, b >> s, ex - s, *brackets)
+        if key not in cache:
+            cache[key] = build(*key)
+        return cache[key]
+
+    def bound(read, best, e: Dyadic) -> LimitReport:
+        g = IntervalFunction(
+            "column_bound", span=lambda a, b, ex, lc, rc: best(
+                read(a, b, ex, *v) for v in variants),
+            bracket_independent=True, special_points=special_points)
+        return estimate_norm_limits(g, region, replace(cfg, e_schedule=(e,)))
+
+    return inner, bound
 
 
 def _permanent_schedule(g: IntervalFunction, region: Region,

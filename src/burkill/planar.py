@@ -11,10 +11,10 @@ exponent; searches keep one memo per level and no state between calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .catalog import IntervalFunction, xsum
+from .catalog import IntervalFunction, length_fn, xsum
 from .core import (
     Dyadic,
     Interval,
@@ -30,10 +30,9 @@ from .integrator import (
     SearchConfig,
     _VARIANTS,
     _grid_spacing,
+    _iterated_search,
     _key,
-    _search_levels,
     _tightened_report,
-    candidate_point_sets,
     estimate_norm_limits,
 )
 
@@ -173,12 +172,8 @@ def _cell(r: Rect, ex: int) -> tuple:
             _key(r.y.lo, ex), _key(r.y.hi, ex))
 
 
-def _default_2d_schedule() -> tuple[Dyadic, ...]:
-    return tuple(Dyadic(1, k) for k in range(3, 6))
-
-
 def planar_config(**overrides) -> SearchConfig:
-    overrides.setdefault("e_schedule", _default_2d_schedule())
+    overrides.setdefault("e_schedule", tuple(Dyadic(1, k) for k in (3, 4, 5)))
     return SearchConfig(**overrides)
 
 
@@ -274,10 +269,6 @@ class FubiniReport:
                    for _, l2, il, iu, u2 in self.levels)
 
 
-def _fubini_schedule() -> tuple[Dyadic, ...]:
-    return tuple(Dyadic(1, k) for k in range(2, 5))
-
-
 def fubini_chain(
     gT: RectFunction,
     region: Rect,
@@ -286,52 +277,41 @@ def fubini_chain(
 ) -> FubiniReport:
     """Column-division chain: 2D bounds enclose the iterated x-of-y bounds.
 
-    Each bound at each level is a one-level search of the shared level
-    loop over column divisions of the x-side, scoring a column by a bound
-    of its inner y-report: the iterated bounds read the inner report's
+    Every level is read.  Each of its four bounds is a one-level search of
+    the shared iterated builder over column divisions of the x-side, which
+    scores a column, through gT.cell, by the best bound of its inner
+    y-report over its brackets: the iterated bounds read the inner
     tightened bounds, the 2D bounds at level i read the inner level i,
-    which forces the ordering.  A column scores the best bound over its bracket variants
-    (")[" alone under convention_mode "fixed"), so the column-bound
-    function is bracket independent and each search sums only the sense
-    it reads.  Inner reports are cached by column and brackets.
+    which forces the ordering.
     """
-    cfg = cfg or SearchConfig(e_schedule=_fubini_schedule())
+    cfg = cfg or SearchConfig(
+        e_schedule=tuple(Dyadic(1, k) for k in (2, 3, 4)))
     rx = Region.interval(region.x.lo, region.x.hi)
     ry = Region.interval(region.y.lo, region.y.hi)
-    variants = _VARIANTS[:1] if gT.bracket_independent else _VARIANTS
-    if cfg.convention_mode == "fixed":
-        variants = ((True, False),)
-    cache: dict = {}
+    cell = gT.cell
 
-    def inner(a: int, b: int, ex: int, lc: bool, rc: bool) -> LimitReport:
-        # an Interval hashes by value: the levels key their columns at
-        # different exponents
-        ivx = Interval.raw(Dyadic(a, ex), Dyadic(b, ex), lc, rc)
-        rep = cache.get(ivx)
-        if rep is None:
-            fy = IntervalFunction(
-                "column", lambda ivy: gT(Rect(ivx, ivy)),
-                bracket_independent=gT.bracket_independent)
-            rep = cache[ivx] = estimate_norm_limits(fy, ry, cfg)
-        return rep
+    def column(a: int, b: int, ex: int, lc: bool, rc: bool) -> LimitReport:
+        def span(ya: int, yb: int, ey: int, ylc: bool, yrc: bool) -> float:
+            # the cell's keys at the larger of the two exponents
+            if ey < ex:
+                d = ex - ey
+                return cell(a, b, ya << d, yb << d, ex, (lc, rc), (ylc, yrc))
+            d = ey - ex
+            return cell(a << d, b << d, ya, yb, ey, (lc, rc), (ylc, yrc))
 
-    def bound(read, best, e: Dyadic) -> LevelEstimate:
-        # columns publish no special points, so only the grids are candidates
-        g = IntervalFunction(
-            "column_bound", span=lambda a, b, ex, lc, rc: best(
-                read(inner(a, b, ex, *v)) for v in variants),
-            bracket_independent=True)
-        (level,), = _search_levels(
-            g, replace(cfg, e_schedule=(e,)), [(None, False)],
-            lambda e: (rx, candidate_point_sets(g, rx, e, cfg)))
-        return level
+        return estimate_norm_limits(IntervalFunction(
+            "column", span=span, bracket_independent=gT.bracket_independent),
+            ry, cfg)
 
+    # columns publish no special points, so only the grids are candidates
+    inner, bound = _iterated_search(column, rx, cfg, gT.bracket_independent)
     levels = []
     for i, e in enumerate(cfg.e_schedule):
-        levels.append((e, bound(lambda r: r.levels[i].lower, min, e).lower,
-                       bound(lambda r: r.lower, min, e).lower,
-                       bound(lambda r: r.upper, max, e).upper,
-                       bound(lambda r: r.levels[i].upper, max, e).upper))
+        levels.append((
+            e, bound(lambda *s: inner(*s).levels[i].lower, min, e).lower,
+            bound(lambda *s: inner(*s).lower, min, e).lower,
+            bound(lambda *s: inner(*s).upper, max, e).upper,
+            bound(lambda *s: inner(*s).levels[i].upper, max, e).upper))
     return FubiniReport(levels, tol)
 
 
@@ -440,8 +420,7 @@ def bottom_strips_function() -> RectFunction:
 
 
 def area_function() -> RectFunction:
-    return RectFunction("mT", lambda r: float(r.area),
-                        bracket_independent=True)
+    return product_function(length_fn(), length_fn(), name="mT")
 
 
 def product_function(g1: IntervalFunction, g2: IntervalFunction,

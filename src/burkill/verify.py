@@ -35,6 +35,7 @@ from .integrator import (
     scan_candidates,
 )
 from .planar import (
+    area_function,
     bottom_strips_function,
     closed_rect,
     estimate_norm_limits_2d,
@@ -42,7 +43,6 @@ from .planar import (
     planar_config,
     product_function,
     two_squares_function,
-    RectFunction,
 )
 from .reporting import export, limit_report_json
 from .variation import (
@@ -194,13 +194,10 @@ def check_6_fubini() -> CheckResult:
         rep_prod.lower_2d, rep_prod.iterated_lower,
         rep_prod.iterated_upper, rep_prod.upper_2d))
 
-    area = product_function(length_fn(), length_fn(), name="area")
-    rep_area = fubini_chain(area, unit)
-
-    charge = fixture("origin_indicator").fn
-    asym = RectFunction(
-        "asym", lambda r: float(r.x.length) * charge(r.y),
-        bracket_independent=False)
+    rep_area = fubini_chain(area_function(), unit)
+    # width times the charge at 0 in y
+    asym = product_function(length_fn(), fixture("origin_indicator").fn,
+                            name="asym")
     tall = closed_rect(ZERO, one, -one, one)
     rep_asym = fubini_chain(asym, tall)
     ok = (rep_prod.ordered and rep_area.ordered and rep_asym.ordered

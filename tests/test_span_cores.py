@@ -6,10 +6,10 @@ around-set chain, stieltjes functions of polynomials, the combinators
 fixtures' cells are evaluated on integer keys.  The bodies below are the
 ones they had on Dyadic, Interval and Rect objects; every keyed value must
 equal its body's by repr, at every span exponent, for every bracket pair.
-A guard test runs the measure searches, the absolute-continuity probes of
-the staircase and of length, criterion 3 and searches on the combinators
-with the Interval and Rect paths made to raise, so that they stay on the
-keyed path.
+A guard test runs the measure searches, Fubini's chain on a product,
+criteria 3 and 6, the absolute-continuity probes of the staircase and of
+length, and searches on the combinators with the Interval and Rect paths
+made to raise, so that they stay on the keyed path.
 """
 
 from dataclasses import replace
@@ -19,6 +19,7 @@ from math import ldexp
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from burkill import around_set
 from burkill.around_set import (
     ChainReport,
     around_chain_check,
@@ -66,12 +67,13 @@ from burkill.planar import (
     bottom_strips_function,
     closed_rect,
     estimate_norm_limits_2d,
+    fubini_chain,
     planar_config,
     product_function,
     two_squares_function,
 )
 from burkill.variation import is_absolutely_continuous, variation
-from burkill.verify import check_3_k_convention
+from burkill.verify import check_3_k_convention, check_6_fubini
 
 INF = float("inf")
 ONE = Dyadic(1)
@@ -398,7 +400,21 @@ def grid_sets(draw):
                  draw(st.booleans()), draw(st.booleans())) for i in (0, 2)])
 
 
+# bracket-dependent fixtures on their regions, with sets that have an edge,
+# open or closed, at a point the fixture charges
+BRACKETED = {
+    "origin_indicator": [interval(-3, 0, 2, True, False),
+                         interval(1, 3, 2, True, True)],
+    "k_convention_jump": [interval(0, 1, 3, False, True),
+                          interval(4, 6, 3, True, False)],
+}
+
+
 class TestIteratedFunctions:
+    """The chain against the reference, which searches every level of the
+    shallow schedule: equal reprs also show that the levels the chain no
+    longer searches were never read."""
+
     @settings(max_examples=12, deadline=None)
     @given(grid_sets(), COEFFS)
     def test_chain_equals_interval_chain(self, E, coeffs):
@@ -406,6 +422,32 @@ class TestIteratedFunctions:
         got = around_chain_check(g, E, UNIT, CHAIN_CFG)
         want = ref_around_chain_check(g, E, UNIT, CHAIN_CFG)
         assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("mode", ("optimize", "fixed"))
+    @pytest.mark.parametrize("name", sorted(BRACKETED))
+    def test_bracket_dependent_chain_equals_interval_chain(self, name, mode):
+        fx = fixture(name)
+        E = MeasurableSet(BRACKETED[name])
+        cfg = replace(CHAIN_CFG, convention_mode=mode)
+        got = around_chain_check(fx.fn, E, fx.region, cfg)
+        want = ref_around_chain_check(fx.fn, E, fx.region, cfg)
+        assert repr(got) == repr(want)
+
+    def test_inner_searches_only_at_the_read_level(self, monkeypatch):
+        # one search per span of the last level's outer candidates that
+        # meets E; searching both levels of the schedule took 128
+        fx = fixture("origin_indicator")
+        inner = []
+
+        def counted(g, region, cfg):
+            if region.components != fx.region.components:
+                inner.append(str(region))
+            return estimate_norm_limits(g, region, cfg)
+
+        monkeypatch.setattr(around_set, "estimate_norm_limits", counted)
+        around_chain_check(fx.fn, MeasurableSet(BRACKETED[fx.name]),
+                           fx.region, CHAIN_CFG)
+        assert len(inner) == len(set(inner)) == 91
 
 
 # ---------------------------------------------------------------------------
@@ -571,8 +613,11 @@ PLANE = {
                                          fixture("origin_indicator").fn),
                 lambda: ref_product(G_CHOICES["cubic"](),
                                     fixture("origin_indicator").fn)),
-    # a func-only function: its cell is the adapter that builds the Rect
     "area": (area_function, lambda: lambda r: ref_float(r.area)),
+    # a func-only function: its cell is the adapter that builds the Rect
+    "area_func": (lambda: RectFunction("mT", lambda r: ref_float(r.area),
+                                       bracket_independent=True),
+                  lambda: lambda r: ref_float(r.area)),
 }
 
 
@@ -633,9 +678,14 @@ def test_measure_searches_build_no_interval_or_rect(monkeypatch):
     unit = closed_rect(ZERO, ONE, ZERO, ONE)
     cfg = planar_config(e_schedule=(Dyadic(1, 3), Dyadic(1, 4)))
     product = product_function(cubic, stieltjes(poly("y^2", [0, 0, 1])))
-    for gT in (two_squares_function(), bottom_strips_function(), product):
+    for gT in (two_squares_function(), bottom_strips_function(), product,
+               area_function()):
         for mode in ("restricted", "extended"):
             estimate_norm_limits_2d(gT, unit, mode, cfg)
+    # Fubini's columns evaluate gT through its cell, and criterion 6 builds
+    # its functions with cells
+    fubini_chain(product, unit, SearchConfig(e_schedule=(Dyadic(1, 2),)))
+    assert check_6_fubini().passed
     is_absolutely_continuous(cantor_staircase_function()[0], UNIT, short)
     is_absolutely_continuous(length_fn(), UNIT, short)
     # the combinators, and criterion 3's k search on the locked jump
