@@ -24,10 +24,6 @@ from .core import (
     PointConvention,
     Region,
     division_from_points,
-    enumerate_bracket_assignments,
-    refine,
-    region_subtract,
-    relate,
 )
 from .density import MeasurableSet, density_integral, density_kernel
 from .integrator import (
@@ -39,7 +35,6 @@ from .integrator import (
     estimate_norm_limits,
     estimate_sigma_limit,
     extremal_sum,
-    oscillation,
     riemann_sum,
     singularity_scan,
 )

@@ -272,16 +272,6 @@ def poly(name: str, coeffs: Sequence[float]) -> PointFunction:
     return PointFunction(name, lambda x: keyed(x.num, x.exp), keyed=keyed)
 
 
-def step(at: Dyadic, include_at: bool = True, jump: float = 1.0) -> PointFunction:
-    """Unit jump at a point; include_at puts the high value at the point."""
-    def ev(x: Dyadic) -> float:
-        if x > at or (x == at and include_at):
-            return jump
-        return 0.0
-
-    return PointFunction(f"step@{at}", ev, continuous=False)
-
-
 def _zigzag(a: int, ex: int) -> float:
     """The zigzag on [0,1) at a/2^ex: 0 at 1-2^-2n, 1 at 1-2^-2n-1, linear
     between."""

@@ -27,8 +27,6 @@ from .planar import (
 )
 from .reporting import export, limit_report_table
 from .variation import variation
-from .verify import run_all
-from .walsh import sign_table
 
 CONFIG_ENV = "BURKILL_CONFIG"
 CONFIG_KEYS = ("e_min", "tol", "grid_density", "max_points")
@@ -203,6 +201,7 @@ def _dispatch(args) -> int:
         if args.criteria:
             criteria = [_number(int, "--criteria", x)
                         for x in args.criteria.split(",")]
+        from .verify import run_all
         results = run_all(criteria)
         for r in results:
             sys.stdout.write(r.line() + "\n")
@@ -212,7 +211,8 @@ def _dispatch(args) -> int:
         return 1 if failed else 0
 
     if args.verb == "walsh":
-        sys.stdout.write(export(sign_table(args.stage), args.format))
+        from .walsh import sign_table
+        sys.stdout.write(sign_table(args.stage).to_csv())
         return 0
 
     if args.verb == "planar":

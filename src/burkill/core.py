@@ -16,13 +16,7 @@ from fractions import Fraction
 from math import ldexp
 from typing import Iterable, Iterator, Sequence
 
-from .errors import (
-    BudgetExceeded,
-    DegenerateInterval,
-    NotContained,
-    PointOutsideRegion,
-    UnsortedPoints,
-)
+from .errors import DegenerateInterval, PointOutsideRegion, UnsortedPoints
 
 
 def key_float(a: int, ex: int) -> float:
@@ -145,10 +139,6 @@ class Dyadic:
     def serialize(self) -> str:
         return f"{self.num}/2^{self.exp}"
 
-    @property
-    def sign(self) -> int:
-        return (self.num > 0) - (self.num < 0)
-
 
 D = Dyadic  # short constructor alias used heavily in fixtures and tests
 ZERO = Dyadic(0)
@@ -183,11 +173,6 @@ def sort_points(points) -> list[Dyadic]:
     emax = max(p.exp for p in pts)
     pts.sort(key=lambda p: p.num << (emax - p.exp))
     return pts
-
-
-def is_pow2(d: Dyadic) -> bool:
-    """True when d equals 2**(-k) or 2**k exactly."""
-    return d.num > 0 and d.num == 1 << (d.num.bit_length() - 1)
 
 
 class Interval:
@@ -239,18 +224,12 @@ class Interval:
     def length(self) -> Dyadic:
         return self.hi - self.lo
 
-    def span(self) -> tuple[Dyadic, Dyadic]:
-        return (self.lo, self.hi)
-
     def contains_point(self, x: Dyadic) -> bool:
         if x == self.lo:
             return self.left_closed
         if x == self.hi:
             return self.right_closed
         return self.lo < x < self.hi
-
-    def with_brackets(self, left_closed: bool, right_closed: bool) -> "Interval":
-        return Interval(self.lo, self.hi, left_closed, right_closed)
 
     def variants(self) -> tuple["Interval", ...]:
         """The four bracket variants of this span, in canonical order."""
@@ -264,23 +243,6 @@ class Interval:
         left = "[" if self.left_closed else "("
         right = "]" if self.right_closed else ")"
         return f"{left}{self.lo},{self.hi}{right}"
-
-
-def relate(i1: Interval, i2: Interval) -> str:
-    """Classify two spans: equal-span, contains, overlap, abut or disjoint.
-
-    Overlap means the open interiors intersect; abutment is a shared
-    endpoint value with disjoint interiors, regardless of brackets.
-    """
-    if i1.lo == i2.lo and i1.hi == i2.hi:
-        return "equal-span"
-    if (i1.lo <= i2.lo and i2.hi <= i1.hi) or (i2.lo <= i1.lo and i1.hi <= i2.hi):
-        return "contains"
-    if dmax(i1.lo, i2.lo) < dmin(i1.hi, i2.hi):
-        return "overlap"
-    if i1.hi == i2.lo or i2.hi == i1.lo:
-        return "abut"
-    return "disjoint"
 
 
 class Region:
@@ -345,25 +307,6 @@ class Region:
         return f"Region({self})"
 
 
-def region_subtract(r1: Region, r2: Region) -> Region:
-    """Closure of the set difference r1 - r2; r2 must be contained in r1."""
-    for lo, hi in r2.components:
-        if not any(a <= lo and hi <= b for a, b in r1.components):
-            raise NotContained(f"component [{lo},{hi}] not inside {r1}")
-    spans: list[tuple[Dyadic, Dyadic]] = []
-    for a, b in r1.components:
-        cursor = a
-        for lo, hi in r2.components:
-            if hi <= a or b <= lo:
-                continue
-            if cursor < lo:
-                spans.append((cursor, lo))
-            cursor = dmax(cursor, hi)
-        if cursor < b:
-            spans.append((cursor, b))
-    return Region(spans)
-
-
 @dataclass(frozen=True)
 class PointConvention:
     """Bracket arrangement at a division point.
@@ -380,16 +323,6 @@ class PointConvention:
     TOKENS = {")(": (False, False), ")[": (False, True),
               "](": (True, False), "][": (True, True)}
 
-    @staticmethod
-    def from_token(point: Dyadic, token: str) -> "PointConvention":
-        lc, rc = PointConvention.TOKENS[token]
-        return PointConvention(point, lc, rc)
-
-    @property
-    def token(self) -> str:
-        return (")" if not self.left_closed else "]") + (
-            "(" if not self.right_closed else "[")
-
 
 # Junction convention applied at points where the caller does not choose one.
 DEFAULT_CONVENTION = (False, True)  # ")["
@@ -399,7 +332,7 @@ class Division:
     """A finite list of non-overlapping bracketed intervals covering a region.
 
     Intervals may abut and may both be closed at a shared point; sharing a
-    point is not overlap.  The norm is the largest interval length.
+    point is not overlap.
     """
 
     __slots__ = ("region", "intervals", "points")
@@ -412,13 +345,6 @@ class Division:
 
     def __setattr__(self, name, value):
         raise AttributeError("Division is immutable")
-
-    @property
-    def norm(self) -> Dyadic:
-        best = ZERO
-        for iv in self.intervals:
-            best = dmax(best, iv.length)
-        return best
 
     def __len__(self) -> int:
         return len(self.intervals)
@@ -488,58 +414,3 @@ def division_from_points(
                           else (True, True))[0]
             intervals.append(Interval(a, b, lc, rc))
     return Division(region, intervals, points)
-
-
-def refine(division: Division, extra_points: Iterable[Dyadic]) -> Division:
-    """Add division points, keeping every existing bracket.
-
-    New interior points take the default ")[" junction; the norm never
-    increases and refining with no new points returns an equal division.
-    """
-    extra_points = list(extra_points)
-    for p in extra_points:
-        if not division.region.contains_point(p):
-            raise PointOutsideRegion(f"{p} outside {division.region}")
-    extras = sort_points(set(extra_points) - set(division.points))
-    if not extras:
-        return division
-    intervals: list[Interval] = []
-    for iv in division.intervals:
-        inside = [p for p in extras if iv.lo < p < iv.hi]
-        if not inside:
-            intervals.append(iv)
-            continue
-        cuts = [iv.lo] + inside + [iv.hi]
-        for i in range(len(cuts) - 1):
-            lc = iv.left_closed if i == 0 else DEFAULT_CONVENTION[1]
-            rc = iv.right_closed if i == len(cuts) - 2 else DEFAULT_CONVENTION[0]
-            intervals.append(Interval(cuts[i], cuts[i + 1], lc, rc))
-    points = sort_points(set(division.points) | set(extras))
-    return Division(division.region, intervals, points)
-
-
-def enumerate_bracket_assignments(region: Region, points: Sequence[Dyadic],
-                                  cap: int = 1 << 16) -> Iterator[Division]:
-    """Yield all 4**m divisions over the given points.
-
-    Bracket choices are independent per interval, which is what makes the
-    count 4**m; both-closed and both-open junctions are legal.
-    """
-    base = division_from_points(region, points)
-    m = len(base.intervals)
-    if 4 ** m > cap:
-        raise BudgetExceeded(f"4^{m} assignments exceed cap {cap}")
-    spans = [iv.span() for iv in base.intervals]
-
-    def rec(i: int, acc: list[Interval]) -> Iterator[Division]:
-        if i == len(spans):
-            yield Division(region, list(acc), base.points)
-            return
-        lo, hi = spans[i]
-        for lc in (False, True):
-            for rc in (False, True):
-                acc.append(Interval(lo, hi, lc, rc))
-                yield from rec(i + 1, acc)
-                acc.pop()
-
-    return rec(0, [])

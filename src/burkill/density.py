@@ -57,9 +57,6 @@ class MeasurableSet:
             total = total + iv.length
         return total
 
-    def contains_point(self, x: Dyadic) -> bool:
-        return any(iv.contains_point(x) for iv in self.components)
-
     def endpoints(self) -> list[Dyadic]:
         out = []
         for iv in self.components:

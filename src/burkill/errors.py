@@ -17,10 +17,6 @@ class UnsortedPoints(BurkillError):
     """Raised when division points are not strictly increasing."""
 
 
-class NotContained(BurkillError):
-    """Raised when subtracting a region that is not contained in the base."""
-
-
 class UnknownFixture(BurkillError):
     """Raised when a fixture name is not in the registry."""
 

@@ -30,7 +30,7 @@ from .core import (
     dmid,
     floor_log2,
 )
-from .errors import BudgetExceeded, IndeterminateForm
+from .errors import BudgetExceeded
 
 Lock = tuple[bool, bool]  # junction convention: (left_closed, right_closed)
 
@@ -402,14 +402,22 @@ def _grid_spacing(e: Dyadic, density: int) -> Dyadic:
     return spacing
 
 
-def _grid_keys(comps: list[tuple[int, int]], start: int, step: int,
-               cap: int) -> list[int]:
-    """Keys lo + start + j*step below hi, component by component; with each
-    component's right end they must fit the point budget cap."""
-    grid = [range(lo + start, hi, step) for lo, hi in comps]
-    if sum(map(len, grid)) + len(comps) > cap:
+def _check_grid(region: Region, spacing: Dyadic, cap: int) -> None:
+    """Fail unless the grid at spacing, with each component's right end,
+    fits the point budget cap.  It counts on integers, before the grid or
+    g's special points are built: a wide region's special points can be as
+    many as its grid's."""
+    ex = max(spacing.exp, *(p.exp for p in region.endpoints()))
+    sp = _key(spacing, ex)
+    if sum((hi - lo + sp - 1) // sp + 1
+           for lo, hi in _comp_keys(region, ex)) > cap:
         raise BudgetExceeded(f"grid needs more than {cap} points")
-    return [k for keys in grid for k in keys]
+
+
+def _grid_keys(comps: list[tuple[int, int]], start: int,
+               step: int) -> list[int]:
+    """Keys lo + start + j*step below hi, component by component."""
+    return [k for lo, hi in comps for k in range(lo + start, hi, step)]
 
 
 def _fill_keys(keys: list[int], comps: list[tuple[int, int]], ek: int,
@@ -475,6 +483,7 @@ def candidate_point_sets(
     without repeats.  Every candidate keys its points at one exponent.
     """
     spacing = _grid_spacing(e, cfg.grid_density)
+    _check_grid(region, spacing, cfg.max_points)
     specials = (g.special_points(region, e) if cfg.use_special_points else [])
     # the offset grid avoids interior alignment points (e.g. the origin);
     # one exponent holds its half step, the special and extra points,
@@ -483,8 +492,8 @@ def candidate_point_sets(
         p.exp for p in (*specials, *extra))]) + 1
     comps, sp = _comp_keys(region, ex), _key(spacing, ex)
     fixed = [_key(p, ex) for p in extra]
-    grid = _grid_keys(comps, 0, sp, cfg.max_points)
-    sets = [grid, _grid_keys(comps, sp >> 1, sp, cfg.max_points)]
+    grid = _grid_keys(comps, 0, sp)
+    sets = [grid, _grid_keys(comps, sp >> 1, sp)]
     if specials:
         spec = [_key(p, ex) for p in specials]
         filled = _fill([spec], region, e, ex, cfg.max_points, fixed)[0]
@@ -744,12 +753,12 @@ def estimate_sigma_limit(
     def level(e: Dyadic):
         nonlocal chain, cex
         spacing = _grid_spacing(e, cfg.grid_density)
+        _check_grid(region, spacing, cfg.max_points)
         specials = (g.special_points(region, e) if cfg.use_special_points
                     else [])
         ex = _level_exponent(region, e, [cex, spacing.exp,
                                          *(p.exp for p in specials)])
-        keys = _grid_keys(_comp_keys(region, ex), 0, _key(spacing, ex),
-                          cfg.max_points)
+        keys = _grid_keys(_comp_keys(region, ex), 0, _key(spacing, ex))
         keys += [k << (ex - cex) for k in chain]
         keys += [_key(p, ex) for p in specials]
         stage, = _fill([keys], region, e, ex, cfg.max_points)
@@ -761,16 +770,6 @@ def estimate_sigma_limit(
 
     levels, = _search_levels(g, cfg, [(None, False)], level)
     return LimitReport(levels, _verdict(levels, cfg.tol_float))
-
-
-def oscillation(report: LimitReport) -> float:
-    """Upper estimate minus lower estimate at the finest level."""
-    up, low = report.upper, report.lower
-    if up == INF and low == -INF:
-        return INF
-    if up == low and (up == INF or up == -INF):
-        raise IndeterminateForm("oscillation of two like-signed infinities")
-    return up - low
 
 
 # ---------------------------------------------------------------------------

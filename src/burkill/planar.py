@@ -44,10 +44,6 @@ class Rect:
     x: Interval
     y: Interval
 
-    @property
-    def area(self) -> Dyadic:
-        return self.x.length * self.y.length
-
     def variants(self):
         for xv in self.x.variants():
             for yv in self.y.variants():

@@ -7,7 +7,6 @@ import json
 from .density import DensityReport
 from .errors import UnsupportedFormat
 from .integrator import _VARIANTS, DefectReport, LimitReport, Witness
-from .walsh import SignTable
 
 SCHEMA = "burkill.report/1"
 _BRACKETS = [f'"{"[" if lc else "("}{"]" if rc else ")"}"'
@@ -124,16 +123,12 @@ def defect_report_json(report: DefectReport) -> str:
     }, indent=2)
 
 
-def sign_table_csv(table: SignTable) -> str:
-    return table.to_csv()
-
-
 def export(report, fmt: str) -> str:
     """Dispatch a report to a byte-stable textual format."""
-    if isinstance(report, SignTable):
-        if fmt == "csv":
-            return sign_table_csv(report)
-        raise UnsupportedFormat(f"sign tables export as csv, not {fmt}")
+    if fmt == "csv" and hasattr(report, "to_csv"):
+        # a walsh.SignTable, matched by its method so that this module
+        # does not import walsh and numpy with it
+        return report.to_csv()
     if isinstance(report, DensityReport):
         if fmt == "json":
             return density_report_json(report)

@@ -280,25 +280,6 @@ def is_absolutely_continuous(
     return verdict, trace
 
 
-def is_absolutely_semicontinuous(
-    g: IntervalFunction,
-    region: Region,
-    side: str = "upper",
-    cfg: Optional[SearchConfig] = None,
-) -> bool:
-    """One-sided absolute continuity probe.
-
-    Upper: pack sums stay below epsilon as the packs' measure shrinks
-    (negative mass may persist); lower is the mirrored statement.
-    """
-    if side not in ("upper", "lower"):
-        raise ValueError("side must be 'upper' or 'lower'")
-    cfg = cfg or SearchConfig()
-    val, _ = scored_pack_pool(g, region, cfg).pack(
-        Fraction(1, 1 << 12), "max" if side == "upper" else "min")
-    return abs(val) < AC_THRESHOLD
-
-
 def monotone_on_subdivision(
     g: IntervalFunction,
     region: Region,

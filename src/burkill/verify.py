@@ -44,7 +44,7 @@ from .planar import (
     product_function,
     two_squares_function,
 )
-from .reporting import export, limit_report_json
+from .reporting import limit_report_json
 from .variation import (
     is_absolutely_continuous,
     j_singularity,
@@ -373,7 +373,7 @@ def _determinism_snapshot() -> bytes:
     parts = [
         limit_report_json(estimate_norm_limits(
             fx.fn, Region.interval(ZERO, Dyadic(2)), cfg)),
-        export(sign_table(6), "csv"),
+        sign_table(6).to_csv(),
         json.dumps(fixture("origin_indicator").manifest(), sort_keys=False),
         limit_report_json(estimate_norm_limits_2d(
             two_squares_function(),

@@ -1,6 +1,6 @@
-"""Recursive sign tables, the orthonormal step-function system built on
-them, the distributive functional P on step functions, its continuity
-bound, and the determinant identity behind it.
+"""Recursive sign tables, step functions on their dyadic cells, the
+identity that takes the distributive functional P from the table's rows to
+the cells, its continuity bound, and the determinant identity behind it.
 
 Stage n is an N x N matrix of +-1 entries, N = 2**(n-1).  Stage n+1
 duplicates each stage-n row into adjacent column pairs; the lower half
@@ -34,9 +34,6 @@ class SignTable:
     @property
     def size(self) -> int:
         return 1 << (self.stage - 1)
-
-    def row(self, i: int) -> np.ndarray:
-        return self.matrix[i]
 
     def to_csv(self) -> str:
         lines = [",".join(str(int(v)) for v in row) for row in self.matrix]
@@ -142,8 +139,7 @@ def span_check(table: SignTable, with_determinant: bool = True) -> bool:
 # ---------------------------------------------------------------------------
 
 def cell(j: int, n: int) -> Interval:
-    """I_{j,n} = [(j-1)/N, j/N) for 1 <= j <= N."""
-    N = 1 << (n - 1)
+    """I_{j,n} = [(j-1)/N, j/N) for 1 <= j <= N = 2**(n-1)."""
     return Interval(Dyadic(j - 1, n - 1), Dyadic(j, n - 1), True, False)
 
 
@@ -166,48 +162,6 @@ class StepFunction:
     def size(self) -> int:
         return 1 << (self.stage - 1)
 
-    def __call__(self, x: Fraction) -> Fraction:
-        N = self.size
-        j = min(int(x * N), N - 1)
-        return self.values[j]
-
-    def basis_coefficients(self) -> tuple[Fraction, ...]:
-        """Coefficients b with f = sum b_i h_i, exactly."""
-        m = sign_table(self.stage).matrix
-        N = self.size
-        return tuple(
-            sum((Fraction(int(m[i, j])) * self.values[j] for j in range(N)),
-                Fraction(0)) / N
-            for i in range(N))
-
-    @staticmethod
-    def from_basis(stage: int, coeffs: Sequence[Fraction]) -> "StepFunction":
-        m = sign_table(stage).matrix
-        N = 1 << (stage - 1)
-        vals = tuple(
-            sum((Fraction(int(m[i, j])) * Fraction(coeffs[i])
-                 for i in range(N)), Fraction(0))
-            for j in range(N))
-        return StepFunction(stage, vals)
-
-    def norm_squared(self) -> Fraction:
-        return sum((v * v for v in self.values), Fraction(0)) / self.size
-
-    def level_sets(self) -> list[tuple[Fraction, MeasurableSet]]:
-        """Distinct nonzero coefficients with their merged cell unions."""
-        N = self.size
-        groups: dict[Fraction, list[Interval]] = {}
-        for j, v in enumerate(self.values):
-            if v == 0:
-                continue
-            ivs = groups.setdefault(v, [])
-            nxt = cell(j + 1, self.stage)
-            if ivs and ivs[-1].hi == nxt.lo:
-                ivs[-1] = Interval(ivs[-1].lo, nxt.hi, True, False)
-            else:
-                ivs.append(nxt)
-        return [(v, MeasurableSet(ivs)) for v, ivs in sorted(groups.items())]
-
     def cell_integral(self, lo: Fraction, hi: Fraction) -> Fraction:
         """Exact integral of the step function over [lo, hi]."""
         N = self.size
@@ -218,12 +172,6 @@ class StepFunction:
             if left < right:
                 total += v * (right - left)
         return total
-
-
-def basis_function(i: int, n: int) -> StepFunction:
-    """h_i at stage n: the i-th table row as a unit step function."""
-    m = sign_table(n).matrix
-    return StepFunction(n, tuple(Fraction(int(v)) for v in m[i - 1]))
 
 
 class SetFunctional:
@@ -273,21 +221,6 @@ def step_integral_functional(w: StepFunction) -> SetFunctional:
         return total
 
     return SetFunctional(f"int({w.stage}-step)", ev)
-
-
-def p_functional(g: SetFunctional, f: StepFunction):
-    """P(f) = sum b_i g(E_i) over the distinct-coefficient decomposition."""
-    total = Fraction(0)
-    as_float = False
-    acc = 0.0
-    for b, E in f.level_sets():
-        v = g(E)
-        if isinstance(v, Fraction):
-            total += b * v
-        else:
-            as_float = True
-            acc += float(b) * v
-    return acc + float(total) if as_float else total
 
 
 def _cell_integrals(f, n: int) -> list:

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import burkill
+from burkill.catalog import fixture_names
 from burkill.cli import main
 from burkill.errors import UnsupportedFormat
 from burkill.reporting import export
@@ -297,3 +299,43 @@ class TestCli:
         assert code == 2
         assert out == ""
         assert "grid needs more than 20 points" in err.getvalue()
+
+    @pytest.mark.parametrize("fixture", fixture_names())
+    @pytest.mark.parametrize("verb", ["integrate", "klimit", "sigmalimit",
+                                      "variation", "density", "around"])
+    def test_region_wider_than_grid_budget_exits_2(self, verb, fixture):
+        """A region of width 1e30 fails on the grid budget before any grid
+        or special point is built: no overflow, and no special-point chain
+        walking to 1e30."""
+        def out_of_time(signum, frame):
+            raise TimeoutError(f"{verb} {fixture} ran past 10 s")
+
+        previous = signal.signal(signal.SIGALRM, out_of_time)
+        err = io.StringIO()
+        signal.alarm(10)
+        try:
+            with redirect_stderr(err):
+                code, out = run_cli([verb, "--fixture", fixture,
+                                     "--region", "0,1e30"])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == 2
+        assert out == ""
+        assert err.getvalue() == (
+            "error: grid needs more than 200000 points\n")
+
+
+def test_cli_and_reporting_import_no_numpy():
+    """numpy is loaded only by the walsh verb and verify, not by the
+    report path."""
+    src = str(Path(burkill.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, burkill.cli, burkill.reporting; "
+         "print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=30)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "False\n"

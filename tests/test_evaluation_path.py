@@ -99,8 +99,8 @@ SEARCHES = {
     "absolutely_continuous": lambda g, fx: repr(
         variation_mod.is_absolutely_continuous(g, fx.region, LEVELS)),
     "semicontinuous": lambda g, fx: [
-        variation_mod.is_absolutely_semicontinuous(g, fx.region, side, LEVELS)
-        for side in ("upper", "lower")],
+        repr(variation_mod.scored_pack_pool(g, fx.region, LEVELS).pack(
+            Fraction(1, 4096), sense)) for sense in ("max", "min")],
     "monotone_on_subdivision": lambda g, fx: [
         variation_mod.monotone_on_subdivision(g, fx.region, 40, seed)
         for seed in range(3)],

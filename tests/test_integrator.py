@@ -12,7 +12,14 @@ from burkill.catalog import (
     scale_fn,
     stieltjes,
 )
-from burkill.core import Dyadic, Interval, Region, ZERO, division_from_points
+from burkill.core import (
+    Dyadic,
+    Interval,
+    PointConvention,
+    Region,
+    ZERO,
+    division_from_points,
+)
 from burkill.integrator import (
     SearchConfig,
     _norm_search,
@@ -24,7 +31,6 @@ from burkill.integrator import (
     estimate_sigma_limit,
     extremal_sum,
     k_chain_reports,
-    oscillation,
     riemann_sum,
     singularity_scan,
 )
@@ -107,13 +113,11 @@ class TestRiemannSum:
         g = fixture("origin_indicator").fn
         omit = division_from_points(
             SYM, [D(-1), ZERO, D(1)],
-            conventions=[__import__("burkill.core", fromlist=["x"])
-                         .PointConvention.from_token(ZERO, ")(")])
+            conventions=[PointConvention(ZERO, False, False)])
         assert riemann_sum(g, omit) == 0.0
         both = division_from_points(
             SYM, [D(-1), ZERO, D(1)],
-            conventions=[__import__("burkill.core", fromlist=["x"])
-                         .PointConvention.from_token(ZERO, "][")])
+            conventions=[PointConvention(ZERO, True, True)])
         assert riemann_sum(g, both) == 2.0
 
 
@@ -439,18 +443,18 @@ class TestSigmaLimit:
 class TestOscillationAndCauchy:
     def test_converged_oscillation_zero(self):
         rep = estimate_norm_limits(length_fn(), UNIT, cfg_levels())
-        assert oscillation(rep) == 0.0
+        assert rep.upper - rep.lower == 0.0
 
     def test_origin_oscillation(self):
         rep = estimate_norm_limits(fixture("origin_indicator").fn, SYM,
                                    cfg_levels())
-        assert oscillation(rep) == 2.0
+        assert rep.upper - rep.lower == 2.0
 
     def test_saks_oscillation(self):
         fx = fixture("saks_A_counterexample")
         rep = estimate_norm_limits(fx.fn, Region.interval(ZERO, D(1)),
                                    cfg_levels())
-        assert oscillation(rep) == 1.0  # brute-force lower lands on zeros
+        assert rep.upper - rep.lower == 1.0  # brute-force lower lands on zeros
 
 
 class TestDefectBound:
@@ -460,12 +464,12 @@ class TestDefectBound:
         fx = fixture("origin_indicator")
         rep = estimate_norm_limits(fx.fn, SYM, cfg)
         c = defect_report_at(fx.fn, SYM, ZERO, cfg).c
-        assert c <= oscillation(rep) + 2e-6
+        assert c <= rep.upper - rep.lower + 2e-6
 
         fx = fixture("saks_A_counterexample")
         rep = estimate_norm_limits(fx.fn, fx.region, cfg)
         c = defect_report_at(fx.fn, fx.region, D(1), cfg).c
-        assert c <= oscillation(rep) + 2e-6
+        assert c <= rep.upper - rep.lower + 2e-6
 
     @pytest.mark.parametrize("y", [D(5), ZERO, D(2)])
     def test_point_outside_the_interior_rejected(self, y):

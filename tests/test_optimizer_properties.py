@@ -4,12 +4,14 @@ enumeration, on random synthetic interval functions rather than fixtures."""
 from hypothesis import given, settings, strategies as st
 
 from burkill.catalog import IntervalFunction
-from burkill.core import Dyadic, Region, enumerate_bracket_assignments
+from burkill.core import Dyadic, Region
 from burkill.integrator import (
     brute_force_extremal,
     extremal_sum,
     riemann_sum,
 )
+
+from oracles import enumerate_bracket_assignments
 
 VALUES = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
                    allow_infinity=False)

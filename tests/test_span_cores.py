@@ -38,7 +38,6 @@ from burkill.catalog import (
     poly,
     pow2,
     scale_fn,
-    step,
     stieltjes,
 )
 from burkill.core import (
@@ -49,7 +48,6 @@ from burkill.core import (
     dmax,
     dmin,
     dmid,
-    is_pow2,
     key_float,
 )
 from burkill.density import (
@@ -75,6 +73,8 @@ from burkill.planar import (
 from burkill.variation import is_absolutely_continuous, variation
 from burkill.verify import check_3_k_convention, check_6_fubini
 
+from oracles import is_pow2, step, with_brackets
+
 INF = float("inf")
 ONE = Dyadic(1)
 UNIT = Region.interval(ZERO, ONE)
@@ -90,6 +90,11 @@ def ref_float(x):
     if abs(x.num) < (1 << 62):
         return ldexp(x.num, -x.exp)
     return float(x.as_fraction())
+
+
+def ref_area(r):
+    """The area of a Rect, its x length times its y length, as a float."""
+    return ref_float(r.x.length * r.y.length)
 
 
 def ref_poly(coeffs):
@@ -160,10 +165,10 @@ def ref_around_chain_check(g, E, region, cfg, tol=1e-6):
 
     specials = with_set_edges(g, E)
     h_up = IntervalFunction(
-        "ref_up", lambda iv: inner(iv.span())[0] if E.meets(iv) else 0.0,
+        "ref_up", lambda iv: inner((iv.lo, iv.hi))[0] if E.meets(iv) else 0.0,
         special_points=specials)
     h_low = IntervalFunction(
-        "ref_low", lambda iv: inner(iv.span())[1] if E.meets(iv) else 0.0,
+        "ref_low", lambda iv: inner((iv.lo, iv.hi))[1] if E.meets(iv) else 0.0,
         special_points=specials)
     return ChainReport(outer.lower,
                        estimate_norm_limits(h_low, region, cfg).lower,
@@ -195,7 +200,7 @@ def ref_apply_k_convention(iv):
         lc = True
     if iv.hi == ZERO or (is_pow2(iv.hi) and iv.hi.num == 1 and iv.hi.exp >= 1):
         rc = False
-    return iv.with_brackets(lc, rc)
+    return with_brackets(iv, lc, rc)
 
 
 def ref_k_jump_locked(iv):
@@ -613,11 +618,11 @@ PLANE = {
                                          fixture("origin_indicator").fn),
                 lambda: ref_product(G_CHOICES["cubic"](),
                                     fixture("origin_indicator").fn)),
-    "area": (area_function, lambda: lambda r: ref_float(r.area)),
+    "area": (area_function, lambda: ref_area),
     # a func-only function: its cell is the adapter that builds the Rect
-    "area_func": (lambda: RectFunction("mT", lambda r: ref_float(r.area),
+    "area_func": (lambda: RectFunction("mT", ref_area,
                                        bracket_independent=True),
-                  lambda: lambda r: ref_float(r.area)),
+                  lambda: ref_area),
 }
 
 

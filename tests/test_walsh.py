@@ -11,14 +11,12 @@ from burkill.errors import StageTooLarge, ZeroMeasureSet
 from burkill.walsh import (
     StepFunction,
     _rational_det,
-    basis_function,
     cell,
     continuity_bound,
     determinant_identity_check,
     exact_determinant,
     measure_functional,
     orthogonality_check,
-    p_functional,
     pf_identity_residual,
     poly_integral_functional,
     sign_table,
@@ -93,52 +91,6 @@ class TestStepFunction:
         iv = cell(1, 3)
         assert (iv.lo, iv.hi) == (Dyadic(0), Dyadic(1, 2))
         assert iv.left_closed and not iv.right_closed
-
-    def test_round_trip_exact(self):
-        rng = random.Random(2)
-        for stage in (1, 2, 4, 6):
-            vals = tuple(F(rng.randint(-20, 20), rng.randint(1, 9))
-                         for _ in range(1 << (stage - 1)))
-            f = StepFunction(stage, vals)
-            back = StepFunction.from_basis(stage, f.basis_coefficients())
-            assert back.values == vals
-
-    def test_basis_norm_one(self):
-        for i in (1, 2, 3, 4):
-            assert basis_function(i, 3).norm_squared() == 1
-
-    def test_level_sets_merge(self):
-        f = StepFunction(3, (F(1), F(1), F(0), F(2)))
-        sets = dict((float(v), E) for v, E in f.level_sets())
-        assert float(sets[1.0].measure) == 0.5
-        assert len(sets[1.0].components) == 1  # merged adjacent cells
-        assert float(sets[2.0].measure) == 0.25
-
-
-class TestPFunctional:
-    def test_measure_of_half(self):
-        f = StepFunction(2, (F(1), F(0)))
-        assert p_functional(measure_functional(), f) == F(1, 2)
-
-    def test_zero_function(self):
-        f = StepFunction(2, (F(0), F(0)))
-        assert p_functional(measure_functional(), f) == 0
-
-    def test_weighted_row(self):
-        g = poly_integral_functional([0, 2], "2x")  # integral of 2x
-        h2 = basis_function(2, 2)                    # +1 on [0,1/2), -1 after
-        assert p_functional(g, h2) == F(1, 4) - F(3, 4)
-
-    def test_distributive_exact(self):
-        rng = random.Random(3)
-        g = poly_integral_functional([F(1, 3), F(2)], "w")
-        a, b = F(3, 7), F(-5, 2)
-        v1 = tuple(F(rng.randint(-9, 9), 4) for _ in range(8))
-        v2 = tuple(F(rng.randint(-9, 9), 4) for _ in range(8))
-        f1, f2 = StepFunction(4, v1), StepFunction(4, v2)
-        combo = StepFunction(4, tuple(a * x + b * y for x, y in zip(v1, v2)))
-        assert p_functional(g, combo) == \
-            a * p_functional(g, f1) + b * p_functional(g, f2)
 
 
 class TestIdentity:
