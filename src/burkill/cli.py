@@ -237,7 +237,7 @@ def _dispatch(args) -> int:
         report = estimate_sigma_limit(fx.fn, region, cfg)
         return _emit(report, args.format)
     if args.verb == "variation":
-        rep = variation(fx.fn, region, cfg, scan_j=False)
+        rep = variation(fx.fn, region, cfg)
         if args.format == "json":
             sys.stdout.write(json.dumps({
                 "levels": [(e.serialize(), repr(v)) for e, v in rep.levels],

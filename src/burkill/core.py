@@ -18,6 +18,10 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import DegenerateInterval, PointOutsideRegion, UnsortedPoints
 
+# the largest |k| that Dyadic.parse takes in "num/2^k": the level exponent,
+# every key and every candidate point grow with it
+MAX_PARSE_EXP = 4096
+
 
 def key_float(a: int, ex: int) -> float:
     """a/2^ex, ex >= 0, as a float: ldexp below 2^62, else the quotient
@@ -70,7 +74,11 @@ class Dyadic:
         text = text.strip()
         if "/2^" in text:
             num, _, exp = text.partition("/2^")
-            return Dyadic(int(num), int(exp))
+            k = int(exp)
+            if abs(k) > MAX_PARSE_EXP:
+                raise ValueError(f"{text}: the exponent k of num/2^k must be "
+                                 f"at most {MAX_PARSE_EXP} in magnitude")
+            return Dyadic(int(num), k)
         return Dyadic.from_fraction(Fraction(text))
 
     def as_fraction(self) -> Fraction:

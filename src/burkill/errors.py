@@ -37,10 +37,6 @@ class StageTooLarge(BurkillError):
     """Raised when a sign-table stage is outside the supported range."""
 
 
-class ZeroMeasureSet(BurkillError):
-    """Raised when a ratio over a zero-measure set is requested."""
-
-
 class NoConvergence(BurkillError):
     """Raised when an iterative quadrature fails to stabilize."""
 

@@ -324,14 +324,13 @@ def extremal_sum(
     points: Sequence[Dyadic],
     region: Region,
     sense: str = "max",
-    locks: Optional[dict] = None,
 ) -> tuple[float, Division]:
     """Exact optimum of the Riemann sum over all bracket assignments.
 
     Assignments are unconstrained across intervals, so the optimum is the
-    sum of per-interval optima over each span's four variants (restricted
-    by any junction locks).  Ties break to the lexicographically smallest
-    assignment, open before closed, left to right.
+    sum of per-interval optima over each span's four variants.  Ties break
+    to the lexicographically smallest assignment, open before closed, left
+    to right.
     """
     if sense not in ("max", "min"):
         raise ValueError("sense must be 'max' or 'min'")
@@ -342,9 +341,7 @@ def extremal_sum(
     ex = max((p.exp for p in points), default=0)
     keys = [_key(p, ex) for p in points]
     cand = Candidate(keys, ex, runs)
-    ilocks = ({k: locks[p] for p, k in zip(points, keys) if p in locks}
-              if locks else {})
-    ups, lows, up_k, low_k = _score(g, cand, {}, ilocks)
+    ups, lows, up_k, low_k = _score(g, cand, {}, {})
     if sense == "max":
         return xsum(ups), Witness(region, cand, up_k).division
     return xsum(lows), Witness(region, cand, low_k).division
@@ -412,6 +409,13 @@ def _check_grid(region: Region, spacing: Dyadic, cap: int) -> None:
     if sum((hi - lo + sp - 1) // sp + 1
            for lo, hi in _comp_keys(region, ex)) > cap:
         raise BudgetExceeded(f"grid needs more than {cap} points")
+
+
+def _check_finest_grid(region: Region, cfg: SearchConfig) -> None:
+    """_check_grid at the finest norm bound of cfg, for the searches that
+    ask g for its special points at that bound."""
+    _check_grid(region, _grid_spacing(cfg.finest(), cfg.grid_density),
+                cfg.max_points)
 
 
 def _grid_keys(comps: list[tuple[int, int]], start: int,
@@ -828,6 +832,7 @@ def scan_candidates(g: IntervalFunction, region: Region,
                     cfg: SearchConfig) -> list[Dyadic]:
     """Points to probe: special-point midpoints first (accumulation points
     live there), then the specials, then a coarse grid; capped at 64."""
+    _check_finest_grid(region, cfg)
     specials = g.special_points(region, cfg.finest())
     mids = [dmid(a, b) for a, b in zip(specials, specials[1:])]
     out: list[Dyadic] = []
@@ -875,6 +880,7 @@ def _triple_pool(g: IntervalFunction, region: Region, cfg: SearchConfig,
     """The defect scan's pool of special, end and probe points as sorted
     distinct keys at one exponent, which also holds the points ys and
     every norm bound, with that exponent and the components' keys."""
+    _check_finest_grid(region, cfg)
     pts = [*g.special_points(region, cfg.finest())[:1024],
            *region.endpoints(), *_probe_grid(region)]
     ex = max(p.exp for p in (*pts, *ys, *cfg.e_schedule))

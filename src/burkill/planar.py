@@ -324,8 +324,8 @@ def product_bv_check(
 
     cfg = cfg or SearchConfig(e_schedule=tuple(Dyadic(1, k)
                                                for k in range(3, 10)))
-    v1 = variation(g1, rx, cfg, scan_j=False)
-    v2 = variation(g2, ry, cfg, scan_j=False)
+    v1 = variation(g1, rx, cfg)
+    v2 = variation(g2, ry, cfg)
     if v1.verdict == "infinite" or v2.verdict == "infinite":
         return {"verdict": "not-applicable",
                 "reason": "a factor is not of bounded variation"}

@@ -24,6 +24,7 @@ from .integrator import (
     Candidate,
     LimitReport,
     SearchConfig,
+    _check_finest_grid,
     _comp_keys,
     _fill,
     _growth_diverging,
@@ -35,7 +36,6 @@ from .integrator import (
     _search_levels,
     _triple_pool,
     _triple_values,
-    scan_candidates,
 )
 
 AC_THRESHOLD = 1e-3          # pack value below this at mu = 2^-12 passes AC
@@ -47,7 +47,6 @@ class VariationReport:
     verdict: str                           # "finite" | "infinite"
     total: float                           # finest Var estimate (inf if not)
     a_bound: float                         # A(R): max |norm-limit| estimate
-    j_table: list[tuple[Dyadic, float]]
     abs_report: LimitReport
     base_report: LimitReport
 
@@ -69,9 +68,14 @@ def variation(
     g: IntervalFunction,
     region: Region,
     cfg: Optional[SearchConfig] = None,
-    scan_j: bool = True,
+    scan_j: bool = False,
 ) -> VariationReport:
-    """Estimate Var(g; region) as the upper norm-limit of |g|."""
+    """Estimate Var(g; region) as the upper norm-limit of |g|.
+
+    scan_j does nothing.  It is still accepted because the benchmark's
+    scan_variation workload passes scan_j=False; j_singularity gives the
+    j values the report no longer carries.
+    """
     cfg = cfg or SearchConfig()
     # |g| is scored off g's values, over the candidates of g's own search
     abs_report, base_report = _norm_search(g, region, cfg,
@@ -79,16 +83,11 @@ def variation(
     levels = [(lv.e, lv.upper) for lv in abs_report.levels]
     infinite = _growth_diverging([lv.raw_upper for lv in abs_report.levels])
     a_bound = max(abs(base_report.upper), abs(base_report.lower))
-    j_table = []
-    if scan_j:
-        for y in scan_candidates(g, region, cfg)[:8]:
-            j_table.append((y, j_singularity(g, region, y, cfg)))
     return VariationReport(
         levels=levels,
         verdict="infinite" if infinite else "finite",
         total=INF if infinite else levels[-1][1],
         a_bound=a_bound,
-        j_table=j_table,
         abs_report=abs_report,
         base_report=base_report,
     )
@@ -147,6 +146,7 @@ def _pack_candidates(g: IntervalFunction, region: Region,
                      cfg: SearchConfig) -> Candidate:
     """Candidate pack intervals keyed at one exponent: per component, the
     run of its special points and the run of its cells at each depth."""
+    _check_finest_grid(region, cfg)
     specials = g.special_points(region, cfg.finest())
     E = max([p.exp for p in specials]
             + [p.exp + 12 for p in region.endpoints()], default=0)
@@ -332,6 +332,7 @@ def variation_split(
         raise BracketDependent(f"{g.name} depends on bracket conventions")
     cfg = cfg or SearchConfig()
     sub = Region.interval(J.lo, J.hi)
+    _check_finest_grid(sub, cfg)
     e = cfg.finest()
     specials = g.special_points(sub, e)
     ex = _level_exponent(sub, e, [p.exp for p in specials])

@@ -225,12 +225,12 @@ def check_7_variation() -> CheckResult:
     cfg = _cfg_fine()
     fq = poly("x(1-x)", [0, 1, -1])
     gq = stieltjes(fq)
-    rep = variation(gq, Region.interval(ZERO, Dyadic(1)), cfg, scan_j=False)
+    rep = variation(gq, Region.interval(ZERO, Dyadic(1)), cfg)
     oracle = _total_variation_oracle(fq)
     ok = abs(rep.total - oracle) <= TOL_FLOAT
 
     blocks = fixture("dyadic_blocks")
-    vb = variation(blocks.fn, blocks.region, cfg, scan_j=False)
+    vb = variation(blocks.fn, blocks.region, cfg)
     jb = j_singularity(blocks.fn, blocks.region, ZERO, cfg)
     ok = ok and vb.verdict == "infinite" and jb == INF
 
@@ -274,7 +274,7 @@ def check_8_absolute_continuity() -> CheckResult:
     for g in (length_fn(), stieltjes(poly("x^2", [0, 0, 1]))):
         acg, _ = is_absolutely_continuous(g, region, cfg)
         if acg:
-            rep = variation(g, region, cfg, scan_j=False)
+            rep = variation(g, region, cfg)
             bv_ok = bv_ok and rep.verdict == "finite"
     ok = (ac_len and len_exact and not ac_stair and carried >= 0.99 and bv_ok)
     return CheckResult(

@@ -14,15 +14,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .core import Dyadic, Interval
 from .density import MeasurableSet
-from .errors import StageTooLarge, ZeroMeasureSet
+from .errors import StageTooLarge
 
 MAX_STAGE = 16
+CELL_DEPTH = 12             # the finest cell partition continuity_bound takes
 _TABLE_CACHE: dict[int, np.ndarray] = {}
 
 
@@ -263,37 +264,21 @@ def pf_identity_residual(g: SetFunctional, f, n: int) -> float:
     return abs(float(lhs - rhs))
 
 
-def continuity_bound(
-    g: SetFunctional,
-    packs: Optional[Iterable[Sequence[MeasurableSet]]] = None,
-    max_depth: int = 12,
-) -> float:
-    """Supremum of sum g(E_i)^2 / mE_i over disjoint packs.
-
-    Defaults to dyadic cell partitions of the unit interval, refined to
-    max_depth; for g(E) the integral of w the values approach the integral
-    of w**2 from below.
+def continuity_bound(g: SetFunctional) -> float:
+    """Supremum of sum g(E_i)^2 / mE_i over the dyadic cell partitions of
+    the unit interval, refined to depth CELL_DEPTH; for g(E) the integral
+    of w the values approach the integral of w**2 from below.
     """
     best = 0.0
-
-    def value(pack: Sequence[MeasurableSet]) -> float:
+    for depth in range(1, CELL_DEPTH + 1):
         total = 0.0
-        for E in pack:
+        for j in range(1 << depth):
+            E = cell_set(j + 1, depth + 1)
             m = E.measure.as_fraction()
-            if m == 0:
-                raise ZeroMeasureSet("pack member has zero measure")
             v = g(E)
             total += float(Fraction(v) ** 2 / m) if isinstance(v, Fraction) \
                 else v * v / float(m)
-        return total
-
-    if packs is not None:
-        for pack in packs:
-            best = max(best, value(pack))
-    for depth in range(1, max_depth + 1):
-        n = depth + 1
-        pack = [cell_set(j + 1, n) for j in range(1 << depth)]
-        best = max(best, value(pack))
+        best = max(best, total)
     return best
 
 

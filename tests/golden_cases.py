@@ -22,6 +22,7 @@ from burkill.integrator import (
     estimate_norm_limits,
     estimate_sigma_limit,
     k_chain_reports,
+    scan_candidates,
     singularity_scan,
 )
 from burkill.planar import (
@@ -84,11 +85,14 @@ def _scan():
 def _variation():
     fx = fixture("origin_indicator")
     rep = variation(fx.fn, fx.region, CFG)
+    # the j table the report carried before it moved out of variation
+    j_table = [(y, j_singularity(fx.fn, fx.region, y, CFG))
+               for y in scan_candidates(fx.fn, fx.region, CFG)[:8]]
     head = json.dumps({
         "levels": [(e.serialize(), repr(v)) for e, v in rep.levels],
         "verdict": rep.verdict, "total": repr(rep.total),
         "a_bound": repr(rep.a_bound),
-        "j_table": [(y.serialize(), repr(j)) for y, j in rep.j_table]})
+        "j_table": [(y.serialize(), repr(j)) for y, j in j_table]})
     return "\n".join([head, limit_bytes(rep.abs_report),
                       limit_bytes(rep.base_report)])
 

@@ -12,6 +12,7 @@ import pytest
 import burkill
 from burkill.catalog import fixture_names
 from burkill.cli import main
+from burkill.core import MAX_PARSE_EXP
 from burkill.errors import UnsupportedFormat
 from burkill.reporting import export
 from burkill.walsh import sign_table
@@ -324,6 +325,24 @@ class TestCli:
         assert out == ""
         assert err.getvalue() == (
             "error: grid needs more than 200000 points\n")
+
+    @pytest.mark.parametrize("argv, text", [
+        (["integrate", "--region", "1/2^9999999,1"], "1/2^9999999"),
+        (["integrate", "--region=-1,1/2^-4097"], "1/2^-4097"),
+        (["integrate", "--e-min", "1/2^4097"], "1/2^4097"),
+        (["klimit", "--permanent", "3/2^4100:)["], "3/2^4100"),
+    ])
+    def test_dyadic_exponent_past_the_bound_exits_2(self, argv, text):
+        """A num/2^k with |k| above MAX_PARSE_EXP fails when it is parsed,
+        before any level exponent or key grows with it."""
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli([*argv, "--fixture", "origin_indicator"])
+        assert code == 2
+        assert out == ""
+        assert err.getvalue() == (
+            f"error: {text}: the exponent k of num/2^k must be at most "
+            f"{MAX_PARSE_EXP} in magnitude\n")
 
 
 def test_cli_and_reporting_import_no_numpy():

@@ -159,7 +159,7 @@ class TestInequalities:
         g = stieltjes(poly("x(1-x)", [0, 1, -1]))
         E = MeasurableSet.from_spans([(D(1, 2), D(3, 2))])
         rep = density_integral(abs_fn(g), E, UNIT, cfg())
-        var = variation(g, UNIT, cfg(), scan_j=False)
+        var = variation(g, UNIT, cfg())
         assert rep.upper <= var.total + 1e-9
 
     def test_monotone_in_set(self):

@@ -77,7 +77,7 @@ def _packs(scored):
 
 
 def _variation(g, fx):
-    rep = variation_mod.variation(g, fx.region, LEVELS, scan_j=False)
+    rep = variation_mod.variation(g, fx.region, LEVELS)
     return (repr((rep.levels, rep.verdict, rep.total, rep.a_bound)),
             _limit(rep.abs_report), _limit(rep.base_report))
 

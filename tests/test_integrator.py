@@ -1,4 +1,5 @@
 import random
+import signal
 
 import pytest
 
@@ -20,6 +21,7 @@ from burkill.core import (
     ZERO,
     division_from_points,
 )
+from burkill.errors import BudgetExceeded
 from burkill.integrator import (
     SearchConfig,
     _norm_search,
@@ -34,7 +36,12 @@ from burkill.integrator import (
     riemann_sum,
     singularity_scan,
 )
-from burkill.variation import variation
+from burkill.variation import (
+    is_absolutely_continuous,
+    j_singularity,
+    variation,
+    variation_split,
+)
 
 D = Dyadic
 INF = float("inf")
@@ -152,15 +159,6 @@ class TestExtremalSum:
                 for sense in ("max", "min"):
                     fast, _ = extremal_sum(fx.fn, pts, sub, sense)
                     assert fast == brute_force_extremal(fx.fn, pts, sub, sense)
-
-    def test_lock_is_honored(self):
-        g = fixture("origin_indicator").fn
-        pts = [D(-1), ZERO, D(1)]
-        up, wit = extremal_sum(g, pts, SYM, "max",
-                               locks={ZERO: (False, False)})
-        assert up == 0.0
-        assert not wit.intervals[0].right_closed
-        assert not wit.intervals[1].left_closed
 
     def test_tie_breaks_open(self):
         g = length_fn()
@@ -476,3 +474,35 @@ class TestDefectBound:
         fx = fixture("saks_A_counterexample")
         with pytest.raises(ValueError, match="not interior"):
             defect_report_at(fx.fn, fx.region, y, cfg_levels(3, 5))
+
+
+WIDE = Region.interval(ZERO, D(10 ** 30))
+WIDE_CALLS = {
+    "singularity_scan": lambda g, cfg: singularity_scan(g, WIDE, cfg),
+    "defect_report_at": lambda g, cfg: defect_report_at(g, WIDE, D(1), cfg),
+    "j_singularity": lambda g, cfg: j_singularity(g, WIDE, D(1), cfg),
+    "is_absolutely_continuous": lambda g, cfg: is_absolutely_continuous(
+        g, WIDE, cfg),
+    "variation_split": lambda g, cfg: variation_split(
+        g, Interval(ZERO, D(10 ** 30)), cfg),
+}
+
+
+@pytest.mark.parametrize("call", sorted(WIDE_CALLS))
+def test_wide_region_fails_on_the_grid_budget(call):
+    """On [0, 10^30] the finest grid is over budget, and each entry point
+    says so before it asks osc_left_limit for special points: their chain
+    would walk toward 10^30."""
+    def out_of_time(signum, frame):
+        raise TimeoutError(f"{call} ran past 4 s")
+
+    cfg = cfg_levels(3, 5)
+    previous = signal.signal(signal.SIGALRM, out_of_time)
+    signal.alarm(4)
+    try:
+        with pytest.raises(BudgetExceeded,
+                           match="grid needs more than 200000 points"):
+            WIDE_CALLS[call](fixture("osc_left_limit").fn, cfg)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

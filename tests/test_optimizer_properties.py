@@ -3,9 +3,12 @@ enumeration, on random synthetic interval functions rather than fixtures."""
 
 from hypothesis import given, settings, strategies as st
 
-from burkill.catalog import IntervalFunction
+from burkill.catalog import IntervalFunction, xsum
 from burkill.core import Dyadic, Region
 from burkill.integrator import (
+    Candidate,
+    Witness,
+    _score,
     brute_force_extremal,
     extremal_sum,
     riemann_sum,
@@ -63,7 +66,14 @@ def test_locked_optimum_matches_filtered_enumeration(table, sense, data):
     g, points = table
     region = Region.interval(points[0], points[-1])
     locks = data.draw(st.dictionaries(st.sampled_from(points), LOCKS))
-    fast, witness = extremal_sum(g, points, region, sense, locks)
+    # the scorer on the points keyed at 2^-4, with the locks on their keys
+    cand = Candidate([p.num << (4 - p.exp) for p in points], 4,
+                     [(0, len(points))])
+    ups, lows, up_k, low_k = _score(g, cand, {}, {
+        k: locks[p] for p, k in zip(points, cand.keys) if p in locks})
+    fast, choice = (xsum(ups), up_k) if sense == "max" else (xsum(lows),
+                                                             low_k)
+    witness = Witness(region, cand, choice).division
 
     def honors(div):
         return all(

@@ -1440,7 +1440,7 @@ SEARCHES = {
         g, fx.region, _perms(fx), cfg),
     "sigma": lambda g, fx, cfg=LEVELS: estimate_sigma_limit(g, fx.region, cfg),
     "variation": lambda g, fx, cfg=LEVELS: variation_mod.variation(
-        g, fx.region, cfg, scan_j=False),
+        g, fx.region, cfg),
 }
 
 

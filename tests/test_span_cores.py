@@ -698,5 +698,5 @@ def test_measure_searches_build_no_interval_or_rect(monkeypatch):
     for g in (scale_fn(-2.0, cubic), add_fn(cubic, length_fn()),
               hellinger(x2, x)):
         estimate_norm_limits(g, UNIT, short)
-        variation(g, UNIT, short, scan_j=False)
+        variation(g, UNIT, short)
     assert check_3_k_convention().passed

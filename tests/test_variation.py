@@ -35,25 +35,23 @@ def cfg(stop=11):
 
 class TestVariation:
     def test_monotone_stieltjes(self):
-        rep = variation(stieltjes(poly("x", [0, 1])), UNIT, cfg(),
-                        scan_j=False)
+        rep = variation(stieltjes(poly("x", [0, 1])), UNIT, cfg())
         assert rep.verdict == "finite"
         assert rep.total == 1.0
 
     def test_hump(self):
-        rep = variation(stieltjes(poly("x(1-x)", [0, 1, -1])), UNIT, cfg(),
-                        scan_j=False)
+        rep = variation(stieltjes(poly("x(1-x)", [0, 1, -1])), UNIT, cfg())
         assert abs(rep.total - 0.5) <= 1e-6
 
     def test_blocks_diverge(self):
         fx = fixture("dyadic_blocks")
-        rep = variation(fx.fn, fx.region, cfg(), scan_j=False)
+        rep = variation(fx.fn, fx.region, cfg())
         assert rep.verdict == "infinite" and rep.total == INF
 
     def test_var_dominates_a_bound(self):
         for name in ("origin_indicator", "saks_A_counterexample"):
             fx = fixture(name)
-            rep = variation(fx.fn, fx.region, cfg(), scan_j=False)
+            rep = variation(fx.fn, fx.region, cfg())
             assert rep.a_bound <= rep.levels[-1][1] + 1e-12
             # level by level, |sum g| <= sum |g| on shared candidates
             for (_, v), base in zip(rep.levels, rep.base_report.levels):
@@ -61,9 +59,8 @@ class TestVariation:
 
     def test_subregion_monotone(self):
         g = stieltjes(poly("x(1-x)", [0, 1, -1]))
-        small = variation(g, Region.interval(D(1, 2), D(1, 1)), cfg(),
-                          scan_j=False)
-        big = variation(g, UNIT, cfg(), scan_j=False)
+        small = variation(g, Region.interval(D(1, 2), D(1, 1)), cfg())
+        big = variation(g, UNIT, cfg())
         assert small.total <= big.total + 1e-9
 
 
@@ -86,7 +83,7 @@ class TestJSingularity:
         fixed = SearchConfig(e_schedule=cfg().e_schedule,
                              convention_mode="fixed")
         sym = Region.interval(D(-1), D(1))
-        total = variation(g, sym, fixed, scan_j=False).total
+        total = variation(g, sym, fixed).total
         assert total == 1.0
         assert j_singularity(g, sym, ZERO, fixed) <= total
 
@@ -99,7 +96,7 @@ class TestJSingularity:
         from burkill.catalog import add_fn
         g = add_fn(stieltjes(step(D(1, 2), jump=0.3)),
                    stieltjes(step(D(3, 2), jump=0.5)))
-        rep = variation(g, UNIT, cfg(), scan_j=False)
+        rep = variation(g, UNIT, cfg())
         j1 = j_singularity(g, UNIT, D(1, 2), cfg())
         j2 = j_singularity(g, UNIT, D(3, 2), cfg())
         assert j1 + j2 <= rep.total + 1e-9
@@ -136,7 +133,7 @@ class TestAbsoluteContinuity:
         for g in (length_fn(), stieltjes(poly("x^2", [0, 0, 1]))):
             ok, _ = is_absolutely_continuous(g, UNIT, cfg())
             if ok:
-                assert variation(g, UNIT, cfg(), scan_j=False).verdict == \
+                assert variation(g, UNIT, cfg()).verdict == \
                     "finite"
 
     def test_semicontinuity_probe_is_one_sided(self):

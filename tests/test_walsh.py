@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from burkill.core import Dyadic, Interval
-from burkill.density import MeasurableSet
-from burkill.errors import StageTooLarge, ZeroMeasureSet
+from burkill.core import Dyadic
+from burkill.errors import StageTooLarge
 from burkill.walsh import (
     StepFunction,
     _rational_det,
@@ -119,19 +118,6 @@ class TestContinuityBound:
         bound = continuity_bound(poly_integral_functional([0, 2], "2x"))
         assert bound <= 4.0 / 3.0 + 1e-12
         assert 4.0 / 3.0 - bound <= 1e-3
-
-    def test_single_full_set(self):
-        E = MeasurableSet([Interval(Dyadic(0), Dyadic(1), True, False)])
-        val = continuity_bound(measure_functional(), packs=[[E]], max_depth=1)
-        assert val == 1.0
-
-    def test_zero_measure_rejected(self):
-        class Fake:
-            measure = Dyadic(0)
-            components = ()
-        with pytest.raises(ZeroMeasureSet):
-            continuity_bound(measure_functional(), packs=[[Fake()]],
-                             max_depth=1)
 
 
 class TestDensityBridge:
