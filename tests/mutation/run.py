@@ -75,10 +75,12 @@ MODULE_TESTS = {
 }
 
 # the child: pytest with hypothesis's example database off, so that no
-# mutant replays an example that an earlier mutant failed on
-BOOT = ("import sys, hypothesis, pytest; "
-        "hypothesis.settings.register_profile('probe', database=None); "
-        "hypothesis.settings.load_profile('probe'); "
+# mutant replays an example that an earlier mutant failed on, and without
+# shrinking, since a probe needs only the first failure
+BOOT = ("import sys, pytest; from hypothesis import Phase, settings; "
+        "settings.register_profile('probe', database=None, phases=("
+        "Phase.explicit, Phase.reuse, Phase.generate)); "
+        "settings.load_profile('probe'); "
         "sys.exit(pytest.main(sys.argv[1:]))")
 
 SWAP_CMP = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt}
@@ -277,6 +279,7 @@ def _replace(root, old, new):
 
 
 FAIL = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.M)
+pytest_usage_error, pytest_no_tests = 4, 5       # pytest's exit codes
 
 
 def run_tests(tmp: Path, tests: list[str], seed: int, timeout: float):
@@ -303,6 +306,9 @@ def run_tests(tmp: Path, tests: list[str], seed: int, timeout: float):
             proc.communicate()
     if proc.returncode == 0:
         return "survived", ""
+    if proc.returncode in (pytest_usage_error, pytest_no_tests):
+        raise SystemExit(f"pytest could not run {' '.join(tests)}: "
+                         + (out.strip().splitlines() or ["no output"])[-1])
     m = FAIL.search(out)
     if m:
         test = m.group(1)
@@ -331,6 +337,8 @@ def main(argv=None) -> int:
                     help="skip the run on the unmutated copy")
     ap.add_argument("--src", default=str(REPO / "src"))
     opts = ap.parse_args(argv)
+    # a terminated probe still kills its test process and restores the copy
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(143))
     src = Path(opts.src)
     targets = [Target(t, src) for t in (opts.targets or TARGETS)]
     if opts.list:
