@@ -72,9 +72,9 @@ def variation(
 ) -> VariationReport:
     """Estimate Var(g; region) as the upper norm-limit of |g|.
 
-    scan_j does nothing.  It is still accepted because the benchmark's
-    scan_variation workload passes scan_j=False; j_singularity gives the
-    j values the report no longer carries.
+    scan_j does nothing; it is accepted because the benchmark's
+    scan_variation workload passes scan_j=False.  j_singularity gives the
+    local variation at a point.
     """
     cfg = cfg or SearchConfig()
     # |g| is scored off g's values, over the candidates of g's own search

@@ -85,7 +85,7 @@ def _scan():
 def _variation():
     fx = fixture("origin_indicator")
     rep = variation(fx.fn, fx.region, CFG)
-    # the j table the report carried before it moved out of variation
+    # j at the first eight scan points is part of this case's digest
     j_table = [(y, j_singularity(fx.fn, fx.region, y, CFG))
                for y in scan_candidates(fx.fn, fx.region, CFG)[:8]]
     head = json.dumps({

@@ -14,7 +14,7 @@ counted as killed.
 
 Targets are the names in TARGETS or any module.qualname under
 src/burkill.  Without a selection after "--", each target runs the fast
-gate (GATE) and its module's tests.  The exit status is 0 whether or not
+gate (GATE in .github/workflows/tests.yml) and its module's tests.  The exit status is 0 whether or not
 mutants survive: the score is reported, not gated.
 """
 
@@ -59,8 +59,6 @@ TARGETS = {
     "walsh._bareiss_det": ("walsh", "_bareiss_det"),
 }
 
-GATE = ["tests/test_golden.py", "tests/test_reporting.py",
-        "tests/test_pool_oracle.py", "tests/test_evaluation_path.py"]
 MODULE_TESTS = {
     "integrator": ["tests/test_integrator.py",
                    "tests/test_optimizer_properties.py",
@@ -73,6 +71,12 @@ MODULE_TESTS = {
     "catalog": ["tests/test_catalog.py"],
     "walsh": ["tests/test_walsh.py"],
 }
+
+def gate() -> list[str]:
+    """The fast gate: the tests that the workflow's GATE names."""
+    text = (REPO / ".github" / "workflows" / "tests.yml").read_text()
+    return re.search(r"GATE: >-\n((?: {8}.*\n)+)", text).group(1).split()
+
 
 # the child: pytest with hypothesis's example database off, so that no
 # mutant replays an example that an earlier mutant failed on, and without
@@ -117,7 +121,8 @@ def sites(root: ast.AST) -> list[tuple]:
     detail, apply), where apply(node) mutates the node in place or returns
     a replacement for it."""
     out = []
-    parents = {id(c): p for p in ast.walk(root) for c in ast.iter_child_nodes(p)}
+    parents = {id(c): p for p in ast.walk(root)
+               for c in ast.iter_child_nodes(p)}
     for node in ast.walk(root):
         if isinstance(node, ast.Compare):
             for j, op in enumerate(node.ops):
@@ -153,7 +158,8 @@ def sites(root: ast.AST) -> list[tuple]:
                                                                 ast.RShift)):
             out.append((node, "add1", "shift by one more",
                         _shift_more))
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+        if isinstance(node, ast.Call) \
+                and isinstance(node.func, ast.Attribute) \
                 and node.func.attr == "bit_length":
             out.append((node, "add1", "bit_length() + 1", _plus_one))
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
@@ -354,7 +360,7 @@ def main(argv=None) -> int:
         shutil.copytree(src, tmp / "src", ignore=shutil.ignore_patterns(
             "__pycache__", "*.egg-info"))
         for t in targets:
-            selection = tests or [*GATE, *MODULE_TESTS.get(t.module, [])]
+            selection = tests or [*gate(), *MODULE_TESTS.get(t.module, [])]
             path = tmp / "src" / "burkill" / f"{t.module}.py"
             if not opts.no_baseline:
                 if tuple(selection) not in baseline:

@@ -332,7 +332,8 @@ CELL_ENDS = st.one_of(st.builds(Dyadic, st.integers(0, 16), st.just(3)),
 
 class TestPackPool:
     @settings(max_examples=10, deadline=None)
-    @given(st.integers(-8, 8), st.integers(1, 8), st.lists(POINTS, max_size=12))
+    @given(st.integers(-8, 8), st.integers(1, 8),
+           st.lists(POINTS, max_size=12))
     def test_pool_spans_equal_their_definition(self, lo, width, specials):
         g = IntervalFunction("table", span=table_span([1.0]),
                              special_points=lambda r, e: specials)
@@ -421,9 +422,9 @@ class TestMonotoneProbe:
         # (z - x)^p falls below (y - x)^p + (z - y)^p for p > 1 and rises
         # above it for p < 1, and +inf splits into +inf + +inf; the ends of
         # [0, 1/2] lie at different exponents
-        g = IntervalFunction("power", span=lambda a, b, ex, lc, rc: INF
-                             if power == INF else key_float(b - a, ex) ** power,
-                             bracket_independent=True)
+        g = IntervalFunction("power", span=lambda a, b, ex, lc, rc: (
+            INF if power == INF else key_float(b - a, ex) ** power),
+            bracket_independent=True)
         assert monotone_on_subdivision(
             g, Region.interval(ZERO, Dyadic(1, 1)), 20) == want
 
@@ -528,7 +529,8 @@ class TestFillOracle:
         its points' by no more than a fill's halvings: the chain is not
         carried at the exponents of all earlier levels."""
         fx = fixture(name)
-        cfg = SearchConfig(e_schedule=tuple(Dyadic(1, k) for k in range(3, 11)))
+        cfg = SearchConfig(e_schedule=tuple(Dyadic(1, k)
+                                            for k in range(3, 11)))
         last = set()
         for lv in estimate_sigma_limit(fx.fn, fx.region, cfg).levels:
             cand = (lv.handle_upper or lv.handle_lower).cand
