@@ -1178,6 +1178,16 @@ class TestFubiniChain:
         rep = fubini_chain(gT, closed_rect(ZERO, ONE, -ONE, ONE), cfg)
         assert [vs for _, *vs in rep.levels] == [[INF, INF, -INF, -INF]] * 2
 
+    def test_fixed_mode_columns_are_closed_on_the_left(self):
+        # the area of the cells whose x side is ")[": all of it in "fixed"
+        gT = RectFunction("left_closed", lambda r: float(
+            r.x.left_closed and not r.x.right_closed) * float(
+            r.x.length * r.y.length))
+        cfg = SearchConfig(e_schedule=(Dyadic(1, 1), Dyadic(1, 2)),
+                           convention_mode="fixed")
+        rep = fubini_chain(gT, closed_rect(ZERO, ONE, ZERO, ONE), cfg)
+        assert [vs for _, *vs in rep.levels] == [[1.0] * 4] * 2
+
     def test_fixed_mode_locks_every_column_junction(self):
         # a unit charge at x = 0: the free outer pass counts it twice from
         # closed columns and never from open ones, the ")[" columns once
