@@ -1,12 +1,10 @@
-"""The search core's builtin-driven helpers against the bodies they replaced.
+"""The search core's builtin-driven helpers against their definitions.
 
-xsum adds with functools.reduce against the loop it replaced, special
-points are filtered and sorted on integer keys against their definition
-in Fractions, and the length function is evaluated on keys against
-float(Interval.length); every result must equal its oracle's by repr.
+xsum against hand-worked sums, special points filtered and sorted on
+integer keys against their definition in Fractions, and the length
+function evaluated on keys against float(Interval.length); every result
+must equal its oracle's by repr.
 """
-
-from math import isnan
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,71 +19,31 @@ from burkill.core import Dyadic, Interval, Region, sort_points
 from burkill.errors import IndeterminateForm
 
 # ---------------------------------------------------------------------------
-# The replaced body of xsum, kept as its oracle
-# ---------------------------------------------------------------------------
-
-
-def ref_xsum(values) -> float:
-    pos = neg = False
-    total = 0.0
-    for v in values:
-        if v == INF:
-            pos = True
-        elif v == -INF:
-            neg = True
-        else:
-            total += v
-    if pos and neg:
-        raise IndeterminateForm("inf - inf in a Riemann sum")
-    if pos:
-        return INF
-    if neg:
-        return -INF
-    return total
-
-
-# ---------------------------------------------------------------------------
 # xsum
 # ---------------------------------------------------------------------------
 
-SUMMANDS = st.one_of(
-    st.floats(allow_nan=False),
-    st.sampled_from((0.0, -0.0, INF, -INF, float("nan"), 1.7e308)))
-
-
-def same_sum(values):
-    try:
-        want = ref_xsum(values)
-    except IndeterminateForm:
-        with pytest.raises(IndeterminateForm):
-            xsum(values)
-        with pytest.raises(IndeterminateForm):
-            xsum(iter(values))
-        return
-    assert repr(xsum(values)) == repr(want)
-    assert repr(xsum(iter(values))) == repr(want)
+NAN = float("nan")
 
 
 class TestXsum:
-    @settings(max_examples=1000, deadline=None)
-    @given(st.lists(SUMMANDS, max_size=12))
-    def test_equals_reference(self, values):
-        same_sum(values)
-
-    @pytest.mark.parametrize("values", [
-        [], [-0.0], [-0.0, -0.0], [INF, 1.0], [-INF, 1.0], [1.0, INF, 2.0],
-        [float("nan"), INF], [float("nan"), 1.0], [1.7e308, 1.7e308],
-        [-1.7e308, -1.7e308], [1.7e308, 1.7e308, -INF], [0.1, 0.2, 0.3],
-        [1e16, 1.0, -1e16]])
-    def test_cases(self, values):
-        same_sum(values)
+    # left to right in floats; an infinite value wins over NaN and over a
+    # finite total that overflowed
+    @pytest.mark.parametrize("values, want", [
+        ([], 0.0), ([-0.0], 0.0), ([-0.0, -0.0], 0.0), ([INF, 1.0], INF),
+        ([-INF, 1.0], -INF), ([1.0, INF, 2.0], INF), ([NAN, INF], INF),
+        ([NAN, 1.0], NAN), ([1.7e308, 1.7e308], INF),
+        ([-1.7e308, -1.7e308], -INF), ([1.7e308, 1.7e308, -INF], -INF),
+        ([0.1, 0.2, 0.3], 0.6000000000000001), ([1e16, 1.0, -1e16], 0.0)])
+    def test_cases(self, values, want):
+        assert repr(xsum(values)) == repr(want)
+        assert repr(xsum(iter(values))) == repr(want)
 
     def test_both_infinities_raise(self):
-        with pytest.raises(IndeterminateForm):
-            xsum([1.0, INF, -INF])
-        assert xsum([1.7e308, 1.7e308]) == INF
-        assert isnan(xsum([float("nan"), 1.0]))
-        assert repr(xsum([-0.0])) == "0.0"
+        for values in ([1.0, INF, -INF], [-INF, NAN, INF]):
+            with pytest.raises(IndeterminateForm):
+                xsum(values)
+            with pytest.raises(IndeterminateForm):
+                xsum(iter(values))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Integer span cores against the Interval and Rect bodies they replaced.
 
-Density kernels, the around-set parts and the iterated functions of the
-around-set chain, stieltjes functions of polynomials, the combinators
-(scale_fn, add_fn, hellinger and the locked jump fixture) and the planar
-fixtures' cells are evaluated on integer keys.  The bodies below are the
-ones they had on Dyadic, Interval and Rect objects; every keyed value must
-equal its body's by repr, at every span exponent, for every bracket pair.
+Density kernels, the around-set parts, stieltjes functions of
+polynomials, the combinators (scale_fn, add_fn, hellinger and the locked
+jump fixture) and the planar fixtures' cells are evaluated on integer
+keys.  The bodies below are the ones they had on Dyadic, Interval and Rect
+objects, which define them; every keyed value must equal its body's by
+repr, at every span exponent, for every bracket pair.  The around-set
+chain, which its iterated functions feed, is checked against hand-worked
+values.
 A guard test runs the measure searches, Fubini's chain on a product,
 criteria 3 and 6, the absolute-continuity probes of the staircase and of
 length, and searches on the combinators with the Interval and Rect paths
@@ -21,7 +23,6 @@ from hypothesis import given, settings, strategies as st
 
 from burkill import around_set
 from burkill.around_set import (
-    ChainReport,
     around_chain_check,
     around_part,
     complement_part,
@@ -145,35 +146,6 @@ def ref_around_part(g, E):
 
 def ref_complement_part(g, E):
     return IntervalFunction("ref_co", lambda iv: 0.0 if E.meets(iv) else g(iv))
-
-
-def ref_around_chain_check(g, E, region, cfg, tol=1e-6):
-    """The chain with the around part and the iterated functions on
-    Intervals."""
-    schedule = cfg.e_schedule[:len(cfg.e_schedule) // 2 + 1][:5]
-    cfg = replace(cfg, e_schedule=schedule)
-    gE = ref_around_part(g, E)
-    outer = estimate_norm_limits(gE, region, cfg)
-    cache = {}
-
-    def inner(span):
-        key = (span[0].num, span[0].exp, span[1].num, span[1].exp)
-        if key not in cache:
-            rep = estimate_norm_limits(gE, Region.interval(*span), cfg)
-            cache[key] = (rep.upper, rep.lower)
-        return cache[key]
-
-    specials = with_set_edges(g, E)
-    h_up = IntervalFunction(
-        "ref_up", lambda iv: inner((iv.lo, iv.hi))[0] if E.meets(iv) else 0.0,
-        special_points=specials)
-    h_low = IntervalFunction(
-        "ref_low", lambda iv: inner((iv.lo, iv.hi))[1] if E.meets(iv) else 0.0,
-        special_points=specials)
-    return ChainReport(outer.lower,
-                       estimate_norm_limits(h_low, region, cfg).lower,
-                       estimate_norm_limits(h_up, region, cfg).upper,
-                       outer.upper, tol)
 
 
 def ref_scale(c, g):
@@ -396,47 +368,30 @@ class TestAroundParts:
 CHAIN_CFG = SearchConfig(e_schedule=tuple(Dyadic(1, k) for k in (2, 3, 4)))
 
 
-@st.composite
-def grid_sets(draw):
-    """Two spans on the 2^-4 grid of [0, 1] with any brackets."""
-    cuts = sorted(draw(st.sets(st.integers(0, 16), min_size=4, max_size=4)))
-    return MeasurableSet([
-        Interval(Dyadic(cuts[i], 4), Dyadic(cuts[i + 1], 4),
-                 draw(st.booleans()), draw(st.booleans())) for i in (0, 2)])
-
-
-# bracket-dependent fixtures on their regions, with sets that have an edge,
-# open or closed, at a point the fixture charges
-BRACKETED = {
-    "origin_indicator": [interval(-3, 0, 2, True, False),
-                         interval(1, 3, 2, True, True)],
-    "k_convention_jump": [interval(0, 1, 3, False, True),
-                          interval(4, 6, 3, True, False)],
-}
-
-
 class TestIteratedFunctions:
-    """The chain against the reference, which searches every level of the
-    shallow schedule: equal reprs also show that the levels the chain no
-    longer searches were never read."""
+    """The chain on sets that touch the region only at the origin, where
+    origin_indicator puts its unit charge: every term is read off the span
+    that ends at 0.  Under "optimize" the upper bounds close that span on 0,
+    so it meets E and holds the charge, and the lower bounds open it; the
+    iterated upper reads a column's inner upper at its best bracket variant,
+    which closes the column on 0.  Under "fixed" every span is [a, b): on
+    [-1, 0] the last span misses 0, on [0, 1] the first one holds it."""
 
-    @settings(max_examples=12, deadline=None)
-    @given(grid_sets(), COEFFS)
-    def test_chain_equals_interval_chain(self, E, coeffs):
-        g = stieltjes(poly("p", coeffs))
-        got = around_chain_check(g, E, UNIT, CHAIN_CFG)
-        want = ref_around_chain_check(g, E, UNIT, CHAIN_CFG)
-        assert repr(got) == repr(want)
-
-    @pytest.mark.parametrize("mode", ("optimize", "fixed"))
-    @pytest.mark.parametrize("name", sorted(BRACKETED))
-    def test_bracket_dependent_chain_equals_interval_chain(self, name, mode):
-        fx = fixture(name)
-        E = MeasurableSet(BRACKETED[name])
-        cfg = replace(CHAIN_CFG, convention_mode=mode)
-        got = around_chain_check(fx.fn, E, fx.region, cfg)
-        want = ref_around_chain_check(fx.fn, E, fx.region, cfg)
-        assert repr(got) == repr(want)
+    @pytest.mark.parametrize("region, edges, mode, want", [
+        ((-4, 0), (0, 2), "optimize", (0.0, 0.0, 1.0, 1.0)),
+        ((0, 4), (-2, 0), "optimize", (0.0, 0.0, 1.0, 1.0)),
+        ((-4, 0), (0, 2), "fixed", (0.0, 0.0, 0.0, 0.0)),
+        ((0, 4), (-2, 0), "fixed", (1.0, 1.0, 1.0, 1.0)),
+    ])
+    def test_chain_on_a_set_that_touches_the_region_at_the_origin(
+            self, region, edges, mode, want):
+        E = MeasurableSet([interval(*edges, 2, True, True)])
+        got = around_chain_check(
+            fixture("origin_indicator").fn, E,
+            Region.interval(Dyadic(region[0], 2), Dyadic(region[1], 2)),
+            replace(CHAIN_CFG, convention_mode=mode))
+        assert (got.lower_around, got.iterated_lower, got.iterated_upper,
+                got.upper_around) == want
 
     def test_inner_searches_only_at_the_read_level(self, monkeypatch):
         # one search per span of the last level's outer candidates that
@@ -450,8 +405,10 @@ class TestIteratedFunctions:
             return estimate_norm_limits(g, region, cfg)
 
         monkeypatch.setattr(around_set, "estimate_norm_limits", counted)
-        around_chain_check(fx.fn, MeasurableSet(BRACKETED[fx.name]),
-                           fx.region, CHAIN_CFG)
+        # a set with an open edge at the charged origin
+        E = MeasurableSet([interval(-3, 0, 2, True, False),
+                           interval(1, 3, 2, True, True)])
+        around_chain_check(fx.fn, E, fx.region, CHAIN_CFG)
         assert len(inner) == len(set(inner)) == 91
 
 
