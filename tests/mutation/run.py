@@ -14,8 +14,9 @@ counted as killed.
 
 Targets are the names in TARGETS or any module.qualname under
 src/burkill.  Without a selection after "--", each target runs the fast
-gate (GATE in .github/workflows/tests.yml) and its module's tests.  The exit status is 0 whether or not
-mutants survive: the score is reported, not gated.
+gate (GATE in .github/workflows/tests.yml) and its module's tests.  The
+exit status is 0 whether or not mutants survive: the score is reported,
+not gated.
 """
 
 from __future__ import annotations
@@ -339,13 +340,10 @@ def main(argv=None) -> int:
                     help="seconds per mutant before it counts as killed")
     ap.add_argument("--hypothesis-seed", type=int, default=0)
     ap.add_argument("--json", help="write the results to this file")
-    ap.add_argument("--no-baseline", action="store_true",
-                    help="skip the run on the unmutated copy")
-    ap.add_argument("--src", default=str(REPO / "src"))
     opts = ap.parse_args(argv)
     # a terminated probe still kills its test process and restores the copy
     signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(143))
-    src = Path(opts.src)
+    src = REPO / "src"
     targets = [Target(t, src) for t in (opts.targets or TARGETS)]
     if opts.list:
         for t in targets:
@@ -362,15 +360,14 @@ def main(argv=None) -> int:
         for t in targets:
             selection = tests or [*gate(), *MODULE_TESTS.get(t.module, [])]
             path = tmp / "src" / "burkill" / f"{t.module}.py"
-            if not opts.no_baseline:
-                if tuple(selection) not in baseline:
-                    baseline[tuple(selection)] = run_tests(
-                        tmp, selection, opts.hypothesis_seed, opts.timeout)
-                state, test = baseline[tuple(selection)]
-                if state != "survived":
-                    print(f"{t.name}: the unmutated copy fails ({state} "
-                          f"{test}); skipped", flush=True)
-                    continue
+            if tuple(selection) not in baseline:
+                baseline[tuple(selection)] = run_tests(
+                    tmp, selection, opts.hypothesis_seed, opts.timeout)
+            state, test = baseline[tuple(selection)]
+            if state != "survived":
+                print(f"{t.name}: the unmutated copy fails ({state} "
+                      f"{test}); skipped", flush=True)
+                continue
             indices = opts.only if opts.only is not None else range(
                 len(t.sites))
             try:

@@ -11,6 +11,7 @@ from burkill.core import (
     ZERO,
     division_from_points,
     dmid,
+    key_float,
     sort_points,
 )
 from burkill.errors import (
@@ -48,6 +49,14 @@ class TestDyadic:
         assert D(1, 1) * D(1, 1) == D(1, 2)
         assert dmid(D(0), D(1)) == D(1, 1)
         assert float(D(3, 2)) == 0.75
+
+    def test_wide_keys_are_rounded_once(self):
+        # ldexp would round this 63-bit key to 53 bits, onto a tie of the
+        # subnormal grid 2^-1074, and then round the tie to even, below the
+        # quotient
+        a, ex = (1 << 62) + (1 << 10) + 1, 1085
+        for k in (a, -a):
+            assert key_float(k, ex) == float(Fraction(k, 1 << ex))
 
     @given(dyadics, dyadics)
     @settings(max_examples=80)
