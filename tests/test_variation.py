@@ -133,8 +133,7 @@ class TestAbsoluteContinuity:
         for g in (length_fn(), stieltjes(poly("x^2", [0, 0, 1]))):
             ok, _ = is_absolutely_continuous(g, UNIT, cfg())
             if ok:
-                assert variation(g, UNIT, cfg()).verdict == \
-                    "finite"
+                assert variation(g, UNIT, cfg()).verdict == "finite"
 
     def test_semicontinuity_probe_is_one_sided(self):
         from burkill.catalog import scale_fn
