@@ -15,7 +15,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from itertools import chain, compress, count, islice, repeat
-from operator import is_, is_not
+from operator import is_, is_not, or_
 from typing import Optional, Sequence
 
 from .catalog import INF, IntervalFunction, xsum
@@ -159,22 +159,13 @@ def riemann_sum(g: IntervalFunction, division: Division) -> float:
 
 _VARIANTS = ((False, False), (False, True), (True, False), (True, True))
 _ALL = (0, 1, 2, 3)
-
-
-def _span_variants(locks: dict, cand: "Candidate", i: int) -> tuple[int, ...]:
-    """Indices into _VARIANTS of the variants of span i that honour the
-    junction locks (keyed by integer point keys) at its two ends."""
-    keys = cand.keys
-    llock, rlock = locks.get(keys[i]), locks.get(keys[i + 1])
-    if llock is None and rlock is None:
-        return _ALL
-    allowed = tuple(k for k, (lc, rc) in enumerate(_VARIANTS)
-                    if (llock is None or lc == llock[1])
-                    and (rlock is None or rc == rlock[0]))
-    if not allowed:
-        pts = cand.points
-        raise ValueError(f"conflicting locks at {pts[i]}..{pts[i + 1]}")
-    return allowed
+_LOCKS = (None, *_VARIANTS)              # no lock, or a junction lock
+# per pair of locks at a span's two ends, the indices into _VARIANTS of
+# the variants that honour them
+_ALLOWED = {(llock, rlock): tuple(
+    k for k, (lc, rc) in enumerate(_VARIANTS)
+    if (llock is None or lc == llock[1]) and (rlock is None or rc == rlock[0]))
+    for llock in _LOCKS for rlock in _LOCKS}
 
 
 class Candidate:
@@ -203,22 +194,33 @@ def _score(g: IntervalFunction, cand: Candidate, memo: dict, locks: dict,
     memo maps a span's integer endpoints to g's value when g is bracket
     independent, else to its four variant values (a list while a locked
     trace has filled only some), filled as they are needed by g.span
-    straight from the keys, span by span in order.  Per span, each sense
-    takes the first allowed variant unless a later one is strictly better.
-    absolute scores |g| off the same values.
+    straight from the keys, span by span in order.  A span with a locked
+    end is limited to the variants the junction locks allow: it evaluates
+    and scores only those.  Per span, each sense takes the first allowed
+    variant unless a later one is strictly better.  absolute scores |g|
+    off the same values.
     Returns the values and the variant indices chosen in the max and the
     min sense; a bracket-independent g shares one list between the senses,
     and None stands for the open variant on every span.
     """
-    if locks:
-        return _score_locked(g, cand, memo, locks, absolute)
     keys, ex, span = cand.keys, cand.ex, g.span
     free = g.bracket_independent
     vals: list = []                      # values, or rows of variant values
+    limits: dict = {}                    # span index -> its allowed variants
     for start, stop in cand.runs:
         ks = keys[start:stop]
         pairs = list(zip(ks, ks[1:]))
         got = list(map(memo.get, pairs))
+        base = len(vals)
+        if locks:
+            lk = list(map(locks.get, ks))
+            ends = list(map(is_not, lk, repeat(None)))
+            for i in compress(count(), map(or_, ends, ends[1:])):
+                allowed = _ALLOWED.get((lk[i], lk[i + 1]))
+                if allowed is None:          # a lock that is not a Lock
+                    a, b = Dyadic(ks[i], ex), Dyadic(ks[i + 1], ex)
+                    raise ValueError(f"conflicting locks at {a}..{b}")
+                limits[base + i] = allowed
         # a run's spans are distinct, and one that an earlier run shares
         # (a pack pool's runs can) is in the memo by now
         if free:
@@ -226,73 +228,38 @@ def _score(g: IntervalFunction, cand: Candidate, memo: dict, locks: dict,
                 key = pairs[i]
                 got[i] = memo[key] = span(*key, ex, False, False)
         else:
-            # a row is a tuple once it holds every variant; a locked trace
+            # a row is a tuple once it holds every variant; a limited span
             # leaves a list with None for the variants it did not need
             for i in compress(count(), map(is_not, map(type, got),
                                            repeat(tuple))):
-                key, row = pairs[i], list(got[i] or (None,) * 4)
-                for k, v in enumerate(row):
-                    if v is None:
+                key, row = pairs[i], got[i] or [None] * 4
+                for k in limits.get(base + i, _ALL):
+                    if row[k] is None:
                         row[k] = span(*key, ex, *_VARIANTS[k])
-                got[i] = memo[key] = tuple(row)
+                got[i] = memo[key] = row if None in row else tuple(row)
         vals += got
     if free:
         if absolute:
             vals = list(map(abs, vals))
-        return vals, vals, None, None
-    if absolute:                         # |values|, four to a row again
-        vals = list(zip(*[map(abs, chain.from_iterable(vals))] * 4))
-    # max and min keep the first value unless a later one is strictly
-    # better, so ties and NaN resolve as in the locked loop
-    ups, lows = list(map(max, vals)), list(map(min, vals))
-    return (ups, lows, list(map(tuple.index, vals, ups)),
-            list(map(tuple.index, vals, lows)))
-
-
-def _score_locked(g: IntervalFunction, cand: Candidate, memo: dict,
-                  locks: dict, absolute: bool):
-    """_score over spans whose variants the junction locks restrict."""
-    keys, ex, span = cand.keys, cand.ex, g.span
-    if g.bracket_independent:
-        vals: list[float] = []
-        choice: list[int] = []
-        for start, stop in cand.runs:
-            for i in range(start, stop - 1):
-                k = _span_variants(locks, cand, i)[0]
-                choice.append(k)
-                key = (keys[i], keys[i + 1])
-                v = memo.get(key)
-                if v is None:
-                    v = memo[key] = span(*key, ex, *_VARIANTS[k])
-                vals.append(abs(v) if absolute else v)
+        choice = None
+        if limits:                       # the first allowed variant
+            choice = [0] * len(vals)
+            for i, allowed in limits.items():
+                choice[i] = allowed[0]
         return vals, vals, choice, choice
-    ups: list[float] = []
-    lows: list[float] = []
-    up_k: list[int] = []
-    low_k: list[int] = []
-    for start, stop in cand.runs:
-        for i in range(start, stop - 1):
-            allowed = _span_variants(locks, cand, i)
-            key = (keys[i], keys[i + 1])
-            row = memo.get(key)
-            if row is None:
-                row = memo[key] = [None] * 4
-            vs = []
-            for k in allowed:
-                v = row[k]
-                if v is None:
-                    v = row[k] = span(*key, ex, *_VARIANTS[k])
-                vs.append(abs(v) if absolute else v)
-            hi = lo = 0
-            for j in range(1, len(vs)):
-                if vs[j] > vs[hi]:
-                    hi = j
-                if vs[j] < vs[lo]:
-                    lo = j
-            ups.append(vs[hi])
-            up_k.append(allowed[hi])
-            lows.append(vs[lo])
-            low_k.append(allowed[lo])
+    for i, allowed in limits.items():    # the allowed variants alone
+        row = vals[i]
+        vals[i] = tuple([row[k] for k in allowed])
+    if absolute:                         # |values|, in rows as they are
+        vals = ([tuple(map(abs, row)) for row in vals] if limits else
+                list(zip(*[map(abs, chain.from_iterable(vals))] * 4)))
+    # max and min keep the first value unless a later one is strictly
+    # better, so ties and NaN resolve to the first allowed variant
+    ups, lows = list(map(max, vals)), list(map(min, vals))
+    up_k = list(map(tuple.index, vals, ups))
+    low_k = list(map(tuple.index, vals, lows))
+    for i, allowed in limits.items():    # back to indices into _VARIANTS
+        up_k[i], low_k[i] = allowed[up_k[i]], allowed[low_k[i]]
     return ups, lows, up_k, low_k
 
 

@@ -289,8 +289,10 @@ def monotone_on_subdivision(
     """Classify g under splitting: increases, decreases, both or neither.
 
     Samples random dyadic triples x < y < z inside one component and tests
-    g(I1) + g(I2) against g(I3) over all bracket choices honoring the
-    closure split.
+    g(I1) + g(I2) against g(I3), I3 = x..z split at y into I1 and I2, for
+    each of the 4 x 4 x 4 bracket variants of I3, I1 and I2 independently:
+    the halves' brackets need not match I3's at x and z, and both may
+    close on y.  A bracket-independent g gives the open variants alone.
     """
     rng = random.Random(seed)
     eps = 1e-12

@@ -40,7 +40,6 @@ REPO = Path(__file__).resolve().parents[2]
 # target -> (module, qualified name inside it)
 TARGETS = {
     "_score": ("integrator", "_score"),
-    "_score_locked": ("integrator", "_score_locked"),
     "_fill": ("integrator", "_fill"),
     "_fill_keys": ("integrator", "_fill_keys"),
     "_grid_keys": ("integrator", "_grid_keys"),

@@ -4,6 +4,8 @@ and of the span scorer against its definition: per span, the first
 allowed variant unless a later one is strictly better, each variant
 evaluated once through g.span and kept in the memo."""
 
+import operator
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -131,24 +133,36 @@ def test_ties_and_nan_pick_the_first_variant(row, absolute, want):
         repr(([up], [low], [up_k], [low_k]))
 
 
-# (row, the scores with lc locked open, the scores with rc locked closed):
-# the locked loop takes the first allowed variant unless a later allowed
-# one is strictly better
-@pytest.mark.parametrize("row, open_left, closed_right", [
-    ([1.0, 1.0, 0.0, 0.0], (1.0, 1.0, 0, 0), (1.0, 0.0, 1, 3)),
-    ([NAN, 2.0, -1.0, 0.0], (NAN, NAN, 0, 0), (2.0, 0.0, 1, 3)),
-    ([0.0, NAN, 2.0, -1.0], (0.0, 0.0, 0, 0), (NAN, NAN, 1, 1)),
-    ([-0.0, 0.0, 0.0, -0.0], (-0.0, -0.0, 0, 0), (0.0, 0.0, 1, 1)),
-    ([INF, INF, -INF, -INF], (INF, INF, 0, 0), (INF, -INF, 1, 3)),
+# (row, absolute, the scores with lc locked open, the scores with rc locked
+# closed): a limited span takes the first allowed variant unless a later
+# allowed one is strictly better
+@pytest.mark.parametrize("row, absolute, open_left, closed_right", [
+    ([1.0, 1.0, 0.0, 0.0], False, (1.0, 1.0, 0, 0), (1.0, 0.0, 1, 3)),
+    ([1.0, 1.0, 0.0, 0.0], True, (1.0, 1.0, 0, 0), (1.0, 0.0, 1, 3)),
+    ([NAN, 2.0, -1.0, 0.0], False, (NAN, NAN, 0, 0), (2.0, 0.0, 1, 3)),
+    ([NAN, 2.0, -1.0, 0.0], True, (NAN, NAN, 0, 0), (2.0, 0.0, 1, 3)),
+    ([0.0, NAN, 2.0, -1.0], False, (0.0, 0.0, 0, 0), (NAN, NAN, 1, 1)),
+    ([0.0, NAN, 2.0, -1.0], True, (0.0, 0.0, 0, 0), (NAN, NAN, 1, 1)),
+    ([-0.0, 0.0, 0.0, -0.0], False, (-0.0, -0.0, 0, 0), (0.0, 0.0, 1, 1)),
+    ([-0.0, 0.0, 0.0, -0.0], True, (0.0, 0.0, 0, 0), (0.0, 0.0, 1, 1)),
+    ([INF, INF, -INF, -INF], False, (INF, INF, 0, 0), (INF, -INF, 1, 3)),
+    ([INF, INF, -INF, -INF], True, (INF, INF, 0, 0), (INF, INF, 1, 1)),
 ])
-def test_locked_ties_pick_the_first_allowed_variant(row, open_left,
+def test_locked_ties_pick_the_first_allowed_variant(row, absolute, open_left,
                                                     closed_right):
     g = row_function(row)
     # a lock (rc of the span ending there, lc of the span starting there)
     for locks, (up, low, up_k, low_k) in (({0: (True, False)}, open_left),
                                           ({1: (True, False)}, closed_right)):
-        assert repr(_score(g, ONE_SPAN, {}, locks)) == \
+        assert repr(_score(g, ONE_SPAN, {}, locks, absolute)) == \
             repr(([up], [low], [up_k], [low_k]))
+
+
+@pytest.mark.parametrize("locks", [{0: (None, None)}, {1: (2, 2)}])
+def test_locks_that_allow_no_variant_raise(locks):
+    # no bracket is None or 2, so no variant honours the lock
+    with pytest.raises(ValueError, match=r"^conflicting locks at 0\.\.1$"):
+        _score(row_function([0.0] * 4), ONE_SPAN, {}, locks)
 
 
 def logged_table(values, bkfree):
@@ -241,3 +255,58 @@ def test_an_unlocked_pass_completes_a_locked_trace(data, cand, values,
     assert repr(got) == repr(_score(logged_table(values, bkfree)[0], cand,
                                     {}, {}))
     assert len(calls) == len(set(calls))
+    # every row now holds all four variants, and is kept as a tuple
+    assert bkfree or all(type(row) is tuple for row in memo.values())
+
+
+def first_best(row, better):
+    """The index of the first value of row that no later value beats."""
+    j = 0
+    for i in range(1, len(row)):
+        if better(row[i], row[j]):
+            j = i
+    return j
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), candidates(), TABLE, st.booleans(), st.booleans())
+def test_limited_spans_evaluate_and_score_only_allowed_variants(
+        data, cand, values, bkfree, absolute):
+    """At a span with a locked end, the scorer evaluates and scores the
+    variants the locks allow, each once; at any other span all four, or
+    one value of a bracket-independent g, whose choice at a limited span
+    is the first allowed variant."""
+    keys = data.draw(st.lists(st.sampled_from(cand.keys), max_size=5)
+                     if cand.keys else st.just([]))
+    locks = {k: data.draw(LOCKS) for k in keys}
+    g, calls = logged_table(values, bkfree)
+    h, _ = logged_table(values, bkfree)
+    up, low, up_k, low_k = _score(g, cand, {}, locks, absolute)
+    ks, ex = cand.keys, cand.ex
+    spans = [(ks[i], ks[i + 1])
+             for start, stop in cand.runs for i in range(start, stop - 1)]
+    allowed = [[k for k, (lc, rc) in enumerate(_VARIANTS)
+                if (a not in locks or lc == locks[a][1])
+                and (b not in locks or rc == locks[b][0])] for a, b in spans]
+    if bkfree:
+        # one value per span, whatever brackets it was asked with
+        assert sorted(c[:3] for c in calls) == sorted({(a, b, ex)
+                                                       for a, b in spans})
+        want = [abs(v) if absolute else v
+                for v in (h.span(a, b, ex, False, False) for a, b in spans)]
+        assert repr((up, low)) == repr((want, want))
+        assert up_k == low_k
+        assert (up_k or [0] * len(spans)) == [ok[0] for ok in allowed]
+        return
+    assert len(calls) == len(set(calls))
+    assert set(calls) == {(a, b, ex, *_VARIANTS[k])
+                          for (a, b), ok in zip(spans, allowed) for k in ok}
+    rows = [[abs(v) if absolute else v
+             for v in (h.span(a, b, ex, *_VARIANTS[k]) for k in ok)]
+            for (a, b), ok in zip(spans, allowed)]
+    ups = [first_best(r, operator.gt) for r in rows]
+    lows = [first_best(r, operator.lt) for r in rows]
+    assert repr((up, low)) == repr(([r[j] for r, j in zip(rows, ups)],
+                                    [r[j] for r, j in zip(rows, lows)]))
+    assert up_k == [ok[j] for ok, j in zip(allowed, ups)]
+    assert low_k == [ok[j] for ok, j in zip(allowed, lows)]

@@ -242,6 +242,22 @@ class TestDefectScanOracle:
             assert repr(rep) == repr(interval_defect(
                 g, region, rep.point, inside, cfg.e_schedule))
 
+    def test_a_charged_triple_one_key_unit_below_the_coarsest_bound(self):
+        # a point mass at y = 1/2 on [0, 1]: the pool's keys are the probe
+        # grid's 1/16 apart, so x = 7/16, z = 9/16 is the one triple whose
+        # larger gap, one key unit, is below the bound 1/8 (two units);
+        # g(xz) = 1 and g(xy) + g(yz) takes 0, 1 and 2
+        def mass(a, b, ex, lc, rc):
+            y = 1 << (ex - 1)
+            return float(a < y < b or (a == y and lc) or (b == y and rc))
+
+        cfg = SearchConfig(e_schedule=(Dyadic(1, 3),))
+        rep = defect_report_at(IntervalFunction("mass", span=mass),
+                               Region.interval(ZERO, Dyadic(1)),
+                               Dyadic(1, 1), cfg)
+        assert (rep.trace, rep.c, rep.sigma) == ([(Dyadic(1, 3), 1.0)],
+                                                 1.0, 2.0)
+
 
 class TestDefectScanCounts:
     def test_defect_report_evaluates_each_interval_once(self):
@@ -427,6 +443,17 @@ class TestMonotoneProbe:
             bracket_independent=True)
         assert monotone_on_subdivision(
             g, Region.interval(ZERO, Dyadic(1, 1)), 20) == want
+
+    @settings(max_examples=25, deadline=None)
+    @given(regions(), st.integers(1, 5), st.integers(0, 99))
+    def test_the_three_spans_vary_their_brackets_independently(
+            self, region, samples, seed):
+        # lc + rc takes 0..2 on x..z and 0..4 on the sums of x..y and y..z,
+        # so one sample finds sums above and below; halves that kept the
+        # whole's brackets and closed y on one side would add to lc + rc + 1
+        g = IntervalFunction("brackets",
+                             span=lambda a, b, ex, lc, rc: float(lc + rc))
+        assert monotone_on_subdivision(g, region, samples, seed) == "neither"
 
     def test_samples_lie_on_the_2_12_grid_of_a_component(self):
         # each sample draws a component, then three of the 4095 interior
@@ -1052,7 +1079,7 @@ def _perms(fx):
 
 SEARCHES = {
     "norm": lambda g, fx, cfg=LEVELS: estimate_norm_limits(g, fx.region, cfg),
-    # every junction locked: the locked scorer on every span
+    # every junction ")[": each span limited to its one variant [a, b)
     "norm_fixed": lambda g, fx, cfg=LEVELS: estimate_norm_limits(
         g, fx.region, replace(cfg, convention_mode="fixed")),
     "k_chain": lambda g, fx, cfg=LEVELS: k_chain_reports(
