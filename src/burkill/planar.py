@@ -95,6 +95,7 @@ class RectFunction:
         self._func = func or self._from_cell
         self.cell = cell or self._to_cell
         self._pts = _Points(0)           # the adapter's Dyadics, one per key
+        self._x = (None,) * 5            # the adapter's last x keys and side
         self.bracket_independent = bracket_independent
         self._special = special_rects
 
@@ -109,11 +110,16 @@ class RectFunction:
 
     def _to_cell(self, x0: int, x1: int, y0: int, y1: int, ex: int,
                  xb, yb) -> float:
+        # searches score a column's cells in turn, so a cell mostly repeats
+        # the last one's x side: reuse that Interval
+        last_x0, last_x1, last_ex, last_xb, x = self._x
         pts = self._pts
-        if pts.ex != ex:
-            pts = self._pts = _Points(ex)
-        return self._func(Rect(Interval.raw(pts[x0], pts[x1], *xb),
-                               Interval.raw(pts[y0], pts[y1], *yb)))
+        if x0 != last_x0 or x1 != last_x1 or ex != last_ex or xb != last_xb:
+            if pts.ex != ex:
+                pts = self._pts = _Points(ex)
+            x = Interval.raw(pts[x0], pts[x1], *xb)
+            self._x = (x0, x1, ex, xb, x)
+        return self._func(Rect(x, Interval.raw(pts[y0], pts[y1], *yb)))
 
     def special_rects(self, region: Rect, e: Dyadic) -> list[Rect]:
         return list(self._special(region, e)) if self._special else []

@@ -24,6 +24,7 @@ from .errors import StageTooLarge
 
 MAX_STAGE = 16
 CELL_DEPTH = 12             # the finest cell partition continuity_bound takes
+_PRIME = (1 << 31) - 1      # residues below 2**31: products fit in int64
 _TABLE_CACHE: dict[int, np.ndarray] = {}
 
 
@@ -37,7 +38,7 @@ class SignTable:
         return 1 << (self.stage - 1)
 
     def to_csv(self) -> str:
-        lines = [",".join(str(int(v)) for v in row) for row in self.matrix]
+        lines = [",".join(map(str, row)) for row in self.matrix.tolist()]
         return "\n".join(lines) + "\n"
 
 
@@ -61,13 +62,14 @@ def sign_table(n: int) -> SignTable:
 
 
 def _int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for sign tables, through BLAS in float64 and back to int64.
+    """a @ b for sign tables, through BLAS in float32 and back to int64.
 
-    Every entry is an integer of magnitude at most N <= 2**15, far below
-    2**53, so the float64 product is exact; numpy multiplies int64 arrays
+    Every entry and every partial sum of a product of +-1 tables is an
+    integer of magnitude at most N <= 2**15, below 2**24, so the float32
+    product is exact in any summation order; numpy multiplies int64 arrays
     without BLAS, many times slower.
     """
-    return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+    return (a.astype(np.float32) @ b.astype(np.float32)).astype(np.int64)
 
 
 def orthogonality_check(table: SignTable) -> int:
@@ -119,19 +121,56 @@ def exact_determinant(table: SignTable) -> int:
     return _bareiss_det(table.matrix.astype(object).tolist())
 
 
+def _full_rank_mod_p(mat) -> bool:
+    """True when the integer matrix is invertible modulo _PRIME, which
+    makes its determinant nonzero over the rationals; False says nothing.
+
+    One Gaussian elimination on residues: every product of two residues
+    is below 2**62, so each pivot's update is one exact int64 outer product.
+    """
+    a = np.array(mat, dtype=np.int64) % _PRIME
+    n = len(a)
+    for k in range(n):
+        rows = np.flatnonzero(a[k:, k])
+        if not rows.size:
+            return False
+        pivot = k + rows[0]
+        if pivot != k:
+            a[[k, pivot]] = a[[pivot, k]]
+        scale = a[k + 1:, k] * pow(int(a[k, k]), -1, _PRIME) % _PRIME
+        rest = a[k + 1:, k + 1:]
+        rest -= np.outer(scale, a[k, k + 1:])
+        rest %= _PRIME
+    return True
+
+
+def _nonsingular(mat) -> bool:
+    """det mat != 0 for a square integer matrix whose entries fit in int64.
+
+    Full rank modulo a prime certifies it; a matrix singular modulo the
+    prime, which may still be invertible, is decided by the exact
+    Bareiss determinant, so the answer is exact either way.
+    """
+    return _full_rank_mod_p(mat) or _bareiss_det(
+        np.asarray(mat).astype(object).tolist()) != 0
+
+
 def span_check(table: SignTable, with_determinant: bool = True) -> bool:
     """Every unit row is a rational combination of table rows.
 
     By orthogonality and symmetry the candidate combination for e_j is row
-    j divided by N; the reconstruction is verified entry by entry, and for
-    small stages the nonzero exact determinant confirms invertibility.
+    j divided by N; the reconstruction is verified entry by entry.  For
+    stages up to 9 a nonzero determinant confirms invertibility: exact
+    elimination modulo the prime 2**31 - 1 certifies it, and only a table
+    singular modulo that prime would go to the exact Bareiss determinant,
+    so the answer is the exact one.
     """
     m = table.matrix
     n_size = table.size
     gram = _int_matmul(m, m)  # symmetric table: row combinations of rows
     ok = bool(np.array_equal(gram, n_size * np.eye(n_size, dtype=np.int64)))
     if with_determinant and n_size <= 256:
-        ok = ok and exact_determinant(table) != 0
+        ok = ok and _nonsingular(m)
     return ok
 
 

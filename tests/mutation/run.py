@@ -57,6 +57,7 @@ TARGETS = {
     "around_set._meets": ("around_set", "_meets"),
     "catalog._k_singular": ("catalog", "_k_singular"),
     "walsh._bareiss_det": ("walsh", "_bareiss_det"),
+    "walsh._full_rank_mod_p": ("walsh", "_full_rank_mod_p"),
 }
 
 MODULE_TESTS = {

@@ -7,8 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from burkill.core import Dyadic
 from burkill.errors import StageTooLarge
+from burkill import walsh
 from burkill.walsh import (
     StepFunction,
+    _PRIME,
+    _bareiss_det,
+    _full_rank_mod_p,
+    _int_matmul,
+    _nonsingular,
     _rational_det,
     cell,
     continuity_bound,
@@ -65,6 +71,14 @@ class TestSignTable:
         assert csv.splitlines()[0] == "1,1,1,1"
         assert len(csv.splitlines()) == 4
 
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_float32_products_are_exact(self, n):
+        m = sign_table(n).matrix
+        want = m.astype(np.int64) @ m.T.astype(np.int64)
+        got = _int_matmul(m, m.T)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+
 
 class TestSpan:
     def test_unit_row_combination_stage_two(self):
@@ -73,7 +87,7 @@ class TestSpan:
         combo = (m[0] + m[1]) / 2
         assert combo.tolist() == [1, 0]
 
-    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("n", range(1, 10))
     def test_span(self, n):
         assert span_check(sign_table(n))
 
@@ -83,6 +97,53 @@ class TestSpan:
             assert det != 0
             N = 1 << (n - 1)
             assert det * det == N ** N  # |det| = N^(N/2)
+
+
+@st.composite
+def integer_matrices(draw):
+    """Square matrices of n <= 6 with entries in -3..3; some are made
+    singular by repeating a scaled row."""
+    n = draw(st.integers(0, 6))
+    mat = [draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+           for _ in range(n)]
+    if n >= 2 and draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        c = draw(st.integers(-3, 3))
+        mat[j] = [c * v for v in mat[i]] if i != j else [0] * n
+    return mat
+
+
+class TestInvertibilityCertificate:
+    @settings(max_examples=300, deadline=None)
+    @given(integer_matrices())
+    def test_certificate_or_fallback_equals_bareiss(self, mat):
+        nonzero = _bareiss_det(mat) != 0
+        assert _nonsingular(mat) == nonzero
+        # |det| <= (3 * sqrt(6))**6 < p by Hadamard's bound, so here the
+        # determinant vanishes modulo p only when it vanishes
+        assert _full_rank_mod_p(mat) == nonzero
+
+    def test_singular_mod_p_falls_back_to_bareiss(self, monkeypatch):
+        calls = []
+
+        def counted(mat):
+            calls.append(mat)
+            return _bareiss_det(mat)
+
+        monkeypatch.setattr(walsh, "_bareiss_det", counted)
+        mat = [[_PRIME, 0], [0, 1]]     # det p: zero mod p, not over Q
+        assert not _full_rank_mod_p(mat)
+        assert _nonsingular(mat)
+        assert calls == [mat]
+        assert not _nonsingular([[_PRIME, 1], [2 * _PRIME, 2]])
+        assert len(calls) == 2
+
+    def test_sign_tables_need_no_fallback(self, monkeypatch):
+        def refuse(mat):
+            raise AssertionError("the Bareiss fallback ran")
+
+        monkeypatch.setattr(walsh, "_bareiss_det", refuse)
+        assert all(span_check(sign_table(n)) for n in range(1, 10))
 
 
 class TestStepFunction:
