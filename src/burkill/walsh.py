@@ -115,12 +115,6 @@ def _rational_det(mat: list[list[Fraction]]) -> Fraction:
                     scale ** len(mat))
 
 
-def exact_determinant(table: SignTable) -> int:
-    if table.size > 256:
-        raise StageTooLarge("exact determinant supported up to stage 9")
-    return _bareiss_det(table.matrix.astype(object).tolist())
-
-
 def _full_rank_mod_p(mat) -> bool:
     """True when the integer matrix is invertible modulo _PRIME, which
     makes its determinant nonzero over the rationals; False says nothing.
@@ -144,33 +138,22 @@ def _full_rank_mod_p(mat) -> bool:
     return True
 
 
-def _nonsingular(mat) -> bool:
-    """det mat != 0 for a square integer matrix whose entries fit in int64.
-
-    Full rank modulo a prime certifies it; a matrix singular modulo the
-    prime, which may still be invertible, is decided by the exact
-    Bareiss determinant, so the answer is exact either way.
-    """
-    return _full_rank_mod_p(mat) or _bareiss_det(
-        np.asarray(mat).astype(object).tolist()) != 0
-
-
 def span_check(table: SignTable, with_determinant: bool = True) -> bool:
     """Every unit row is a rational combination of table rows.
 
     By orthogonality and symmetry the candidate combination for e_j is row
     j divided by N; the reconstruction is verified entry by entry.  For
-    stages up to 9 a nonzero determinant confirms invertibility: exact
-    elimination modulo the prime 2**31 - 1 certifies it, and only a table
-    singular modulo that prime would go to the exact Bareiss determinant,
-    so the answer is the exact one.
+    stages up to 9 a nonzero determinant confirms invertibility, certified
+    by exact elimination modulo the prime 2**31 - 1.  Once M M = N I holds,
+    det(M)**2 = N**N is a power of two, so M is invertible modulo that odd
+    prime and the certificate gives the exact answer.
     """
     m = table.matrix
     n_size = table.size
     gram = _int_matmul(m, m)  # symmetric table: row combinations of rows
     ok = bool(np.array_equal(gram, n_size * np.eye(n_size, dtype=np.int64)))
     if with_determinant and n_size <= 256:
-        ok = ok and _nonsingular(m)
+        ok = ok and _full_rank_mod_p(m)
     return ok
 
 

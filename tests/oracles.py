@@ -1,13 +1,14 @@
 """Test-only references that no entry point of burkill needs: the
 exhaustive 4**m bracket enumeration, the power-of-two predicate of the
-reference singular-point rules, an Interval with other brackets, and the
-unit jump integrand."""
+reference singular-point rules, an Interval with other brackets, the
+unit jump integrand, and a sign table's exact determinant."""
 
 from typing import Iterator, Sequence
 
 from burkill.catalog import PointFunction
 from burkill.core import Division, Dyadic, Interval, Region, division_from_points
-from burkill.errors import BudgetExceeded
+from burkill.errors import BudgetExceeded, StageTooLarge
+from burkill.walsh import SignTable, _bareiss_det
 
 
 def enumerate_bracket_assignments(region: Region, points: Sequence[Dyadic],
@@ -55,3 +56,9 @@ def step(at: Dyadic, include_at: bool = True, jump: float = 1.0) -> PointFunctio
         return 0.0
 
     return PointFunction(f"step@{at}", ev, continuous=False)
+
+
+def exact_determinant(table: SignTable) -> int:
+    if table.size > 256:
+        raise StageTooLarge("exact determinant supported up to stage 9")
+    return _bareiss_det(table.matrix.astype(object).tolist())

@@ -7,19 +7,16 @@ from hypothesis import given, settings, strategies as st
 
 from burkill.core import Dyadic
 from burkill.errors import StageTooLarge
-from burkill import walsh
 from burkill.walsh import (
     StepFunction,
     _PRIME,
     _bareiss_det,
     _full_rank_mod_p,
     _int_matmul,
-    _nonsingular,
     _rational_det,
     cell,
     continuity_bound,
     determinant_identity_check,
-    exact_determinant,
     measure_functional,
     orthogonality_check,
     pf_identity_residual,
@@ -29,6 +26,7 @@ from burkill.walsh import (
     step_integral_functional,
     symmetry_check,
 )
+from oracles import exact_determinant
 
 F = Fraction
 
@@ -116,34 +114,15 @@ def integer_matrices(draw):
 class TestInvertibilityCertificate:
     @settings(max_examples=300, deadline=None)
     @given(integer_matrices())
-    def test_certificate_or_fallback_equals_bareiss(self, mat):
-        nonzero = _bareiss_det(mat) != 0
-        assert _nonsingular(mat) == nonzero
-        # |det| <= (3 * sqrt(6))**6 < p by Hadamard's bound, so here the
-        # determinant vanishes modulo p only when it vanishes
-        assert _full_rank_mod_p(mat) == nonzero
+    def test_certificate_equals_bareiss(self, mat):
+        # |det| <= (9 * sqrt(6)) * (3 * sqrt(6))**5 < p by Hadamard's bound
+        # (a scaled row has entries up to 9), so here the determinant
+        # vanishes modulo p only when it vanishes
+        assert _full_rank_mod_p(mat) == (_bareiss_det(mat) != 0)
 
-    def test_singular_mod_p_falls_back_to_bareiss(self, monkeypatch):
-        calls = []
-
-        def counted(mat):
-            calls.append(mat)
-            return _bareiss_det(mat)
-
-        monkeypatch.setattr(walsh, "_bareiss_det", counted)
-        mat = [[_PRIME, 0], [0, 1]]     # det p: zero mod p, not over Q
-        assert not _full_rank_mod_p(mat)
-        assert _nonsingular(mat)
-        assert calls == [mat]
-        assert not _nonsingular([[_PRIME, 1], [2 * _PRIME, 2]])
-        assert len(calls) == 2
-
-    def test_sign_tables_need_no_fallback(self, monkeypatch):
-        def refuse(mat):
-            raise AssertionError("the Bareiss fallback ran")
-
-        monkeypatch.setattr(walsh, "_bareiss_det", refuse)
-        assert all(span_check(sign_table(n)) for n in range(1, 10))
+    def test_singular_mod_p_is_not_certified(self):
+        # det p: invertible over Q, yet the certificate cannot say so
+        assert not _full_rank_mod_p([[_PRIME, 0], [0, 1]])
 
 
 class TestStepFunction:
