@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import compress
 from math import ldexp
-from operator import add, ne
+from operator import add, ne, or_
 from typing import Callable, Optional, Sequence
 
 from .core import (
@@ -91,10 +91,12 @@ class IntervalFunction:
     given only span is called through it, and one given only func answers
     span through an adapter that builds the Interval from the keys.
 
-    special_points(region, resolution) returns dyadic hint points for
-    divisions of norm below `resolution`; singular_schedule enumerates
-    permanent points (with an optional locked junction convention) used to
-    extend a seed list as the norm bound shrinks.
+    The special_points callback returns dyadic hint points for divisions
+    of norm below `resolution`; searches read them as keys through
+    special_keys, and special_points maps those keys to Dyadics.  The
+    singular_schedule callback enumerates permanent points (with an
+    optional locked junction convention) used to extend a seed list as the
+    norm bound shrinks.
     """
 
     def __init__(
@@ -142,35 +144,45 @@ class IntervalFunction:
             self._ends = (a, b, ex, lo, hi)
         return self._func(Interval.raw(lo, hi, lc, rc))
 
-    def special_points(self, region: Region, resolution: Dyadic) -> list[Dyadic]:
+    def special_keys(self, region: Region,
+                     resolution: Dyadic) -> tuple[list[int], int]:
+        """The special points in the region as sorted distinct integer keys,
+        and the smallest exponent that holds them (0 when there are none)."""
         if self._special is None:
-            return []
-        pts = list(self._special(region, resolution))
-        keys, comps = _point_keys(region, pts)
+            return [], 0
+        keys, comps, ex = _point_keys(region, list(self._special(
+            region, resolution)))
         # sorted and de-duplicated without hashing the keys: the hashes of
         # powers of two take only 61 values
-        order = sorted(range(len(pts)), key=keys.__getitem__)
-        keys = list(map(keys.__getitem__, order))
-        first = [True, *map(ne, keys[1:], keys)]
-        order, keys = list(compress(order, first)), list(compress(keys, first))
-        return [pts[i] for lo, hi in comps
-                for i in order[bisect_left(keys, lo):bisect_right(keys, hi)]]
+        keys.sort()
+        keys = list(compress(keys, [True, *map(ne, keys[1:], keys)]))
+        keys = [k for lo, hi in comps
+                for k in keys[bisect_left(keys, lo):bisect_right(keys, hi)]]
+        low = reduce(or_, keys, 0)           # its lowest bit is the shift
+        shift = min(ex, (low & -low).bit_length() - 1) if low else ex
+        return [k >> shift for k in keys] if shift else keys, ex - shift
+
+    def special_points(self, region: Region,
+                       resolution: Dyadic) -> list[Dyadic]:
+        keys, ex = self.special_keys(region, resolution)
+        return [Dyadic(k, ex) for k in keys]
 
     def singular_schedule(self, region: Region, resolution: Dyadic):
         if self._schedule is None:
             return []
         sched = list(self._schedule(region, resolution))
-        keys, comps = _point_keys(region, [p for p, _ in sched])
+        keys, comps, _ = _point_keys(region, [p for p, _ in sched])
         return [s for s, k in zip(sched, keys)
                 if any(lo <= k <= hi for lo, hi in comps)]
 
 
 def _point_keys(region: Region, points: list[Dyadic]):
-    """The points' keys and the region's component keys at one exponent."""
+    """The points' keys and the region's component keys at one exponent,
+    and that exponent."""
     ex = max((p.exp for p in (*points, *region.endpoints())), default=0)
     return ([p.num << (ex - p.exp) for p in points],
             [(lo.num << (ex - lo.exp), hi.num << (ex - hi.exp))
-             for lo, hi in region.components])
+             for lo, hi in region.components], ex)
 
 
 def stieltjes(f: PointFunction) -> IntervalFunction:
@@ -363,7 +375,6 @@ class Fixture:
     permanent: tuple[tuple[Dyadic, Optional[tuple[bool, bool]]], ...] = ()
     scan_points: tuple[Dyadic, ...] = ()
     companion_sets: dict = field(default_factory=dict)
-    notes: str = ""
 
     def manifest(self) -> dict:
         return {

@@ -27,7 +27,6 @@ from .core import (
     Region,
     _component_runs,
     division_from_points,
-    dmid,
     floor_log2,
 )
 from .errors import BudgetExceeded
@@ -50,7 +49,9 @@ class SearchConfig:
     e_schedule is non-empty and strictly decreasing; grids use spacing
     e/grid_density.  convention_mode "optimize" picks extremal brackets per
     interval, and "fixed" applies the default ")[" convention at every
-    junction.  tol_float is the convergence tolerance of every verdict.
+    junction.  tol_float is the convergence tolerance of every verdict,
+    and use_special_points=False keeps g's special points out of every
+    search.
     """
 
     e_schedule: tuple[Dyadic, ...] = field(default_factory=_default_schedule)
@@ -366,23 +367,22 @@ def _grid_spacing(e: Dyadic, density: int) -> Dyadic:
     return spacing
 
 
-def _check_grid(region: Region, spacing: Dyadic, cap: int) -> None:
-    """Fail unless the grid at spacing, with each component's right end,
-    fits the point budget cap.  It counts on integers, before the grid or
-    g's special points are built: a wide region's special points can be as
-    many as its grid's."""
+def _special_keys(g: IntervalFunction, region: Region, e: Dyadic,
+                  cfg: SearchConfig) -> tuple[list[int], int]:
+    """g's special keys in the region at norm bound e and their exponent
+    (IntervalFunction.special_keys), or none when cfg.use_special_points
+    is False: the one way a search reads special points.  It first fails
+    unless the grid at e, with each component's right end, fits
+    cfg.max_points.  It counts on integers, before the grid or g's special
+    points are built: a wide region's special points can be as many as its
+    grid's."""
+    spacing = _grid_spacing(e, cfg.grid_density)
     ex = max(spacing.exp, *(p.exp for p in region.endpoints()))
     sp = _key(spacing, ex)
     if sum((hi - lo + sp - 1) // sp + 1
-           for lo, hi in _comp_keys(region, ex)) > cap:
-        raise BudgetExceeded(f"grid needs more than {cap} points")
-
-
-def _check_finest_grid(region: Region, cfg: SearchConfig) -> None:
-    """_check_grid at the finest norm bound of cfg, for the searches that
-    ask g for its special points at that bound."""
-    _check_grid(region, _grid_spacing(cfg.finest(), cfg.grid_density),
-                cfg.max_points)
+           for lo, hi in _comp_keys(region, ex)) > cfg.max_points:
+        raise BudgetExceeded(f"grid needs more than {cfg.max_points} points")
+    return g.special_keys(region, e) if cfg.use_special_points else ([], 0)
 
 
 def _grid_keys(comps: list[tuple[int, int]], start: int,
@@ -454,19 +454,18 @@ def candidate_point_sets(
     without repeats.  Every candidate keys its points at one exponent.
     """
     spacing = _grid_spacing(e, cfg.grid_density)
-    _check_grid(region, spacing, cfg.max_points)
-    specials = (g.special_points(region, e) if cfg.use_special_points else [])
+    skeys, sex = _special_keys(g, region, e, cfg)
     # the offset grid avoids interior alignment points (e.g. the origin);
     # one exponent holds its half step, the special and extra points,
     # every fill midpoint and, one halving further, every jitter midpoint
-    ex = _level_exponent(region, e, [spacing.exp + 1, *(
-        p.exp for p in (*specials, *extra))]) + 1
+    ex = _level_exponent(region, e, [spacing.exp + 1, sex,
+                                     *(p.exp for p in extra)]) + 1
     comps, sp = _comp_keys(region, ex), _key(spacing, ex)
     fixed = [_key(p, ex) for p in extra]
     grid = _grid_keys(comps, 0, sp)
     sets = [grid, _grid_keys(comps, sp >> 1, sp)]
-    if specials:
-        spec = [_key(p, ex) for p in specials]
+    if skeys:
+        spec = [k << (ex - sex) for k in skeys]
         filled = _fill([spec], region, e, ex, cfg.max_points, fixed)[0]
         keys = filled.keys
         # the filler drops the midpoints that fall in the region's gaps
@@ -484,32 +483,30 @@ def _search_levels(g: IntervalFunction, cfg: SearchConfig,
                    level) -> list[list[LevelEstimate]]:
     """Untightened level estimates of several traces over shared candidates.
 
-    level(e) is the selection rule: it gives the region and the candidates
-    at norm bound e, all keyed at one exponent.  A trace is
-    (locks_for_level or None, absolute): its junction locks per level, and
-    whether it scores |g| instead of g; convention_mode "fixed" puts the
-    default convention at every point instead.  At each level every
-    candidate is scored once per trace, all against one memo of g's values
-    that is dropped when the level ends.  A candidate replaces a trace's
-    best only on a strict improvement; the winners' divisions are built
-    only when they are read.
+    level(e) is the selection rule: it gives the region, the candidates
+    at norm bound e, all keyed at one exponent, and the level's junction
+    locks on keys at that exponent.  A trace is (locked, absolute): whether
+    it honours the level's locks, and whether it scores |g| instead of g;
+    convention_mode "fixed" puts the default convention at every point
+    instead.  At each level every candidate is scored once per trace, all
+    against one memo of g's values that is dropped when the level ends.  A
+    candidate replaces a trace's best only on a strict improvement, so a
+    NaN sum never wins; the winners' divisions are built only when they
+    are read.
     """
     out: list[list[LevelEstimate]] = [[] for _ in traces]
     fixed = cfg.convention_mode == "fixed"
     for e in cfg.e_schedule:
-        level_locks = [lf(e) if lf else {} for lf, _ in traces]
-        region, cands = level(e)
-        ex = cands[0].ex
-        ilocks = [{_key(p, ex): lock for p, lock in locks.items()
-                   if p.exp <= ex} for locks in level_locks]
+        region, cands, locks = level(e)
         memo: dict = {}
         best = [[-INF, INF, None, None] for _ in traces]
         for cand in cands:
             every = (dict.fromkeys(cand.keys, DEFAULT_CONVENTION)
                      if fixed else None)
-            for (_, absolute), locks, b in zip(traces, ilocks, best):
-                ups, lows, up_k, low_k = _score(g, cand, memo, every or locks,
-                                                absolute)
+            for (locked, absolute), b in zip(traces, best):
+                ups, lows, up_k, low_k = _score(
+                    g, cand, memo, every or (locks if locked else {}),
+                    absolute)
                 up = xsum(ups)
                 low = up if lows is ups else xsum(lows)
                 if up > b[0]:
@@ -526,19 +523,21 @@ def _norm_search(
     region: Region,
     cfg: Optional[SearchConfig],
     traces: Sequence[tuple],
-    extra_points: Sequence[Dyadic] = (),
-    mandatory_for_level=None,
+    schedule=None,
 ) -> list[LimitReport]:
     """Norm-limit reports of several traces over the candidate family of
-    each level, with the extra points and the level's mandatory points."""
+    each level.  schedule(e) gives the level's mandatory points and its
+    junction locks, a dict from point to Lock (_permanent_schedule)."""
     cfg = cfg or SearchConfig()
     if region.is_empty:
         raise ValueError("region is empty")
 
     def level(e: Dyadic):
-        mandatory = mandatory_for_level(e) if mandatory_for_level else []
-        return region, candidate_point_sets(g, region, e, cfg,
-                                            [*extra_points, *mandatory])
+        points, locks = schedule(e) if schedule else ((), {})
+        cands = candidate_point_sets(g, region, e, cfg, points)
+        # the level's exponent holds every mandatory point, so every lock
+        ex = cands[0].ex
+        return region, cands, {_key(p, ex): lock for p, lock in locks.items()}
 
     return [_tightened_report(levels, cfg.tol_float)
             for levels in _search_levels(g, cfg, traces, level)]
@@ -595,7 +594,6 @@ def estimate_norm_limits(
     g: IntervalFunction,
     region: Region,
     cfg: Optional[SearchConfig] = None,
-    extra_points: Sequence[Dyadic] = (),
 ) -> LimitReport:
     """Estimate the upper and lower norm-limits of g over a region.
 
@@ -603,7 +601,7 @@ def estimate_norm_limits(
     sum over the candidate family; the verdict compares the finest-level
     envelope against the tolerance.
     """
-    return _norm_search(g, region, cfg, [(None, False)], extra_points)[0]
+    return _norm_search(g, region, cfg, [(False, False)])[0]
 
 
 def _iterated_search(build, region: Region, cfg: SearchConfig,
@@ -643,23 +641,19 @@ def _iterated_search(build, region: Region, cfg: SearchConfig,
 
 def _permanent_schedule(g: IntervalFunction, region: Region,
                         permanent: Sequence[tuple[Dyadic, Optional[Lock]]]):
-    """Per-level junction locks and mandatory points: the permanent points
-    in the region, extended along g's singular-point enumeration."""
+    """schedule(e) -> (mandatory points, junction locks) of each level: the
+    permanent points in the region, extended along g's singular-point
+    enumeration, and the locks of those that have one."""
     supplied = [(p, lock) for p, lock in permanent if region.contains_point(p)]
 
-    def merged(e: Dyadic) -> list[tuple[Dyadic, Optional[Lock]]]:
-        out = dict(supplied)
+    def schedule(e: Dyadic) -> tuple[list[Dyadic], dict]:
+        merged = dict(supplied)
         for p, lock in g.singular_schedule(region, e):
-            out.setdefault(p, lock)
-        return list(out.items())
+            merged.setdefault(p, lock)
+        return list(merged), {p: lock for p, lock in merged.items()
+                              if lock is not None}
 
-    def locks_for(e: Dyadic) -> dict:
-        return {p: lock for p, lock in merged(e) if lock is not None}
-
-    def mandatory_for(e: Dyadic) -> list[Dyadic]:
-        return [p for p, _ in merged(e)]
-
-    return locks_for, mandatory_for
+    return schedule
 
 
 def estimate_k_limits(
@@ -679,9 +673,8 @@ def estimate_k_limits(
     """
     if not permanent:
         return estimate_norm_limits(g, region, cfg)
-    locks_for, mandatory_for = _permanent_schedule(g, region, permanent)
-    return _norm_search(g, region, cfg, [(locks_for, False)],
-                        mandatory_for_level=mandatory_for)[0]
+    return _norm_search(g, region, cfg, [(True, False)],
+                        _permanent_schedule(g, region, permanent))[0]
 
 
 def k_chain_reports(
@@ -698,10 +691,9 @@ def k_chain_reports(
     every level by construction: the k assignments are a subset of the
     free ones.
     """
-    locks_for, mandatory_for = _permanent_schedule(g, region, permanent)
     k_rep, n_rep = _norm_search(g, region, cfg,
-                                [(locks_for, False), (None, False)],
-                                mandatory_for_level=mandatory_for)
+                                [(True, False), (False, False)],
+                                _permanent_schedule(g, region, permanent))
     return n_rep, k_rep
 
 
@@ -724,22 +716,19 @@ def estimate_sigma_limit(
     def level(e: Dyadic):
         nonlocal chain, cex
         spacing = _grid_spacing(e, cfg.grid_density)
-        _check_grid(region, spacing, cfg.max_points)
-        specials = (g.special_points(region, e) if cfg.use_special_points
-                    else [])
-        ex = _level_exponent(region, e, [cex, spacing.exp,
-                                         *(p.exp for p in specials)])
+        skeys, sex = _special_keys(g, region, e, cfg)
+        ex = _level_exponent(region, e, [cex, spacing.exp, sex])
         keys = _grid_keys(_comp_keys(region, ex), 0, _key(spacing, ex))
         keys += [k << (ex - cex) for k in chain]
-        keys += [_key(p, ex) for p in specials]
+        keys += [k << (ex - sex) for k in skeys]
         stage, = _fill([keys], region, e, ex, cfg.max_points)
         # the smallest exponent that holds the chain, so that the fill depth
         # is not added again at every level
         shift = min(ex, *((k & -k).bit_length() - 1 for k in stage.keys if k))
         chain, cex = [k >> shift for k in stage.keys], ex - shift
-        return region, [stage]
+        return region, [stage], {}
 
-    levels, = _search_levels(g, cfg, [(None, False)], level)
+    levels, = _search_levels(g, cfg, [(False, False)], level)
     return LimitReport(levels, _verdict(levels, cfg.tol_float))
 
 
@@ -799,12 +788,11 @@ def scan_candidates(g: IntervalFunction, region: Region,
                     cfg: SearchConfig) -> list[Dyadic]:
     """Points to probe: special-point midpoints first (accumulation points
     live there), then the specials, then a coarse grid; capped at 64."""
-    _check_finest_grid(region, cfg)
-    specials = g.special_points(region, cfg.finest())
-    mids = [dmid(a, b) for a, b in zip(specials, specials[1:])]
+    keys, ex = _special_keys(g, region, cfg.finest(), cfg)
+    mids = (Dyadic(a + b, ex + 1) for a, b in zip(keys, keys[1:]))
     out: list[Dyadic] = []
     seen = set()
-    for p in mids + specials + _probe_grid(region):
+    for p in chain(mids, (Dyadic(k, ex) for k in keys), _probe_grid(region)):
         if p in seen or not any(lo < p < hi for lo, hi in region.components):
             continue
         seen.add(p)
@@ -847,11 +835,12 @@ def _triple_pool(g: IntervalFunction, region: Region, cfg: SearchConfig,
     """The defect scan's pool of special, end and probe points as sorted
     distinct keys at one exponent, which also holds the points ys and
     every norm bound, with that exponent and the components' keys."""
-    _check_finest_grid(region, cfg)
-    pts = [*g.special_points(region, cfg.finest())[:1024],
-           *region.endpoints(), *_probe_grid(region)]
-    ex = max(p.exp for p in (*pts, *ys, *cfg.e_schedule))
-    return sorted({_key(p, ex) for p in pts}), ex, _comp_keys(region, ex)
+    keys, sex = _special_keys(g, region, cfg.finest(), cfg)
+    pts = [*region.endpoints(), *_probe_grid(region)]
+    ex = max(sex, *(p.exp for p in (*pts, *ys, *cfg.e_schedule)))
+    keys = {k << (ex - sex) for k in keys[:1024]}
+    return (sorted(keys.union(_key(p, ex) for p in pts)), ex,
+            _comp_keys(region, ex))
 
 
 def _neighbours(keys: list[int], yk: int) -> tuple[list[int], list[int]]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .catalog import IntervalFunction, length_fn, xsum
+from .catalog import INF, IntervalFunction, length_fn, xsum
 from .core import (
     Dyadic,
     Interval,
@@ -233,9 +233,10 @@ def estimate_norm_limits_2d(
                     f"{len(cells)} cells exceed {cfg.max_points}")
         memo = _CellMemo(gT, ex)
         vals = [[memo[c] for c in cells] for cells in cands]
+        # as in _search_levels, a NaN sum never wins a level
         levels.append(LevelEstimate(
-            e, max(xsum(up for up, _ in vs) for vs in vals),
-            min(xsum(low for _, low in vs) for vs in vals)))
+            e, max([-INF, *(xsum(up for up, _ in vs) for vs in vals)]),
+            min([INF, *(xsum(low for _, low in vs) for vs in vals)])))
     return _tightened_report(levels, cfg.tol_float)
 
 

@@ -24,7 +24,6 @@ from .integrator import (
     Candidate,
     LimitReport,
     SearchConfig,
-    _check_finest_grid,
     _comp_keys,
     _fill,
     _growth_diverging,
@@ -34,6 +33,7 @@ from .integrator import (
     _norm_search,
     _score,
     _search_levels,
+    _special_keys,
     _triple_pool,
     _triple_values,
 )
@@ -79,7 +79,7 @@ def variation(
     cfg = cfg or SearchConfig()
     # |g| is scored off g's values, over the candidates of g's own search
     abs_report, base_report = _norm_search(g, region, cfg,
-                                           [(None, True), (None, False)])
+                                           [(False, True), (False, False)])
     levels = [(lv.e, lv.upper) for lv in abs_report.levels]
     infinite = _growth_diverging([lv.raw_upper for lv in abs_report.levels])
     a_bound = max(abs(base_report.upper), abs(base_report.lower))
@@ -121,16 +121,16 @@ def j_singularity(
     def level(e: Dyadic):
         window = _window(region, y, e)
         fine = e.half().half()
-        specials = g.special_points(window, fine)
-        ex = _level_exponent(window, fine, [aex, *(p.exp for p in specials)])
+        skeys, sex = _special_keys(g, window, fine, cfg)
+        ex = _level_exponent(window, fine, [aex, sex])
         base = [k << (ex - aex) for k in below + above]
-        base += [_key(p, ex) for p in specials]
+        base += [k << (ex - sex) for k in skeys]
         yk = _key(y, ex)
         # one candidate splits at y, one straddles it
         return window, _fill([base + [yk], [k for k in base if k != yk]],
-                             window, fine, ex, cfg.max_points)
+                             window, fine, ex, cfg.max_points), {}
 
-    levels, = _search_levels(g, cfg, [(None, True)], level)
+    levels, = _search_levels(g, cfg, [(False, True)], level)
     trace = [lv.upper for lv in levels]
     return INF if _growth_diverging(trace) else trace[-1]
 
@@ -146,11 +146,9 @@ def _pack_candidates(g: IntervalFunction, region: Region,
                      cfg: SearchConfig) -> Candidate:
     """Candidate pack intervals keyed at one exponent: per component, the
     run of its special points and the run of its cells at each depth."""
-    _check_finest_grid(region, cfg)
-    specials = g.special_points(region, cfg.finest())
-    E = max([p.exp for p in specials]
-            + [p.exp + 12 for p in region.endpoints()], default=0)
-    skeys = [_key(p, E) for p in specials]
+    skeys, sex = _special_keys(g, region, cfg.finest(), cfg)
+    E = max([sex, *(p.exp + 12 for p in region.endpoints())])
+    skeys = [k << (E - sex) for k in skeys]
     keys: list[int] = []
     runs = []
     for lo, hi in _comp_keys(region, E):
@@ -173,8 +171,7 @@ def _density(val: float, lo: int, hi: int, scale: int) -> float:
 class _ScoredPool:
     """A pack pool scored once by the integrator's scorer: the spans as
     integer key pairs at the exponent E and, for "max" and for "min", the
-    optimal values with the indices of the variants attaining them (None
-    when g is bracket independent)."""
+    spans' optimal values."""
 
     __slots__ = ("spans", "best", "E")
 
@@ -182,29 +179,24 @@ class _ScoredPool:
         keys, self.E = cand.keys, cand.ex
         self.spans = [(keys[i], keys[i + 1]) for start, stop in cand.runs
                       for i in range(start, stop - 1)]
-        ups, lows, up_k, low_k = _score(g, cand, {}, {})
-        self.best = {"max": (ups, up_k), "min": (lows, low_k)}
+        ups, lows = _score(g, cand, {}, {})[:2]
+        self.best = {"max": ups, "min": lows}
 
     def cap(self, n: int) -> None:
         """Keep the n spans of highest max-sense value density, ties to the
         leftmost."""
-        vals, spans, scale = self.best["max"][0], self.spans, 1 << self.E
+        vals, spans, scale = self.best["max"], self.spans, 1 << self.E
         keep = sorted(range(len(spans)), key=lambda i: (
             -_density(vals[i], *spans[i], scale), spans[i][0]))[:n]
-
-        def pick(col):
-            return col and [col[i] for i in keep]      # None stays None
-
-        self.spans = pick(self.spans)
-        self.best = {s: (pick(v), pick(k)) for s, (v, k) in self.best.items()}
+        self.spans = [spans[i] for i in keep]
+        self.best = {s: [v[i] for i in keep] for s, v in self.best.items()}
 
     def ranked(self, sense: str) -> list[tuple]:
         """Spans whose optimum has the sense's sign, by decreasing value
         density, then by span: (-density, lo, hi, value, index)."""
         scale = 1 << self.E
         out = []
-        for i, ((lo, hi), val) in enumerate(zip(self.spans,
-                                                self.best[sense][0])):
+        for i, ((lo, hi), val) in enumerate(zip(self.spans, self.best[sense])):
             if (sense == "max" and val <= 0) or (sense == "min" and val >= 0):
                 continue
             out.append((-_density(val, lo, hi, scale), lo, hi, val, i))
@@ -334,11 +326,10 @@ def variation_split(
         raise BracketDependent(f"{g.name} depends on bracket conventions")
     cfg = cfg or SearchConfig()
     sub = Region.interval(J.lo, J.hi)
-    _check_finest_grid(sub, cfg)
     e = cfg.finest()
-    specials = g.special_points(sub, e)
-    ex = _level_exponent(sub, e, [p.exp for p in specials])
-    cand, = _fill([[_key(p, ex) for p in specials]], sub, e, ex,
+    skeys, sex = _special_keys(g, sub, e, cfg)
+    ex = _level_exponent(sub, e, [sex])
+    cand, = _fill([[k << (ex - sex) for k in skeys]], sub, e, ex,
                   cfg.max_points)
     p_up = 0.0
     n_low = 0.0

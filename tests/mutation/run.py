@@ -13,10 +13,10 @@ counted as killed.
     python tests/mutation/run.py --list
 
 Targets are the names in TARGETS or any module.qualname under
-src/burkill.  Without a selection after "--", each target runs the fast
-gate (GATE in .github/workflows/tests.yml) and its module's tests.  The
-exit status is 0 whether or not mutants survive: the score is reported,
-not gated.
+src/burkill.  Without a selection after "--", each target runs its
+module's tests and then the fast gate (GATE in .github/workflows/tests.yml),
+so that the likeliest killers run first.  The exit status is 0 whether or
+not mutants survive: the score is reported, not gated.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ TARGETS = {
     "_fill_keys": ("integrator", "_fill_keys"),
     "_grid_keys": ("integrator", "_grid_keys"),
     "_level_exponent": ("integrator", "_level_exponent"),
+    "_special_keys": ("integrator", "_special_keys"),
     "_tightened_report": ("integrator", "_tightened_report"),
     "_defect_at": ("integrator", "_defect_at"),
     "variation._greedy": ("variation", "_greedy"),
@@ -56,6 +57,7 @@ TARGETS = {
     "_EdgeKeys": ("density", "_EdgeKeys"),
     "around_set._meets": ("around_set", "_meets"),
     "catalog._k_singular": ("catalog", "_k_singular"),
+    "catalog.special_keys": ("catalog", "IntervalFunction.special_keys"),
     "walsh._bareiss_det": ("walsh", "_bareiss_det"),
     "walsh._full_rank_mod_p": ("walsh", "_full_rank_mod_p"),
 }
@@ -69,7 +71,7 @@ MODULE_TESTS = {
     "reporting": [],
     "density": ["tests/test_density.py"],
     "around_set": ["tests/test_around.py"],
-    "catalog": ["tests/test_catalog.py"],
+    "catalog": ["tests/test_catalog.py", "tests/test_fast_paths.py"],
     "walsh": ["tests/test_walsh.py"],
 }
 
@@ -358,7 +360,7 @@ def main(argv=None) -> int:
         shutil.copytree(src, tmp / "src", ignore=shutil.ignore_patterns(
             "__pycache__", "*.egg-info"))
         for t in targets:
-            selection = tests or [*gate(), *MODULE_TESTS.get(t.module, [])]
+            selection = tests or [*MODULE_TESTS.get(t.module, []), *gate()]
             path = tmp / "src" / "burkill" / f"{t.module}.py"
             if tuple(selection) not in baseline:
                 baseline[tuple(selection)] = run_tests(

@@ -10,7 +10,11 @@ from burkill.density import (
     lebesgue_reference,
 )
 from burkill.errors import NoConvergence
-from burkill.integrator import SearchConfig, estimate_norm_limits
+from burkill.integrator import (
+    SearchConfig,
+    estimate_k_limits,
+    estimate_norm_limits,
+)
 
 D = Dyadic
 UNIT = Region.interval(ZERO, D(1))
@@ -177,12 +181,10 @@ class TestInequalities:
         e1 = MeasurableSet.from_spans([(ZERO, D(1, 2))])
         e2 = MeasurableSet.from_spans([(D(1, 1), D(3, 2))])
         union = MeasurableSet.from_spans([(ZERO, D(1, 2)), (D(1, 1), D(3, 2))])
-        extra = [D(1, 2), D(1, 1), D(3, 2)]
-        r1 = estimate_norm_limits(density_kernel(g, e1), UNIT, cfg(),
-                                  extra_points=extra)
-        r2 = estimate_norm_limits(density_kernel(g, e2), UNIT, cfg(),
-                                  extra_points=extra)
-        ru = estimate_norm_limits(density_kernel(g, union), UNIT, cfg(),
-                                  extra_points=extra)
+        # the set edges as free permanent points
+        edges = [(p, None) for p in (D(1, 2), D(1, 1), D(3, 2))]
+        r1 = estimate_k_limits(density_kernel(g, e1), UNIT, edges, cfg())
+        r2 = estimate_k_limits(density_kernel(g, e2), UNIT, edges, cfg())
+        ru = estimate_k_limits(density_kernel(g, union), UNIT, edges, cfg())
         assert r1.lower + r2.lower <= ru.lower + 1e-9
         assert ru.upper <= r1.upper + r2.upper + 1e-9

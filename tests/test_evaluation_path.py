@@ -69,8 +69,7 @@ def _cells(fx):
 
 
 def _packs(scored):
-    """Each sense's values and variants, and its packs at 2^-1, 2^-3 and
-    2^-5."""
+    """Each sense's values, and its packs at 2^-1, 2^-3 and 2^-5."""
     return repr((scored.best, [scored.pack(Fraction(1, 1 << k), sense)
                                for k in (1, 3, 5)
                                for sense in ("max", "min")]))

@@ -1,10 +1,12 @@
 """The search core's builtin-driven helpers against their definitions.
 
-xsum against hand-worked sums, special points filtered and sorted on
-integer keys against their definition in Fractions, and the length
+xsum against hand-worked sums, special keys and points filtered and sorted
+on integer keys against their definition in Fractions, and the length
 function evaluated on keys against float(Interval.length); every result
 must equal its oracle's by repr.
 """
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -79,10 +81,16 @@ class TestSpecialPoints:
                  for lo, hi in region.components]
         inside = [p for p in pts if any(lo <= p.as_fraction() <= hi
                                         for lo, hi in comps)]
+        want = sorted({p.as_fraction() for p in inside})
+        # the keys at the smallest exponent that holds them: the largest
+        # exponent of the points in canonical form
+        keys, ex = g.special_keys(region, Dyadic(1, 3))
+        assert [Fraction(k, 1 << ex) for k in keys] == want
+        assert ex == max((p.exp for p in inside), default=0)
         got = g.special_points(region, Dyadic(1, 3))
-        assert [p.as_fraction() for p in got] == sorted(
-            {p.as_fraction() for p in inside})
+        assert [p.as_fraction() for p in got] == want
         assert all(type(p) is Dyadic for p in got)
+        assert got == [Dyadic(k, ex) for k in keys]
         # the schedule keeps its order and its repeats
         assert g.singular_schedule(region, Dyadic(1, 3)) == [
             (p, None) for p in inside]

@@ -3,7 +3,9 @@ import signal
 
 import pytest
 
+from burkill.around_set import around_limits
 from burkill.catalog import (
+    IntervalFunction,
     add_fn,
     fixture,
     fixture_names,
@@ -21,12 +23,14 @@ from burkill.core import (
     ZERO,
     division_from_points,
 )
+from burkill.density import MeasurableSet, density_integral
 from burkill.errors import BudgetExceeded
 from burkill.integrator import (
     SearchConfig,
     _norm_search,
     additivity_defect,
     brute_force_extremal,
+    candidate_point_sets,
     defect_report_at,
     estimate_k_limits,
     estimate_norm_limits,
@@ -267,6 +271,22 @@ class TestNormLimits:
         with pytest.raises(BudgetExceeded):
             estimate_norm_limits(length_fn(), UNIT, cfg)
 
+    @pytest.mark.parametrize("comps, points", [
+        ([(ZERO, D(1))], 9),                 # eight steps and the right end
+        ([(ZERO, D(3, 4))], 3),              # a step, a part and the end
+        ([(ZERO, D(1, 1)), (D(1), D(2))], 14),
+    ])
+    def test_grid_budget_is_the_grid_with_its_right_ends(self, comps, points):
+        # spacing 1/8 at e = 1/4; the budget holds the grid exactly
+        region, e = Region(comps), D(1, 2)
+        grid = candidate_point_sets(length_fn(), region, e, SearchConfig(
+            e_schedule=(e,), max_points=points))[0]
+        assert len(grid.keys) == points
+        with pytest.raises(BudgetExceeded,
+                           match=f"grid needs more than {points - 1} points"):
+            candidate_point_sets(length_fn(), region, e, SearchConfig(
+                e_schedule=(e,), max_points=points - 1))
+
     def test_sigma_grid_over_budget(self):
         # sigma's grid already has every gap below e, so no fill checks it
         from burkill.errors import BudgetExceeded
@@ -398,9 +418,8 @@ class TestKLimits:
         mandatory = list(full)
 
         def levels(locks):
-            return _norm_search(
-                fx.fn, fx.region, cfg, [(lambda e: locks, False)],
-                mandatory_for_level=lambda e: mandatory)[0].levels
+            return _norm_search(fx.fn, fx.region, cfg, [(True, False)],
+                                lambda e: (mandatory, locks))[0].levels
 
         plain = levels({})
         mid = levels(few)
@@ -476,8 +495,16 @@ class TestDefectBound:
             defect_report_at(fx.fn, fx.region, y, cfg_levels(3, 5))
 
 
+def _never(region, resolution):
+    raise AssertionError(f"special points asked on {region}")
+
+
 WIDE = Region.interval(ZERO, D(10 ** 30))
 WIDE_CALLS = {
+    "norm": lambda g, cfg: estimate_norm_limits(g, WIDE, cfg),
+    "k_chain": lambda g, cfg: k_chain_reports(g, WIDE, [(D(1), None)], cfg),
+    "sigma": lambda g, cfg: estimate_sigma_limit(g, WIDE, cfg),
+    "variation": lambda g, cfg: variation(g, WIDE, cfg),
     "singularity_scan": lambda g, cfg: singularity_scan(g, WIDE, cfg),
     "defect_report_at": lambda g, cfg: defect_report_at(g, WIDE, D(1), cfg),
     "j_singularity": lambda g, cfg: j_singularity(g, WIDE, D(1), cfg),
@@ -490,19 +517,55 @@ WIDE_CALLS = {
 
 @pytest.mark.parametrize("call", sorted(WIDE_CALLS))
 def test_wide_region_fails_on_the_grid_budget(call):
-    """On [0, 10^30] the finest grid is over budget, and each entry point
-    says so before it asks osc_left_limit for special points: their chain
-    would walk toward 10^30."""
+    """On [0, 10^30] the grid is over budget, and each entry point says so
+    before it asks g for special points (osc_left_limit's chain would walk
+    toward 10^30): g's callback fails if it is called."""
     def out_of_time(signum, frame):
         raise TimeoutError(f"{call} ran past 4 s")
 
+    osc = fixture("osc_left_limit").fn
+    g = IntervalFunction("never", span=osc.span,
+                         bracket_independent=osc.bracket_independent,
+                         special_points=_never)
     cfg = cfg_levels(3, 5)
     previous = signal.signal(signal.SIGALRM, out_of_time)
     signal.alarm(4)
     try:
         with pytest.raises(BudgetExceeded,
                            match="grid needs more than 200000 points"):
-            WIDE_CALLS[call](fixture("osc_left_limit").fn, cfg)
+            WIDE_CALLS[call](g, cfg)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+HALF_E = MeasurableSet.from_spans([(ZERO, D(1, 1))])
+UNIT_CALLS = {
+    "norm": lambda g, cfg: estimate_norm_limits(g, UNIT, cfg),
+    "k": lambda g, cfg: estimate_k_limits(g, UNIT, [(D(1, 1), (False, True))],
+                                          cfg),
+    "k_chain": lambda g, cfg: k_chain_reports(g, UNIT, [(D(1, 1), None)],
+                                              cfg),
+    "sigma": lambda g, cfg: estimate_sigma_limit(g, UNIT, cfg),
+    "variation": lambda g, cfg: variation(g, UNIT, cfg),
+    "j_singularity": lambda g, cfg: j_singularity(g, UNIT, D(1, 1), cfg),
+    "singularity_scan": lambda g, cfg: singularity_scan(g, UNIT, cfg),
+    "defect_report_at": lambda g, cfg: defect_report_at(g, UNIT, D(1, 1),
+                                                        cfg),
+    "is_absolutely_continuous": lambda g, cfg: is_absolutely_continuous(
+        g, UNIT, cfg),
+    "variation_split": lambda g, cfg: variation_split(
+        g, Interval(ZERO, D(1)), cfg),
+    "density_integral": lambda g, cfg: density_integral(g, HALF_E, UNIT,
+                                                        cfg),
+    "around_limits": lambda g, cfg: around_limits(g, HALF_E, UNIT, cfg),
+}
+
+
+@pytest.mark.parametrize("call", sorted(UNIT_CALLS))
+def test_no_special_points_under_use_special_points_false(call):
+    """use_special_points=False reaches every search: none asks g."""
+    g = IntervalFunction("never", span=lambda a, b, ex, lc, rc: (
+        (b - a) / (1 << ex)) ** 2, bracket_independent=True,
+        special_points=_never)
+    UNIT_CALLS[call](g, cfg_levels(3, 6, use_special_points=False))

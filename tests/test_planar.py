@@ -2,7 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from burkill.catalog import fixture, length_fn, poly, stieltjes, xsum
+from burkill.catalog import (
+    IntervalFunction,
+    fixture,
+    length_fn,
+    poly,
+    stieltjes,
+    xsum,
+)
 from burkill.core import Dyadic, Region, ZERO
 from burkill.planar import (
     RectFunction,
@@ -17,10 +24,50 @@ from burkill.planar import (
     product_function,
     two_squares_function,
 )
+from burkill.integrator import estimate_norm_limits
 from keyed_inputs import cell_rects
 
 D = Dyadic
 UNIT_SQ = closed_rect(ZERO, D(1), ZERO, D(1))
+
+
+NAN = float("nan")
+
+
+class TestNanRule:
+    """A NaN candidate sum never wins a planar level, as in the 1-D level
+    loop."""
+
+    @pytest.mark.parametrize("mode", ["restricted", "extended"])
+    def test_nan_everywhere_reads_as_in_one_dimension(self, mode):
+        cfg = planar_config(e_schedule=(D(1, 2), D(1, 3)))
+        gT = RectFunction("nan", cell=lambda *cell: NAN,
+                          bracket_independent=True)
+        g = IntervalFunction("nan", span=lambda *span: NAN)
+        rep = estimate_norm_limits_2d(gT, UNIT_SQ, mode, cfg)
+        want = "oscillating(upper=-inf, lower=inf)"
+        assert str(rep.verdict) == want
+        assert str(estimate_norm_limits(g, Region.interval(ZERO, D(1)),
+                                        cfg).verdict) == want
+
+    def test_a_candidate_with_a_nan_cell_loses(self):
+        # NaN on the cells inside S = [0,1/2]^2 shorter than S; the grids
+        # cut S into such cells, the guillotine tiling keeps S's height, and
+        # every finite candidate sums the area 1 exactly
+        def cell(x0, x1, y0, y1, ex, xb, yb):
+            half = 1 << (ex - 1)
+            if x1 <= half and y1 <= half and y1 - y0 < half:
+                return NAN
+            return (x1 - x0) * (y1 - y0) / (1 << 2 * ex)
+
+        S = closed_rect(ZERO, D(1, 1), ZERO, D(1, 1))
+        gT = RectFunction("nan_in_S", cell=cell, bracket_independent=True,
+                          special_rects=lambda region, e: [S])
+        rep = estimate_norm_limits_2d(
+            gT, UNIT_SQ, "extended", planar_config(e_schedule=(D(1, 2),
+                                                              D(1, 3))))
+        assert [(lv.upper, lv.lower) for lv in rep.levels] == [(1.0, 1.0)] * 2
+        assert rep.verdict.kind == "converged"
 
 
 class TestRectBasics:

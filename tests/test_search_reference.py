@@ -381,7 +381,7 @@ class TestPackPool:
         spans = [(_key(min(p), scored.E), _key(max(p), scored.E))
                  for p in pairs]
         assert scored.spans == spans
-        vals = scored.best[sense][0]
+        vals = scored.best[sense]
         order = density_order(spans, vals, scale, (
             lambda v: not v <= 0) if sense == "max" else (
             lambda v: not v >= 0))
@@ -389,11 +389,11 @@ class TestPackPool:
             greedy_pack(spans, vals, scale, order, mu))
         # the cap keeps the n densest spans in the max sense, ties to the
         # leftmost, in that order
-        vals, lows = scored.best["max"][0], scored.best["min"][0]
+        vals, lows = scored.best["max"], scored.best["min"]
         keep = density_order(spans, vals, scale, lambda v: True, 1)[:n]
         scored.cap(n)
         assert scored.spans == [spans[i] for i in keep]
-        assert repr(scored.best["min"][0]) == repr([lows[i] for i in keep])
+        assert repr(scored.best["min"]) == repr([lows[i] for i in keep])
 
     def test_density_ties_and_abutting_spans(self):
         # at 2^-3: (0, 1) and (2, 4) tie at density 8, so the leftmost ranks
@@ -793,9 +793,11 @@ class TestStrayPoints:
         fx = fixture(name)
         for region in (fx.region, gapped(fx.region)):
             stray = stray_points(region)
-            assert report_bytes(estimate_norm_limits(
-                fx.fn, region, SHORT, stray)) == report_bytes(
-                estimate_norm_limits(fx.fn, region, SHORT))
+            for e in SHORT.e_schedule:
+                assert [(c.points, c.runs) for c in candidate_point_sets(
+                    fx.fn, region, e, SHORT, stray)] == [
+                    (c.points, c.runs) for c in candidate_point_sets(
+                        fx.fn, region, e, SHORT)]
             perms = _perms(fx)
             assert report_bytes(estimate_k_limits(
                 fx.fn, region, perms + [(p, None) for p in stray],
