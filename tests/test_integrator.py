@@ -499,23 +499,30 @@ def _never(region, resolution):
     raise AssertionError(f"special points asked on {region}")
 
 
-WIDE = Region.interval(ZERO, D(10 ** 30))
-WIDE_CALLS = {
-    "norm": lambda g, cfg: estimate_norm_limits(g, WIDE, cfg),
-    "k_chain": lambda g, cfg: k_chain_reports(g, WIDE, [(D(1), None)], cfg),
-    "sigma": lambda g, cfg: estimate_sigma_limit(g, WIDE, cfg),
-    "variation": lambda g, cfg: variation(g, WIDE, cfg),
-    "singularity_scan": lambda g, cfg: singularity_scan(g, WIDE, cfg),
-    "defect_report_at": lambda g, cfg: defect_report_at(g, WIDE, D(1), cfg),
-    "j_singularity": lambda g, cfg: j_singularity(g, WIDE, D(1), cfg),
-    "is_absolutely_continuous": lambda g, cfg: is_absolutely_continuous(
-        g, WIDE, cfg),
-    "variation_split": lambda g, cfg: variation_split(
-        g, Interval(ZERO, D(10 ** 30)), cfg),
+HALF = MeasurableSet.from_spans([(ZERO, D(1, 1))])
+# each entry point on a region whose first component holds 1/2 inside
+CALLS = {
+    "norm": lambda g, R, cfg: estimate_norm_limits(g, R, cfg),
+    "k": lambda g, R, cfg: estimate_k_limits(
+        g, R, [(D(1, 1), (False, True))], cfg),
+    "k_chain": lambda g, R, cfg: k_chain_reports(g, R, [(D(1, 1), None)],
+                                                 cfg),
+    "sigma": lambda g, R, cfg: estimate_sigma_limit(g, R, cfg),
+    "variation": lambda g, R, cfg: variation(g, R, cfg),
+    "singularity_scan": lambda g, R, cfg: singularity_scan(g, R, cfg),
+    "defect_report_at": lambda g, R, cfg: defect_report_at(g, R, D(1, 1),
+                                                           cfg),
+    "j_singularity": lambda g, R, cfg: j_singularity(g, R, D(1, 1), cfg),
+    "is_absolutely_continuous": lambda g, R, cfg: is_absolutely_continuous(
+        g, R, cfg),
+    "variation_split": lambda g, R, cfg: variation_split(
+        g, Interval(*R.components[0]), cfg),
+    "density_integral": lambda g, R, cfg: density_integral(g, HALF, R, cfg),
+    "around_limits": lambda g, R, cfg: around_limits(g, HALF, R, cfg),
 }
 
 
-@pytest.mark.parametrize("call", sorted(WIDE_CALLS))
+@pytest.mark.parametrize("call", sorted(CALLS))
 def test_wide_region_fails_on_the_grid_budget(call):
     """On [0, 10^30] the grid is over budget, and each entry point says so
     before it asks g for special points (osc_left_limit's chain would walk
@@ -533,39 +540,16 @@ def test_wide_region_fails_on_the_grid_budget(call):
     try:
         with pytest.raises(BudgetExceeded,
                            match="grid needs more than 200000 points"):
-            WIDE_CALLS[call](g, cfg)
+            CALLS[call](g, Region.interval(ZERO, D(10 ** 30)), cfg)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
 
 
-HALF_E = MeasurableSet.from_spans([(ZERO, D(1, 1))])
-UNIT_CALLS = {
-    "norm": lambda g, cfg: estimate_norm_limits(g, UNIT, cfg),
-    "k": lambda g, cfg: estimate_k_limits(g, UNIT, [(D(1, 1), (False, True))],
-                                          cfg),
-    "k_chain": lambda g, cfg: k_chain_reports(g, UNIT, [(D(1, 1), None)],
-                                              cfg),
-    "sigma": lambda g, cfg: estimate_sigma_limit(g, UNIT, cfg),
-    "variation": lambda g, cfg: variation(g, UNIT, cfg),
-    "j_singularity": lambda g, cfg: j_singularity(g, UNIT, D(1, 1), cfg),
-    "singularity_scan": lambda g, cfg: singularity_scan(g, UNIT, cfg),
-    "defect_report_at": lambda g, cfg: defect_report_at(g, UNIT, D(1, 1),
-                                                        cfg),
-    "is_absolutely_continuous": lambda g, cfg: is_absolutely_continuous(
-        g, UNIT, cfg),
-    "variation_split": lambda g, cfg: variation_split(
-        g, Interval(ZERO, D(1)), cfg),
-    "density_integral": lambda g, cfg: density_integral(g, HALF_E, UNIT,
-                                                        cfg),
-    "around_limits": lambda g, cfg: around_limits(g, HALF_E, UNIT, cfg),
-}
-
-
-@pytest.mark.parametrize("call", sorted(UNIT_CALLS))
+@pytest.mark.parametrize("call", sorted(CALLS))
 def test_no_special_points_under_use_special_points_false(call):
     """use_special_points=False reaches every search: none asks g."""
     g = IntervalFunction("never", span=lambda a, b, ex, lc, rc: (
         (b - a) / (1 << ex)) ** 2, bracket_independent=True,
         special_points=_never)
-    UNIT_CALLS[call](g, cfg_levels(3, 6, use_special_points=False))
+    CALLS[call](g, UNIT, cfg_levels(3, 6, use_special_points=False))
